@@ -23,9 +23,11 @@ Acceptance bars (hard-checked by :func:`validate_report`, re-run by
 CI's bench-smoke against the emitted artifact): on every unsatisfiable
 symmetric workload the pruned engine must enumerate at least
 :data:`REDUCTION_BAR` times fewer zero-sets than the naive walk *and*
-win wall-clock; every workload must agree on verdict and witness, and
-the two-worker pool must reproduce the serial pruned answer
-byte-for-byte.
+win wall-clock; every workload must agree on verdict and witness, the
+two-worker pool must reproduce the serial pruned answer byte-for-byte,
+and the serial pruned run must solve exactly one LP per tested
+candidate (``pruned_lp_calls == pruned_enumerated``: each nogood is
+learned from the certificate of the solve that refuted it).
 
 Standalone runner (what CI's bench-smoke invokes)::
 
@@ -48,6 +50,7 @@ from repro.cr.builder import SchemaBuilder
 from repro.cr.expansion import Expansion
 from repro.cr.satisfiability import class_targets, decision_problem
 from repro.cr.system import build_system
+from repro.runtime.budget import Budget, activate
 from repro.runtime.fallback import DEFAULT_FALLBACK, chain_for
 from repro.solver.registry import get_backend
 from repro.solver.stats import SearchCounters, search_stats_sink
@@ -106,19 +109,20 @@ def _problem(schema):
 
 def _run_engine(problem, engine: str, jobs: int = 1):
     """One counted run plus ``REPEATS`` timed ones; returns the result
-    tuple, the fold of the counted run's search stats, and the best
-    wall-clock."""
+    tuple, the fold of the counted run's search stats, its LP count
+    (:attr:`Budget.solver_calls`), and the best wall-clock."""
     chain = chain_for(DEFAULT_FALLBACK)
     backend = get_backend(engine)
     counters = SearchCounters()
-    with search_stats_sink(counters):
+    budget = Budget()
+    with activate(budget), search_stats_sink(counters):
         result = backend.decide_acceptable(problem, chain=chain, jobs=jobs)
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
         backend.decide_acceptable(problem, chain=chain, jobs=jobs)
         best = min(best, time.perf_counter() - start)
-    return result, counters, best
+    return result, counters, budget.solver_calls, best
 
 
 def run_workload(
@@ -136,11 +140,13 @@ def run_workload(
         disjoint=siblings >= 3,
     )
     problem = _problem(schema)
-    naive_result, naive_counters, naive_s = _run_engine(problem, "naive")
-    pruned_result, pruned_counters, pruned_s = _run_engine(problem, "pruned")
+    naive_result, naive_counters, _, naive_s = _run_engine(problem, "naive")
+    pruned_result, pruned_counters, pruned_lp_calls, pruned_s = _run_engine(
+        problem, "pruned"
+    )
     jobs_identical = True
     if check_jobs:
-        pooled_result, _, _ = _run_engine(problem, "pruned", jobs=2)
+        pooled_result, _, _, _ = _run_engine(problem, "pruned", jobs=2)
         jobs_identical = repr(pooled_result) == repr(pruned_result)
     pruned_enumerated = pruned_counters.zero_sets_enumerated
     return {
@@ -157,6 +163,7 @@ def run_workload(
         "jobs_identical": jobs_identical,
         "naive_enumerated": naive_counters.zero_sets_enumerated,
         "pruned_enumerated": pruned_enumerated,
+        "pruned_lp_calls": pruned_lp_calls,
         "enumeration_reduction": (
             naive_counters.zero_sets_enumerated / pruned_enumerated
             if pruned_enumerated > 0
@@ -206,6 +213,7 @@ _ENTRY_KEYS = {
     "jobs_identical": bool,
     "naive_enumerated": int,
     "pruned_enumerated": int,
+    "pruned_lp_calls": int,
     "enumeration_reduction": float,
     "pruned_by_orbit": int,
     "pruned_by_nogood": int,
@@ -226,6 +234,12 @@ def validate_report(report: dict) -> dict:
                 raise ValueError(
                     f"entry {label!r}: parity violated ({claim} is false)"
                 )
+        if entry["pruned_lp_calls"] != entry["pruned_enumerated"]:
+            raise ValueError(
+                f"entry {label!r}: {entry['pruned_lp_calls']} LPs for "
+                f"{entry['pruned_enumerated']} tested candidates; a refuted "
+                "candidate's nogood must come from the solve that refuted it"
+            )
         if entry["kind"] == "unsat-conflict":
             if entry["pruned_by_orbit"] + entry["pruned_by_nogood"] <= 0:
                 raise ValueError(

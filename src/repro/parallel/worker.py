@@ -36,7 +36,7 @@ from repro.runtime.budget import Budget, ProgressSnapshot, activate
 from repro.runtime.outcome import ImplicationVerdict, Verdict
 from repro.solver.core import SparseRow
 from repro.solver.linear import Relation
-from repro.solver.pruned import Nogood, candidate_system, learn_nogood
+from repro.solver.pruned import Nogood, check_candidate
 from repro.solver.registry import (
     AcceptabilityProblem,
     FourierMotzkinBackend,
@@ -309,12 +309,10 @@ def run_pruned_chunk(args: tuple[Any, ...]) -> dict[str, Any]:
                 counters.bump("pruned_by_nogood")
                 continue
             counters.bump("zero_sets_enumerated")
-            candidate = candidate_system(problem, zero_set)
-            witness = chain_positive_solution(candidate, chain)
+            witness, nogood = check_candidate(problem, zero_set, chain)
             if witness.feasible:
                 hit = _hit_record(universe, zero_set, witness)
                 break
-            nogood = learn_nogood(problem, zero_set, candidate)
             if nogood is not None:
                 learned.append(nogood)
         return {
@@ -423,6 +421,9 @@ def run_batch_chunk(args: tuple[Any, ...]) -> dict[str, Any]:
             session = _STATE["session"] = DecomposedSession(
                 payload["schema"], cache=cache
             )
+        # The session outlives the chunk (a worker may take several), so
+        # report this chunk's share of its cumulative stats.
+        before = session.stats.as_dict()
         answers = []
         with ExitStack() as stack:
             if payload.get("backend"):
@@ -432,9 +433,10 @@ def run_batch_chunk(args: tuple[Any, ...]) -> dict[str, Any]:
                     session, kind, query
                 )
                 answers.append((index, record, text, positive, unknown))
+        after = session.stats.as_dict()
         return {
             "answers": answers,
-            "session_stats": session.stats.as_dict(),
+            "session_stats": {key: after[key] - before[key] for key in after},
         }
 
     return _run_task(caps, body)

@@ -14,8 +14,9 @@ whose variable coefficients are all non-negative and whose constant
 term is strictly positive: every feasible point would need ``S ≤ 0``,
 but ``S > 0`` holds for all ``x ≥ 0``.
 
-:func:`farkas_certificate` extracts the weights from the phase-1
-optimum of the exact simplex (the duals of the artificial columns);
+:func:`farkas_certificate` takes the weights from the phase-1 optimum
+of the sparse exact simplex (:func:`repro.solver.core.solve_interned`
+reads them off the final reduced costs);
 :meth:`FarkasCertificate.verify` re-checks the proof with nothing but
 exact arithmetic — no trust in the solver required.  The schema layer
 (:mod:`repro.cr.explain`) attaches these proofs to unsatisfiability
@@ -25,16 +26,13 @@ debugging" agenda with machine-checkable evidence.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.errors import SolverError
-from repro.runtime.budget import current_budget
-from repro.solver.linear import Constraint, LinearSystem, LinExpr, Relation
-from repro.solver.simplex import _Tableau
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from repro.solver.core import Coeff, InternedSystem, solve_interned
+from repro.solver.linear import LinearSystem, LinExpr, Relation
 
 
 @dataclass(frozen=True)
@@ -47,6 +45,13 @@ class FarkasCertificate:
     """
 
     weights: tuple[tuple[int, Fraction], ...]
+
+    @classmethod
+    def from_weights(
+        cls, weights: Iterable[tuple[int, Coeff]]
+    ) -> FarkasCertificate:
+        """Wrap the ``(row index, weight)`` pairs of a solver result."""
+        return cls(tuple((index, Fraction(weight)) for index, weight in weights))
 
     def combination(self, system: LinearSystem) -> LinExpr:
         """``Σ uᵢ · exprᵢ`` over the weighted constraints."""
@@ -95,237 +100,27 @@ class FarkasCertificate:
         return "\n".join(lines)
 
 
-def _reduce_for_certificate(
-    system: LinearSystem,
-) -> tuple[
-    list[tuple[int, "Constraint"]],
-    dict[str, tuple[int, Fraction, Relation]],
-    int | None,
-]:
-    """Presolve that keeps certificates liftable to the full system.
-
-    Two reductions, iterated to a fixpoint over the implicitly
-    non-negative variables:
-
-    * **pinning** — a row forcing one variable to zero (``c·x = 0``, or
-      ``c·x ≤ 0`` with ``c > 0``, or the ``≥`` mirror) removes the
-      variable everywhere; the row index, coefficient, and relation are
-      remembered so the lift can re-weight it;
-    * **triviality** — a row non-negativity alone guarantees weighs
-      zero in any certificate and is dropped outright.
-
-    Returns the surviving ``(original_index, reduced_constraint)``
-    pairs, the pinning map, and — when substitution exposes a row whose
-    remaining constant already violates its relation — that row's
-    index, which by itself (plus pinning patches) proves infeasibility.
-    """
-    remaining = list(enumerate(system.constraints))
-    pinning: dict[str, tuple[int, Fraction, Relation]] = {}
-    changed = True
-    while changed:
-        changed = False
-        survivors: list[tuple[int, Constraint]] = []
-        for index, constraint in remaining:
-            coeffs = {
-                name: value
-                for name, value in constraint.expr.coefficients.items()
-                if name not in pinning and value != 0
-            }
-            const = constraint.expr.constant_term
-            relation = constraint.relation
-            if not coeffs:
-                if (
-                    (relation is Relation.EQ and const != 0)
-                    or (relation is Relation.LE and const > 0)
-                    or (relation is Relation.GE and const < 0)
-                ):
-                    return [], pinning, index
-                continue  # trivially true: weighs zero
-            if len(coeffs) == 1 and const == 0:
-                ((name, coeff),) = coeffs.items()
-                if (
-                    relation is Relation.EQ
-                    or (relation is Relation.LE and coeff > 0)
-                    or (relation is Relation.GE and coeff < 0)
-                ):
-                    pinning[name] = (index, coeff, relation)
-                    changed = True
-                    continue
-            if (
-                relation is Relation.GE
-                and const >= 0
-                and all(value >= 0 for value in coeffs.values())
-            ) or (
-                relation is Relation.LE
-                and const <= 0
-                and all(value <= 0 for value in coeffs.values())
-            ):
-                continue  # non-negativity already guarantees it
-            survivors.append(
-                (index, Constraint(LinExpr(coeffs, const), relation))
-            )
-        remaining = survivors
-    return remaining, pinning, None
-
-
-def _lift_weights(
-    system: LinearSystem,
-    weights: dict[int, Fraction],
-    pinning: dict[str, tuple[int, Fraction, Relation]],
-) -> FarkasCertificate:
-    """Patch a reduced-system certificate into a full-system one.
-
-    The reduced rows differ from the originals only in the pinned
-    (zero-forced) variables, so the weighted combination over the full
-    system can pick up negative coefficients on exactly those names;
-    each is cancelled by weighting its pinning row with ``-γ/c`` — a
-    sign-legal weight by the pinning conditions, adding nothing to the
-    constant term (pinning rows have constant 0).  A pinning row was
-    single-variable only *after* earlier substitutions, so its patch can
-    reintroduce names pinned before it: walking the map latest-first
-    makes one pass suffice.
-    """
-    partial = FarkasCertificate(
-        tuple(sorted((i, w) for i, w in weights.items() if w != 0))
-    )
-    combined = partial.combination(system)
-    for name in reversed(pinning):
-        index, coeff, _relation = pinning[name]
-        gamma = combined.coefficients.get(name, _ZERO)
-        if gamma < 0:
-            delta = -gamma / coeff
-            weights[index] = weights.get(index, _ZERO) + delta
-            combined = combined + delta * system.constraints[index].expr
-    certificate = FarkasCertificate(
-        tuple(sorted((i, w) for i, w in weights.items() if w != 0))
-    )
-    if not certificate.verify(system):  # pragma: no cover - soundness net
-        raise SolverError(
-            "internal error: extracted Farkas certificate failed verification"
-        )
-    return certificate
-
-
 def farkas_certificate(system: LinearSystem) -> FarkasCertificate | None:
     """A verified infeasibility proof, or ``None`` if the system is feasible.
 
     The system must be non-strict (sharpen strict homogeneous
     constraints first — see :mod:`repro.solver.homogeneous`); variables
-    are implicitly non-negative, matching
-    :func:`repro.solver.simplex.solve_lp`.
+    are implicitly non-negative.
 
-    The extraction presolves with the certificate-preserving reductions
-    of :func:`_reduce_for_certificate` (the pruned zero-set search
-    extracts a certificate per infeasible candidate, so this is a hot
-    path), runs its own phase-1 simplex whose rows map one-to-one onto
-    the surviving constraints, and lifts the weights back to the full
-    system; the resulting certificate is verified before being
-    returned, so a caller can trust it unconditionally.
+    A thin wrapper over :func:`repro.solver.core.solve_interned`, whose
+    infeasible results carry the phase-1 Farkas ray lifted back through
+    the presolve and verified on the interned rows; row indices carry
+    over one for one.  The pruned zero-set search reads the same
+    certificate straight off the solve that refuted a candidate.
     """
-    for constraint in system.constraints:
-        if constraint.relation.is_strict:
-            raise SolverError(
-                "farkas_certificate needs a non-strict system; sharpen "
-                "strict homogeneous constraints first"
-            )
-    budget = current_budget()
-    if budget is not None:
-        # One phase-1 simplex run; charging it keeps certificate
-        # extraction (explain, debug) under the same account as the
-        # decision procedures.
-        budget.charge_solver_call()
-
-    surviving, pinning, violated = _reduce_for_certificate(system)
-    if violated is not None:
-        relation = system.constraints[violated].relation
-        const = system.constraints[violated].expr.constant_term
-        sign = _ONE if relation is Relation.LE or const > 0 else -_ONE
-        return _lift_weights(system, {violated: sign}, pinning)
-    if not surviving:
-        return None  # every row is trivially satisfiable
-
-    variables = [
-        name for name in system.variables if name not in pinning
-    ]
-    column_of = {name: j for j, name in enumerate(variables)}
-    num_structural = len(variables)
-
-    # Normalised rows: coeffs . x (REL') rhs with rhs >= 0; remember the
-    # original row index and the sign flip to translate dual values back
-    # to the full system's statement.
-    normalised: list[tuple[int, list[Fraction], Relation, Fraction, int]] = []
-    for original_index, constraint in surviving:
-        coeffs = [_ZERO] * num_structural
-        for name, value in constraint.expr.coefficients.items():
-            coeffs[column_of[name]] += value
-        rhs = -constraint.expr.constant_term
-        relation = constraint.relation
-        sign = 1
-        if rhs < 0:
-            coeffs = [-value for value in coeffs]
-            rhs = -rhs
-            relation = relation.flipped()
-            sign = -1
-        normalised.append((original_index, coeffs, relation, rhs, sign))
-
-    num_slacks = sum(
-        1 for _, _, relation, _, _ in normalised if relation is not Relation.EQ
-    )
-    num_rows = len(normalised)
-    total_columns = num_structural + num_slacks + num_rows
-
-    rows: list[list[Fraction]] = []
-    basis: list[int] = []
-    artificial_of_row: list[int] = []
-    slack_cursor = num_structural
-    artificial_cursor = num_structural + num_slacks
-    for _index, coeffs, relation, rhs, _sign in normalised:
-        row = list(coeffs) + [_ZERO] * (total_columns - num_structural) + [rhs]
-        if relation is Relation.LE:
-            # Slack-basic start, exactly like solve_lp's phase 1: with
-            # rhs >= 0 after normalisation the slack is already feasible,
-            # so the row contributes no phase-1 work.
-            row[slack_cursor] = _ONE
-            basis.append(slack_cursor)
-            slack_cursor += 1
-        elif relation is Relation.GE:
-            row[slack_cursor] = -_ONE
-            slack_cursor += 1
-            basis.append(artificial_cursor)
-        else:  # EQ
-            basis.append(artificial_cursor)
-        # Every row still gets an artificial *column* so the duals can
-        # be read off uniformly (y_i = cost_i - reduced_cost(art_i)),
-        # but only GE/EQ artificials are basic and costed; LE ones are
-        # blocked from ever entering.
-        row[artificial_cursor] = _ONE
-        artificial_of_row.append(artificial_cursor)
-        artificial_cursor += 1
-        rows.append(row)
-
-    tableau = _Tableau(rows, basis, total_columns)
-    phase1_cost = [_ZERO] * total_columns
-    for column, (_, _, relation, _, _) in zip(artificial_of_row, normalised):
-        if relation is Relation.LE:
-            tableau.blocked.add(column)
-        else:
-            phase1_cost[column] = _ONE
-    status, value = tableau.minimize(phase1_cost, floor=_ZERO)
-    if value <= 0:
-        return None  # feasible: no certificate exists
-    assert status.name == "OPTIMAL"
-
-    reduced = tableau.last_reduced
-    weights: dict[int, Fraction] = {}
-    for artificial, (original_index, _, _, _, sign) in zip(
-        artificial_of_row, normalised
-    ):
-        dual = phase1_cost[artificial] - reduced[artificial]
-        weight = -dual * sign
-        if weight != 0:
-            weights[original_index] = weight
-
-    return _lift_weights(system, weights, pinning)
+    result = solve_interned(InternedSystem.from_linear(system))
+    if result.is_feasible:
+        return None
+    if result.farkas is None:  # pragma: no cover - soundness net
+        raise SolverError(
+            "internal error: extracted Farkas certificate failed verification"
+        )
+    return FarkasCertificate.from_weights(result.farkas)
 
 
 __all__ = ["FarkasCertificate", "farkas_certificate"]

@@ -20,11 +20,15 @@ this module replaces that on the hot path with
   column-indexed hash maps, a column→rows occupancy index restricts
   every pivot to the rows actually containing the pivot column, and
   reduced costs live in a sparse map so pricing scans only non-zero
-  entries instead of the full column range.
+  entries instead of the full column range;
+* **Farkas certificates** for free: an infeasible result carries the
+  phase-1 dual ray, lifted back through the presolve and verified
+  (:func:`_certify`), so proving infeasibility never costs a second LP.
 
 The pivoting rules, presolve reductions, early-exit floor, budget
 charging and fault-injection seam all mirror
-:mod:`repro.solver.simplex`, so the two engines are exact drop-in
+:mod:`repro.solver.simplex` (the presolve additionally stops at a row
+whose constant alone is violated), so the two engines are exact drop-in
 replacements for each other — which the differential test-suite and the
 cross-backend parity property test exploit.
 """
@@ -320,12 +324,16 @@ class SparseResult:
     """Solution report of :func:`solve_interned`.
 
     ``values`` maps every variable index of the input system to its
-    value in the found vertex (``None`` unless ``OPTIMAL``).
+    value in the found vertex (``None`` unless ``OPTIMAL``).  When
+    ``INFEASIBLE``, ``farkas`` holds verified Farkas weights
+    ``(row index, weight)`` over the input rows (see
+    :class:`~repro.solver.certificates.FarkasCertificate`).
     """
 
     status: SparseStatus
     objective_value: Coeff | None
     values: dict[int, Coeff] | None
+    farkas: tuple[tuple[int, Coeff], ...] | None = None
 
     @property
     def is_feasible(self) -> bool:
@@ -519,22 +527,34 @@ class _SparseTableau:
 # ---------------------------------------------------------------------------
 
 
+Pin = tuple[int, int, Coeff]
+"""A pinning row as ``(row index, pinned column, its coefficient)``."""
+
+
 def _presolve_interned(
     rows: Sequence[SparseRow], free: frozenset[int]
-) -> tuple[list[SparseRow], set[int]]:
+) -> tuple[list[tuple[int, SparseRow]], set[int], list[Pin], int | None]:
     """Pinning + triviality reductions, iterated to a fixpoint.
 
     Same two sound rules as the dense presolve: a constraint forcing a
     single non-negative variable to zero removes the variable; a
     constraint non-negativity alone guarantees is dropped.
+
+    Returns the surviving ``(row index, reduced row)`` pairs, the pinned
+    columns, the pinning rows in pin order (what a Farkas certificate
+    needs to lift back to ``rows``), and the index of the first row
+    whose constant alone violates its relation once its columns are
+    pinned away — that row by itself proves infeasibility, so the
+    reduction stops there.
     """
-    constraints = list(rows)
+    constraints = list(enumerate(rows))
     pinned: set[int] = set()
+    pins: list[Pin] = []
     changed = True
     while changed:
         changed = False
-        remaining: list[SparseRow] = []
-        for row in constraints:
+        remaining: list[tuple[int, SparseRow]] = []
+        for index, row in constraints:
             if pinned and any(col in pinned for col in row.cols):
                 entries = {
                     col: value
@@ -545,6 +565,14 @@ def _presolve_interned(
                     entries, row.relation, row.const, row.label, row.origin
                 )
             relation = row.relation
+            if not row.cols:
+                if (
+                    (relation is Relation.EQ and row.const != 0)
+                    or (relation is Relation.LE and row.const > 0)
+                    or (relation is Relation.GE and row.const < 0)
+                ):
+                    return [], pinned, pins, index
+                continue  # trivially true
             if len(row.cols) == 1 and row.const == 0:
                 col = row.cols[0]
                 coeff = row.coeffs[0]
@@ -554,6 +582,7 @@ def _presolve_interned(
                     or (relation is Relation.GE and coeff < 0)
                 ):
                     pinned.add(col)
+                    pins.append((index, col, coeff))
                     changed = True
                     continue
             if not any(col in free for col in row.cols):
@@ -569,11 +598,96 @@ def _presolve_interned(
                     and all(value <= 0 for value in row.coeffs)
                 ):
                     continue
-            if relation is Relation.EQ and not row.cols and row.const == 0:
-                continue
-            remaining.append(row)
+            remaining.append((index, row))
         constraints = remaining
-    return constraints, pinned
+    return constraints, pinned, pins, None
+
+
+# ---------------------------------------------------------------------------
+# Farkas certificates from phase 1
+# ---------------------------------------------------------------------------
+
+
+def _combine(
+    rows: Sequence[SparseRow],
+    weights: Iterable[tuple[int, Coeff]],
+    combined: dict[int, Coeff],
+) -> Coeff:
+    """Add ``Σ weight · row`` into ``combined`` (column → coefficient);
+    returns the weighted sum of the row constants."""
+    constant: Coeff = 0
+    for index, weight in weights:
+        row = rows[index]
+        for col, coeff in row.items():
+            combined[col] = combined.get(col, 0) + weight * coeff
+        constant += weight * row.const
+    return constant
+
+
+def _is_farkas(
+    rows: Sequence[SparseRow],
+    weights: Sequence[tuple[int, Coeff]],
+    free: frozenset[int],
+) -> bool:
+    """Independent exact check of a Farkas certificate over ``rows``.
+
+    Sign conditions (``≤`` rows weigh ``≥ 0``, ``≥`` rows ``≤ 0``, no
+    strict rows), a combination with no negative coefficient (and none
+    at all on a free column), and a strictly positive constant: every
+    feasible point would need the combination ``≤ 0``.
+    """
+    for index, weight in weights:
+        relation = rows[index].relation
+        if (
+            relation.is_strict
+            or (relation is Relation.LE and weight < 0)
+            or (relation is Relation.GE and weight > 0)
+        ):
+            return False
+    combined: dict[int, Coeff] = {}
+    constant = _combine(rows, weights, combined)
+    return constant > 0 and all(
+        value >= 0 and (value == 0 or col not in free)
+        for col, value in combined.items()
+    )
+
+
+def _certify(
+    rows: Sequence[SparseRow],
+    weights: dict[int, Coeff],
+    pins: Sequence[Pin],
+    free: frozenset[int],
+) -> SparseResult:
+    """The ``INFEASIBLE`` result, with ``weights`` over the presolved
+    rows lifted to a verified certificate over ``rows``.
+
+    The reduced rows differ from the originals only in the pinned
+    (zero-forced) columns, so the combination over ``rows`` can pick up
+    negative coefficients on exactly those; each is cancelled by
+    weighting its pinning row with ``-γ/c`` — sign-legal by the pinning
+    conditions, and adding nothing to the constant (pinning rows have
+    constant 0).  A pinning row was single-column only after earlier
+    substitutions, so its patch can reintroduce columns pinned before
+    it: walking the pins latest-first makes one pass suffice.  A lift
+    that fails verification (a soundness net) leaves ``farkas`` empty.
+    """
+    combined: dict[int, Coeff] = {}
+    _combine(rows, weights.items(), combined)
+    for index, col, coeff in reversed(pins):
+        gamma = combined.get(col, 0)
+        if gamma < 0:
+            delta = _div(-gamma, coeff)
+            weights[index] = _norm(weights.get(index, 0) + delta)
+            _combine(rows, ((index, delta),), combined)
+    farkas = tuple(
+        sorted((index, weight) for index, weight in weights.items() if weight)
+    )
+    return SparseResult(
+        SparseStatus.INFEASIBLE,
+        None,
+        None,
+        farkas if _is_farkas(rows, farkas, free) else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +709,12 @@ def solve_interned(
     ``free_variables``, ``known_bound`` an early-exit floor/ceiling the
     caller can prove — but unknowns are interned integer indices and
     all arithmetic runs on the int-first sparse representation.
+
+    An ``INFEASIBLE`` result carries the Farkas certificate phase 1
+    proved it with.  Its duals are read off the final reduced costs:
+    the slack column of a ``≤`` row, the artificial column of a ``≥``
+    or ``=`` row.  They are lifted through the presolve and verified
+    (:func:`_certify`).
     """
     if _FAULT_HOOK is not None:
         _FAULT_HOOK()
@@ -618,7 +738,11 @@ def solve_interned(
                 f"objective uses undeclared variable indices: {sorted(unknown)}"
             )
 
-    presolved, pinned = _presolve_interned(system.rows, free)
+    presolved, pinned, pins, violated = _presolve_interned(system.rows, free)
+    if violated is not None:
+        row = system.rows[violated]
+        sign = 1 if row.relation is Relation.LE or row.const > 0 else -1
+        return _certify(system.rows, {violated: sign}, pins, free)
     if objective is not None and pinned:
         objective = {
             index: value
@@ -641,9 +765,11 @@ def solve_interned(
             cursor += 1
     num_structural = cursor
 
-    # Standard-form rows with non-negative right-hand sides.
+    # Standard-form rows with non-negative right-hand sides; ``signs``
+    # remembers each row's origin and flip to translate duals back.
     raw_rows: list[tuple[dict[int, Coeff], Relation, Coeff]] = []
-    for row in presolved:
+    signs: list[tuple[int, int]] = []
+    for origin, row in presolved:
         entries: dict[int, Coeff] = {}
         for index, coeff in row.items():
             entries[column_of[index]] = _norm(
@@ -655,11 +781,14 @@ def solve_interned(
         entries = {col: value for col, value in entries.items() if value != 0}
         rhs = _norm(-row.const)
         relation = row.relation
+        sign = 1
         if rhs < 0:
             entries = {col: -value for col, value in entries.items()}
             rhs = -rhs
             relation = relation.flipped()
+            sign = -1
         raw_rows.append((entries, relation, rhs))
+        signs.append((origin, sign))
 
     num_slacks = sum(
         1 for _, relation, _ in raw_rows if relation is not Relation.EQ
@@ -673,10 +802,14 @@ def solve_interned(
     rhs_values: list[Coeff] = []
     basis: list[int] = []
     artificial_columns: list[int] = []
+    dual_columns: list[int] = []
     slack_cursor = num_structural
     artificial_cursor = num_structural + num_slacks
     for entries, relation, rhs in raw_rows:
         row_map = dict(entries)
+        dual_columns.append(
+            slack_cursor if relation is Relation.LE else artificial_cursor
+        )
         if relation is Relation.LE:
             row_map[slack_cursor] = 1
             basis.append(slack_cursor)
@@ -703,7 +836,12 @@ def solve_interned(
         phase1_cost = {col: 1 for col in artificial_columns}
         status, value = tableau.minimize(phase1_cost, floor=0)
         if status is not SparseStatus.OPTIMAL or value > 0:
-            return SparseResult(SparseStatus.INFEASIBLE, None, None)
+            weights: dict[int, Coeff] = {}
+            for (origin, sign), col in zip(signs, dual_columns):
+                dual = phase1_cost.get(col, 0) - tableau.reduced.get(col, 0)
+                if dual:
+                    weights[origin] = _norm(-dual * sign)
+            return _certify(system.rows, weights, pins, free)
         _evict_basic_artificials(
             tableau, set(artificial_columns), num_structural + num_slacks
         )
@@ -812,20 +950,16 @@ def sharpened_rows(system: InternedSystem) -> list[SparseRow]:
     return result
 
 
-def interned_positive_solution(
-    system: InternedSystem,
-) -> dict[str, Fraction] | None:
+def solve_positive(system: InternedSystem) -> SparseResult:
     """Decide a homogeneous interned system that may contain strict rows.
 
-    Returns a string-keyed rational witness (the boundary form), or
-    ``None`` when infeasible.
+    The rows are sharpened (:func:`sharpened_rows`) one for one, so the
+    certificate of an infeasible result indexes ``system.rows`` too;
+    :meth:`SparseResult.named_values` gives a feasible witness in the
+    string-keyed boundary form.
     """
     _require_homogeneous(system)
-    sharpened = InternedSystem(system.table, sharpened_rows(system))
-    result = solve_interned(sharpened)
-    if not result.is_feasible:
-        return None
-    return result.named_values(system.table)
+    return solve_interned(InternedSystem(system.table, sharpened_rows(system)))
 
 
 def interned_maximal_support(
@@ -883,8 +1017,8 @@ __all__ = [
     "SparseStatus",
     "VariableTable",
     "interned_maximal_support",
-    "interned_positive_solution",
     "sharpened_rows",
     "solve_interned",
+    "solve_positive",
     "_SparseTableau",
 ]

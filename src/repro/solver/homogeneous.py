@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.errors import SolverError
+from repro.solver.certificates import FarkasCertificate
 from repro.solver.linear import Constraint, LinearSystem, LinExpr, Relation, term
 from repro.solver.simplex import solve_lp
 from repro.utils.rationals import common_denominator_scale
@@ -43,12 +44,16 @@ class HomogeneousWitness:
 
     When ``feasible``, ``rational`` is a solution of the original system
     (strict constraints satisfied strictly) and ``integral`` is the same
-    solution scaled to non-negative integers.
+    solution scaled to non-negative integers.  When infeasible, a
+    backend that certifies (the sparse simplex) sets ``certificate`` to
+    the Farkas proof over the sharpened system, row for row; the other
+    backends leave it empty.
     """
 
     feasible: bool
     rational: dict[str, Fraction] | None
     integral: dict[str, int] | None
+    certificate: FarkasCertificate | None = None
 
 
 def _require_homogeneous(system: LinearSystem) -> None:

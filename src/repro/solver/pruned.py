@@ -35,9 +35,10 @@ canonical feasible candidate **is** the serial-first feasible candidate
 remapping (DESIGN §15).
 
 **Farkas nogoods.**  Each infeasible candidate yields a dual
-infeasibility certificate
-(:func:`repro.solver.certificates.farkas_certificate`) over the
-sharpened ``Ψ_Z``.  The certificate is generalised to the minimal
+infeasibility certificate over the sharpened ``Ψ_Z``, returned by the
+very sparse solve that refuted it (one LP per tested candidate;
+:func:`repro.solver.certificates.farkas_certificate` only stands in when
+another backend answered).  The certificate is generalised to the minimal
 support it actually uses: the ``Z-zero``/``Z-positive``/``Z-dep`` rows
 it weights identify a set ``zeros`` that must be pinned to 0 and a set
 ``positives`` that must be positive for the same weighted combination
@@ -70,6 +71,7 @@ from repro.errors import LimitExceededError, SolverError
 from repro.runtime.budget import current_budget
 from repro.solver.certificates import FarkasCertificate, farkas_certificate
 from repro.solver.core import InternedSystem, sharpened_rows
+from repro.solver.homogeneous import HomogeneousWitness
 from repro.solver.linear import LinearSystem
 from repro.solver.registry import (
     DEFAULT_BACKEND,
@@ -473,28 +475,32 @@ def learn_nogood(
     problem: AcceptabilityProblem,
     zero_set: frozenset[str],
     candidate: InternedSystem,
+    certificate: FarkasCertificate | None = None,
 ) -> Nogood | None:
-    """Extract and generalise a nogood from an infeasible ``Ψ_Z``.
+    """Generalise a nogood from an infeasible ``Ψ_Z``.
 
-    The candidate is sharpened (strict rows become their integer-cone
-    equivalents, exactly as the LP probes do), a Farkas certificate is
-    extracted, and only the zero-set rows it actually weights survive
-    into the nogood.  Extraction faults (or a feasible sharpening, which
-    cannot happen for a candidate the chain called infeasible) simply
-    skip learning — pruning less is always sound.
+    ``certificate`` is the Farkas proof over the sharpened candidate
+    (strict rows become their integer-cone equivalents, row for row)
+    that the refuting solve returned; only the zero-set rows it weights
+    survive into the nogood, their labels read off ``candidate``.  When
+    the refuting backend gave none (the Fourier–Motzkin retry after a
+    sparse fault), it is extracted with :func:`farkas_certificate`;
+    extraction faults (or a feasible sharpening, which cannot happen for
+    a candidate the chain called infeasible) simply skip learning —
+    pruning less is always sound.
     """
-    linear = _sharpened_linear(candidate)
-    try:
-        certificate = farkas_certificate(linear)
-    except SolverError:
-        return None
     if certificate is None:
-        return None
+        try:
+            certificate = farkas_certificate(_sharpened_linear(candidate))
+        except SolverError:
+            return None
+        if certificate is None:
+            return None
     zeros: set[str] = set()
     positives: set[str] = set()
-    constraints = linear.constraints
+    rows = candidate.rows
     for index, _weight in certificate.weights:
-        label = constraints[index].label
+        label = rows[index].label
         if not label:
             continue
         if label.startswith(_ZERO_PREFIX):
@@ -513,6 +519,26 @@ def learn_nogood(
         positives=frozenset(positives),
         source=tuple(sorted(zero_set)),
         certificate=certificate,
+    )
+
+
+def check_candidate(
+    problem: AcceptabilityProblem,
+    zero_set: frozenset[str],
+    probes: Sequence[SolverBackend],
+) -> tuple[HomogeneousWitness, Nogood | None]:
+    """Test one candidate: solve ``Ψ_Z`` down ``probes`` once, and learn
+    the nogood of a refuted one from the certificate of that same solve.
+
+    The single step shared by the serial walk and the pool's
+    :func:`~repro.parallel.worker.run_pruned_chunk`.
+    """
+    candidate = candidate_system(problem, zero_set)
+    witness = chain_positive_solution(candidate, probes)
+    if witness.feasible:
+        return witness, None
+    return witness, learn_nogood(
+        problem, zero_set, candidate, witness.certificate
     )
 
 
@@ -558,8 +584,7 @@ def pruned_zero_set_search(
                 bump_search_stat("pruned_by_nogood")
                 continue
             bump_search_stat("zero_sets_enumerated")
-            candidate = candidate_system(problem, zero_set)
-            witness = chain_positive_solution(candidate, probes)
+            witness, learned = check_candidate(problem, zero_set, probes)
             if witness.feasible:
                 assert witness.integral is not None
                 support = frozenset(
@@ -569,7 +594,6 @@ def pruned_zero_set_search(
                 )
                 assert universe - zero_set <= support
                 return True, witness.integral, support
-            learned = learn_nogood(problem, zero_set, candidate)
             if learned is not None:
                 store.install(learned)
     return False, None, frozenset()
@@ -674,6 +698,7 @@ __all__ = [
     "NogoodStore",
     "PrunedBackend",
     "candidate_system",
+    "check_candidate",
     "is_canonical",
     "learn_nogood",
     "nogood_source_system",

@@ -45,11 +45,12 @@ from repro.errors import (
     SolverError,
 )
 from repro.runtime.budget import current_budget
+from repro.solver.certificates import FarkasCertificate
 from repro.solver.core import (
     InternedSystem,
     SparseRow,
     interned_maximal_support,
-    interned_positive_solution,
+    solve_positive,
 )
 from repro.solver.fourier_motzkin import fm_solve
 from repro.solver.homogeneous import (
@@ -81,9 +82,10 @@ class BackendCapabilities:
         Decides strict disequations (``> 0``) — natively, as
         Fourier–Motzkin does, or soundly via cone sharpening.
     ``certificates``
-        Can produce the infeasibility certificates that
-        :mod:`repro.cr.explain` turns into provenance (only the dense
-        tableau records the multipliers today).
+        Returns a verified Farkas certificate with every infeasible
+        :meth:`SolverBackend.positive_solution` answer (the sparse
+        simplex reads it off phase 1; the pruned search learns its
+        nogoods from it).
     ``exponential``
         Worst-case exponential in the *number of unknowns* (the naive
         zero-set enumeration); such backends are gated by
@@ -264,12 +266,13 @@ class SparseSimplexBackend(SolverBackend):
 
     The default primary backend: integer fast path, sparse pivoting,
     no string-keyed data on the hot path.  Strict rows are handled by
-    cone sharpening.  No certificates (use ``dense-simplex`` when
-    provenance is required).
+    cone sharpening.  The only certificate producer: an infeasible
+    :meth:`positive_solution` carries the phase-1 Farkas proof over the
+    sharpened rows.
     """
 
     name = "sparse-simplex"
-    capabilities = BackendCapabilities(certificates=False)
+    capabilities = BackendCapabilities(certificates=True)
 
     def maximal_support(
         self, system: InternedSystem, candidates: Sequence[str]
@@ -277,23 +280,28 @@ class SparseSimplexBackend(SolverBackend):
         return interned_maximal_support(system, candidates)
 
     def positive_solution(self, system: InternedSystem) -> HomogeneousWitness:
-        rational = interned_positive_solution(system)
-        if rational is None:
-            return HomogeneousWitness(False, None, None)
+        result = solve_positive(system)
+        if not result.is_feasible:
+            certificate = (
+                None
+                if result.farkas is None
+                else FarkasCertificate.from_weights(result.farkas)
+            )
+            return HomogeneousWitness(False, None, None, certificate)
+        rational = result.named_values(system.table)
         return HomogeneousWitness(True, rational, integerize(rational))
 
 
 class DenseSimplexBackend(SolverBackend):
     """The original dense exact tableau (:mod:`repro.solver.simplex`).
 
-    Kept for differential testing and because only the dense tableau
-    records the certificate multipliers :mod:`repro.cr.explain`
-    consumes.  Interned input is projected to the string-keyed form at
-    the boundary.
+    Kept for differential testing; it produces no certificates (the
+    sparse simplex does).  Interned input is projected to the
+    string-keyed form at the boundary.
     """
 
     name = "dense-simplex"
-    capabilities = BackendCapabilities(certificates=True)
+    capabilities = BackendCapabilities()
 
     def maximal_support(
         self, system: InternedSystem, candidates: Sequence[str]

@@ -92,9 +92,6 @@ class _Tableau:
         self.basis = basis
         self.num_columns = num_columns
         self.blocked: set[int] = set()
-        # The reduced-cost vector of the most recent minimize() call;
-        # kept current by pivot() and read by the certificate extractor.
-        self.last_reduced: list[Fraction] = []
 
     def pivot(
         self, row_index: int, col_index: int, reduced: list[Fraction]
@@ -151,7 +148,6 @@ class _Tableau:
         reduced costs.
         """
         reduced, objective = self.reduced_costs(cost)
-        self.last_reduced = reduced
         degenerate_run = 0
         use_bland = False
         budget = current_budget()

@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
+from repro.cli import parse_batch_query
 from repro.components import (
     DecomposedSession,
     compute_delta,
@@ -43,6 +45,8 @@ from repro.cr.constraints import (
 from repro.cr.schema import Card, CRSchema, Relationship
 from repro.dsl import serialize_schema
 from repro.errors import SchemaError, UnknownSymbolError
+from repro.parallel import worker
+from repro.parallel.fanout import partition_queries
 from repro.parallel.worker import answer_query
 from repro.pipeline import PipelineRun, activate_run
 from repro.session import ReasoningSession, SessionCache
@@ -365,6 +369,35 @@ class TestCliDiff:
                 serial.pop(volatile, None)
                 jobs.pop(volatile, None)
             assert jobs == serial
+
+    def test_a_worker_taking_both_partitions_counts_each_query_once(
+        self, monkeypatch
+    ):
+        # A pool worker keeps its session across chunks.  Run both
+        # partitions' chunks in this process, as a worker that takes
+        # both would: the summed per-chunk stats must equal a serial
+        # session's, not count the first chunk twice.
+        monkeypatch.setattr(worker, "_PAYLOAD", None)
+        monkeypatch.setattr(worker, "_STATE", {})
+        schema = _two_island_schema(max_card=3)
+        queries = [parse_batch_query(text) for text in self.QUERIES]
+        partitions = partition_queries(schema, queries, jobs=2)
+        assert len(partitions) == 2
+        worker.bootstrap(
+            pickle.dumps({"schema": schema, "backend": None, "cache_dir": None})
+        )
+        summed: dict[str, int] = {}
+        for partition in partitions:
+            chunk = worker.run_batch_chunk((None, tuple(partition)))["result"]
+            for key, value in chunk["session_stats"].items():
+                summed[key] = summed.get(key, 0) + value
+        serial = DecomposedSession(schema)
+        for kind, query in queries:
+            answer_query(serial, kind, query)
+        expected = serial.stats.as_dict()
+        assert (expected["queries"], expected["misses"]) == (4, 2)
+        assert expected["components_rebuilt"] == 2
+        assert summed == expected
 
 
 # ---------------------------------------------------------------------------

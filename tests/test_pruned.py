@@ -13,12 +13,16 @@ from __future__ import annotations
 
 import pytest
 
+import repro.solver.pruned as pruned_module
 from repro.cr.builder import SchemaBuilder
 from repro.cr.expansion import Expansion
 from repro.cr.satisfiability import class_targets, decision_problem
 from repro.cr.system import build_system
 from repro.errors import LimitExceededError, SolverError
+from repro.paper import figure1_schema
+from repro.runtime.budget import Budget, activate
 from repro.runtime.fallback import DEFAULT_FALLBACK, chain_for
+from repro.runtime.faults import inject_faults
 from repro.solver.core import InternedSystem, VariableTable
 from repro.solver.pruned import (
     Nogood,
@@ -150,6 +154,23 @@ class TestParity:
             >= 5 * pruned_counters.zero_sets_enumerated
         )
 
+    @pytest.mark.parametrize(
+        ("siblings", "lps", "pivots"), [(2, 11, 218), (3, 63, 3370)]
+    )
+    def test_one_lp_per_tested_candidate(self, siblings, lps, pivots):
+        # A refuted candidate's nogood comes from the certificate of the
+        # solve that refuted it: no second LP per candidate.
+        problem = problem_for(symmetric_conflict_schema(siblings), "T")
+        counters = SearchCounters()
+        budget = Budget()
+        with activate(budget), search_stats_sink(counters):
+            found, _, _ = pruned_zero_set_search(
+                problem, chain=chain_for(DEFAULT_FALLBACK)
+            )
+        assert not found
+        assert budget.solver_calls == counters.zero_sets_enumerated == lps
+        assert budget.pivots == pivots
+
     def test_satisfiable_family_matches_too(self):
         builder = SchemaBuilder("Benign")
         builder.cls("T")
@@ -167,6 +188,45 @@ class TestParity:
         actual = get_backend("pruned").decide_acceptable(problem, chain=chain)
         assert expected[0]
         assert actual == expected
+
+
+class TestCertificateFallback:
+    @pytest.mark.parametrize("cls", ["C", "D"])
+    def test_a_faulted_solve_learns_the_same_nogoods(self, cls, monkeypatch):
+        # The second sparse solve faults, so the Fourier–Motzkin retry
+        # refutes that candidate without a certificate and
+        # farkas_certificate supplies it.  Figure 1 keeps the retry under
+        # its constraint cap.
+        problem = problem_for(figure1_schema(), cls)
+
+        def facts(store):
+            return [
+                (ng.zeros, ng.positives, ng.source, ng.certificate.weights)
+                for ng in store.nogoods
+            ]
+
+        expected_store = NogoodStore()
+        expected = pruned_zero_set_search(
+            problem, chain=chain_for(DEFAULT_FALLBACK), store=expected_store
+        )
+        extractions = []
+        extract = pruned_module.farkas_certificate
+        monkeypatch.setattr(
+            pruned_module,
+            "farkas_certificate",
+            lambda system: extractions.append(system) or extract(system),
+        )
+        store = NogoodStore()
+        with inject_faults(simplex_failures={2}) as plan:
+            actual = pruned_zero_set_search(
+                problem, chain=chain_for(DEFAULT_FALLBACK), store=store
+            )
+        assert plan.injected == [("simplex", 2)]
+        assert plan.calls["fourier-motzkin"] == 1
+        assert len(extractions) == 1
+        assert actual == expected
+        assert not actual[0]
+        assert store.nogoods and facts(store) == facts(expected_store)
 
 
 class TestNogoodStore:

@@ -6,7 +6,7 @@ primitives (:class:`VariableTable`, :class:`SparseRow`,
 revised simplex (:func:`solve_interned` across the three statuses,
 presolve, free variables, and the integer fast path), and the
 homogeneous helpers (:func:`sharpened_rows`,
-:func:`interned_positive_solution`, :func:`interned_maximal_support`),
+:func:`solve_positive`, :func:`interned_maximal_support`),
 including a differential check against the dense tableau on the
 paper's meeting system.
 """
@@ -26,9 +26,9 @@ from repro.solver.core import (
     _div,
     _norm,
     interned_maximal_support,
-    interned_positive_solution,
     sharpened_rows,
     solve_interned,
+    solve_positive,
 )
 from repro.solver.homogeneous import maximal_support as dense_maximal_support
 from repro.solver.linear import Constraint, LinearSystem, Relation, term
@@ -250,19 +250,23 @@ class TestHomogeneousHelpers:
         system = _system(
             [({0: 1, 1: -1}, Relation.EQ, 0), ({0: 1}, Relation.GT, 0)]
         )
-        witness = interned_positive_solution(system)
-        assert witness is not None
+        result = solve_positive(system)
+        assert result.is_feasible
+        witness = result.named_values(system.table)
         assert witness["x"] == witness["y"] > 0
 
     def test_positive_solution_infeasible(self):
         system = _system(
             [({0: 1}, Relation.EQ, 0), ({0: 1}, Relation.GT, 0)]
         )
-        assert interned_positive_solution(system) is None
+        result = solve_positive(system)
+        assert not result.is_feasible
+        # Sharpened: x = 0 and x >= 1; the certificate weighs both rows.
+        assert result.farkas is not None and len(result.farkas) == 2
 
     def test_positive_solution_requires_homogeneity(self):
         with pytest.raises(SolverError, match="homogeneous"):
-            interned_positive_solution(_system([({0: 1}, Relation.GE, -1)]))
+            solve_positive(_system([({0: 1}, Relation.GE, -1)]))
 
     def test_maximal_support_excludes_forced_zeros(self):
         # x <= 0 (so x = 0) while y is unconstrained above.

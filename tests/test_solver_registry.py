@@ -18,7 +18,7 @@ from repro.errors import (
     ReproError,
     SolverError,
 )
-from repro.solver.core import InternedSystem, VariableTable
+from repro.solver.core import InternedSystem, VariableTable, sharpened_rows
 from repro.solver.linear import Relation
 from repro.solver.registry import (
     DEFAULT_BACKEND,
@@ -66,11 +66,30 @@ class TestRegistry:
 
 
 class TestCapabilities:
-    def test_only_the_dense_tableau_certifies(self):
+    def test_only_the_sparse_simplex_certifies(self):
         certifying = {
             b.name for b in available_backends() if b.capabilities.certificates
         }
-        assert certifying == {"dense-simplex"}
+        assert certifying == {"sparse-simplex"}
+
+    def test_an_infeasible_sparse_answer_carries_its_certificate(self):
+        # x = y, 2x = y, x > 0: the sharpened rows are infeasible.
+        table = VariableTable(["x", "y"])
+        system = InternedSystem(table)
+        system.add({0: 1, 1: -1}, Relation.EQ)
+        system.add({0: 2, 1: -1}, Relation.EQ)
+        system.add({0: 1}, Relation.GT)
+        sharpened = InternedSystem(table, sharpened_rows(system)).to_linear()
+        for backend in available_backends():
+            if backend.capabilities.exponential:
+                continue
+            witness = backend.positive_solution(system)
+            assert not witness.feasible
+            if backend.capabilities.certificates:
+                assert witness.certificate is not None
+                assert witness.certificate.verify(sharpened)
+            else:
+                assert witness.certificate is None
 
     def test_only_the_decision_procedures_are_exponential(self):
         exponential = {
