@@ -1,28 +1,27 @@
-"""E12/E14 — solver-core ablations: dense vs sparse, exact vs float.
+"""E12/E14 — the exact LP kernel: certified supports, exact vs float.
 
 Two experiments share this module:
 
-**E14 (standalone runner, CI artifact).**  The interned sparse revised
-simplex (:mod:`repro.solver.core`) replaced the dense string-keyed
-tableau (:mod:`repro.solver.simplex`) as the production engine.  This
-runner times the *same* maximal-support computation — the LP at the
-heart of the acceptability fixpoint — through both engines, on the
-paper's figure schemas and on a deterministic random growing-schema
-family, and emits the perf-trajectory artifact::
+**E14 (standalone runner, CI artifact).**  Every LP the library solves
+runs on one kernel, the interned sparse revised simplex
+(:mod:`repro.solver.core`).  This runner times its maximal-support
+computation — the LP at the heart of the acceptability fixpoint — on
+the paper's figure schemas and on a deterministic random
+growing-schema family, certifies every answer, and emits the
+perf-trajectory artifact::
 
-    PYTHONPATH=src python benchmarks/bench_solver.py --quick \
+    PYTHONPATH=src:. python benchmarks/bench_solver.py --quick \
         --output BENCH_solver.json
 
 ``validate_report`` is the schema check CI runs against the JSON; it
-also enforces the engines *agree* on every support and that sparse is
-at parity or better on the figure schemas and ≥2× faster on the
-largest random instance (the refactor's acceptance bar).  The runner
-needs only the standard library and :mod:`repro`.
+requires every support to be certified
+(:func:`repro.solver.certificates.support_is_certified`).  The runner needs only the
+standard library and :mod:`repro`.
 
 **E12 (pytest-benchmark suite).**  The decision path of the library is
 float-free by design (Section 3.2's systems are decided exactly).  The
 benchmark tests below measure what that exactness costs by comparing,
-on the paper's own systems: the exact simplex engines, Fourier–Motzkin
+on the paper's own systems: the exact kernel, Fourier–Motzkin
 elimination (exact, strictness-native, exponential), and scipy's HiGHS
 ``linprog`` (floating point; oracle only).  All engines must agree on
 feasibility; the timings quantify the gap.  Run with ``pytest
@@ -47,8 +46,8 @@ from repro.cr.expansion import Expansion
 from repro.cr.schema import CRSchema
 from repro.cr.system import CRSystem, build_system
 from repro.paper import figure1_schema, meeting_schema, refined_meeting_schema
-from repro.solver.core import interned_maximal_support
-from repro.solver.homogeneous import maximal_support as dense_maximal_support
+from repro.solver.certificates import support_is_certified
+from repro.solver.core import InternedSystem, interned_maximal_support, solve_interned
 
 try:  # the pytest-benchmark suite below needs the dev extras;
     import pytest  # the standalone E14 runner must work without them.
@@ -60,7 +59,7 @@ FIGURE_REPEATS = 5
 
 
 # ---------------------------------------------------------------------------
-# E14: dense tableau vs interned sparse revised simplex
+# E14: the sparse kernel's certified maximal supports
 # ---------------------------------------------------------------------------
 
 
@@ -100,49 +99,43 @@ def random_schema(classes: int, relationships: int, seed: int) -> CRSchema:
 def _support_workload(
     label: str, family: str, schema: CRSchema, repeats: int = 1
 ) -> dict:
-    """Time one maximal-support LP through both engines.
+    """Time one maximal-support LP on the kernel, then certify it.
 
     The system is built once outside the timed region (system
-    generation is shared infrastructure, not under test) and both
-    engines probe the same candidate set — the class unknowns, exactly
-    what the satisfiability fixpoint probes.  ``repeats`` takes the
-    best of N to stabilise microsecond-scale figure workloads.
+    generation is shared infrastructure, not under test), and the probe
+    set is the class unknowns — exactly what the satisfiability
+    fixpoint probes.  ``repeats`` takes the best of N to stabilise
+    microsecond-scale figure workloads.  Certification runs after the
+    timing, on the string-keyed form of the system.
     """
     cr_system: CRSystem = build_system(Expansion(schema), mode="pruned")
-    dense_system = cr_system.system  # derive the string-keyed form now
     candidates = list(cr_system.class_var.values())
 
-    dense_best = sparse_best = float("inf")
-    dense_support = sparse_support = frozenset()
+    best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        dense_support, _ = dense_maximal_support(
-            dense_system, candidates=candidates
-        )
-        dense_best = min(dense_best, time.perf_counter() - start)
-        start = time.perf_counter()
-        sparse_support, _ = interned_maximal_support(
+        support, solution = interned_maximal_support(
             cr_system.interned, candidates
         )
-        sparse_best = min(sparse_best, time.perf_counter() - start)
+        best = min(best, time.perf_counter() - start)
 
     return {
         "workload": label,
         "family": family,
         "schema": schema.name,
-        "unknowns": len(dense_system.variables),
-        "rows": len(dense_system.constraints),
+        "unknowns": cr_system.interned.num_variables,
+        "rows": len(cr_system.interned),
         "nonzeros": cr_system.interned.nonzeros(),
-        "dense_s": dense_best,
-        "sparse_s": sparse_best,
-        "speedup": dense_best / sparse_best if sparse_best > 0 else float("inf"),
-        "support_size": len(sparse_support),
-        "agree": dense_support == sparse_support,
+        "sparse_s": best,
+        "support_size": len(support),
+        "certified": support_is_certified(
+            cr_system.system, candidates, support, solution
+        ),
     }
 
 
 def workloads(quick: bool) -> list[tuple[str, str, CRSchema, int]]:
-    """(label, family, schema, repeats) rows for the E14 ablation."""
+    """(label, family, schema, repeats) rows of the E14 runner."""
     entries: list[tuple[str, str, CRSchema, int]] = [
         ("figure1", "figure", figure1_schema(), FIGURE_REPEATS),
         ("figures3-5:meeting", "figure", meeting_schema(), FIGURE_REPEATS),
@@ -171,24 +164,21 @@ def run_benchmarks(quick: bool = False) -> dict:
         _support_workload(label, family, schema, repeats)
         for label, family, schema, repeats in workloads(quick)
     ]
-    figure_speedups = [
-        entry["speedup"] for entry in entries if entry["family"] == "figure"
-    ]
     random_entries = [
         entry for entry in entries if entry["family"] == "random"
     ]
     largest = max(random_entries, key=lambda entry: entry["unknowns"])
     return {
         "benchmark": "solver",
-        "version": 1,
+        "version": 2,
         "quick": quick,
         "entries": entries,
         "summary": {
             "workloads": len(entries),
-            "figure_min_speedup": min(figure_speedups),
+            "certified": sum(entry["certified"] for entry in entries),
             "largest_random_workload": largest["workload"],
             "largest_random_unknowns": largest["unknowns"],
-            "largest_random_speedup": largest["speedup"],
+            "largest_random_sparse_s": largest["sparse_s"],
         },
     }
 
@@ -200,55 +190,32 @@ _ENTRY_KEYS = {
     "unknowns": int,
     "rows": int,
     "nonzeros": int,
-    "dense_s": float,
     "sparse_s": float,
-    "speedup": float,
     "support_size": int,
-    "agree": bool,
+    "certified": bool,
 }
-
-FIGURE_PARITY_FLOOR = 0.8
-"""Sparse must reach at least this fraction of dense speed on the tiny
-figure systems — "parity" with headroom for scheduler noise at the
-sub-millisecond scale (best-of-N already smooths most of it)."""
-
-RANDOM_SPEEDUP_FLOOR = 2.0
-"""Sparse must beat dense by at least this factor on the largest
-random-family instance (the refactor's acceptance criterion)."""
 
 
 def validate_report(report: dict) -> dict:
     """Raise ``ValueError`` unless ``report`` is a well-formed
-    BENCH_solver.json payload meeting the acceptance bars; returns the
-    report for chaining."""
+    BENCH_solver.json payload whose every support is certified; returns
+    the report for chaining."""
     entries = check_report_shape(report, "solver")
     for entry in entries:
         check_entry_fields(entry, _ENTRY_KEYS)
-        if not entry["agree"]:
+        if not entry["certified"]:
             raise ValueError(
-                f"entry {entry['workload']!r}: dense and sparse engines "
-                "disagree on the maximal support"
-            )
-        if (
-            entry["family"] == "figure"
-            and entry["speedup"] < FIGURE_PARITY_FLOOR
-        ):
-            raise ValueError(
-                f"entry {entry['workload']!r}: sparse engine below parity "
-                f"({entry['speedup']:.2f}x < {FIGURE_PARITY_FLOOR}x)"
+                f"entry {entry['workload']!r}: the maximal support failed "
+                "certification"
             )
     families = {entry["family"] for entry in entries}
     if families != {"figure", "random"}:
         raise ValueError(f"expected figure+random families, got {families}")
     summary = check_summary(report)
-    largest_speedup = summary.get("largest_random_speedup")
-    if not isinstance(largest_speedup, float):
-        raise ValueError("summary.largest_random_speedup must be a float")
-    if largest_speedup < RANDOM_SPEEDUP_FLOOR:
-        raise ValueError(
-            "sparse engine too slow on the largest random instance: "
-            f"{largest_speedup:.2f}x < {RANDOM_SPEEDUP_FLOOR}x"
-        )
+    if summary.get("certified") != len(entries):
+        raise ValueError("summary.certified must count every entry")
+    if not isinstance(summary.get("largest_random_sparse_s"), float):
+        raise ValueError("summary.largest_random_sparse_s must be a float")
     return report
 
 
@@ -256,10 +223,10 @@ def _summary_line(report: dict, output: str) -> str:
     summary = report["summary"]
     return (
         f"-> {output}: {summary['workloads']} workloads, "
-        f"figure floor {summary['figure_min_speedup']:.1f}x, largest random "
+        f"{summary['certified']} certified, largest random "
         f"({summary['largest_random_workload']}, "
         f"{summary['largest_random_unknowns']} unknowns) "
-        f"{summary['largest_random_speedup']:.1f}x"
+        f"{summary['largest_random_sparse_s']*1e3:.1f} ms"
     )
 
 
@@ -267,7 +234,8 @@ def main(argv: list[str] | None = None) -> int:
     return run_emit_main(
         argv,
         description=(
-            "dense vs sparse simplex ablation; emits BENCH_solver.json"
+            "certified maximal supports on the exact LP kernel; emits "
+            "BENCH_solver.json"
         ),
         default_output="BENCH_solver.json",
         quick_help="smaller random sizes (CI)",
@@ -275,9 +243,9 @@ def main(argv: list[str] | None = None) -> int:
         validate=validate_report,
         entry_line=lambda entry: (
             f"{entry['workload']:<24} {entry['unknowns']:>5} unknowns"
-            f"  dense {entry['dense_s']*1e3:9.2f} ms"
             f"  sparse {entry['sparse_s']*1e3:8.2f} ms"
-            f"  speedup {entry['speedup']:6.1f}x"
+            f"  support {entry['support_size']:>4}"
+            f"  certified {entry['certified']}"
         ),
         summary_line=_summary_line,
     )
@@ -291,7 +259,10 @@ if pytest is not None:
     from repro.ext.disjointness import with_disjointness
     from repro.solver.fourier_motzkin import fm_feasible
     from repro.solver.linear import Constraint, LinearSystem, Relation, term
-    from repro.solver.simplex import solve_lp
+
+    def kernel_feasible(system: LinearSystem) -> bool:
+        """Feasibility on the exact kernel (interned at the boundary)."""
+        return solve_interned(InternedSystem.from_linear(system)).is_feasible
 
     def _positivity_system(schema, cls) -> LinearSystem:
         """Psi_S plus the Theorem-3.3 positivity row, with > sharpened to
@@ -343,7 +314,7 @@ if pytest is not None:
         from benchmarks.conftest import paper_row
 
         system = _positivity_system(schema_factory(), cls)
-        verdict = benchmark(lambda: solve_lp(system).is_feasible)
+        verdict = benchmark(kernel_feasible, system)
         assert verdict == expected
         paper_row(
             "E12/simplex",
@@ -389,7 +360,7 @@ if pytest is not None:
     ):
         """The same small systems through the simplex, for a direct ratio."""
         system = _positivity_system(schema_factory(), cls)
-        verdict = benchmark(lambda: solve_lp(system).is_feasible)
+        verdict = benchmark(kernel_feasible, system)
         assert verdict == expected
 
     @pytest.mark.parametrize("name,schema_factory,cls,expected", CASES)
@@ -411,7 +382,7 @@ if pytest is not None:
         x, y = term("x"), term("y")
         big = 10**14
         system = LinearSystem([big * x <= (big - 1) * y, y <= x, x >= 1])
-        verdict = benchmark(lambda: solve_lp(system).is_feasible)
+        verdict = benchmark(kernel_feasible, system)
         assert not verdict
         assert not fm_feasible(system)
 
@@ -421,7 +392,6 @@ if pytest is not None:
             run_benchmarks, kwargs={"quick": True}, rounds=1, iterations=1
         )
         validate_report(report)
-        assert report["summary"]["largest_random_speedup"] >= 2.0
 
 
 if __name__ == "__main__":

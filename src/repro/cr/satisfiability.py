@@ -332,8 +332,10 @@ def acceptable_with_positive(
     With a ``fallback`` policy, a fixpoint run whose solver faults even
     after per-LP down-chain retries falls back to the naive engine —
     but only when the system has at most ``naive_limit`` class
-    unknowns; otherwise the original fault propagates.  Budget
-    exhaustion is never absorbed by the chain.
+    unknowns; otherwise the original fault propagates.  Symmetrically,
+    a faulted ``naive`` or ``pruned`` walk (say, a Fourier–Motzkin
+    retry blowing its constraint cap on a large ``Ψ_Z``) is answered
+    by the fixpoint.  Budget exhaustion is never absorbed by the chain.
 
     ``jobs > 1`` parallelises the naive engine's zero-set enumeration
     (bit-identical results including the witness, see
@@ -346,7 +348,7 @@ def acceptable_with_positive(
     engine = _resolve_engine(engine)
     if engine == "fixpoint":
         try:
-            support, solution = acceptable_support(cr_system, fallback)
+            return _fixpoint_with_positive(cr_system, targets, fallback)
         except BudgetExceededError:
             raise
         except SolverError:
@@ -359,14 +361,30 @@ def acceptable_with_positive(
             return _naive_with_positive(
                 cr_system, targets, naive_limit, fallback, jobs
             )
-        if not (targets & support):
-            return False, None, support
-        return True, integerize(solution), support
     if engine in ("naive", "pruned"):
-        return _naive_with_positive(
-            cr_system, targets, naive_limit, fallback, jobs, engine=engine
-        )
+        try:
+            return _naive_with_positive(
+                cr_system, targets, naive_limit, fallback, jobs, engine=engine
+            )
+        except BudgetExceededError:
+            raise
+        except SolverError:
+            if fallback is None:
+                raise
+            return _fixpoint_with_positive(cr_system, targets, fallback)
     raise ReproError(f"unknown engine {engine!r}")
+
+
+def _fixpoint_with_positive(
+    cr_system: CRSystem,
+    targets: frozenset[str],
+    fallback: FallbackPolicy | None,
+) -> tuple[bool, dict[str, int] | None, frozenset[str]]:
+    """Answer the Theorem-3.3 question from :func:`acceptable_support`."""
+    support, solution = acceptable_support(cr_system, fallback)
+    if not (targets & support):
+        return False, None, support
+    return True, integerize(solution), support
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,10 @@ from repro.lintkit.findings import Finding
 from repro.lintkit.model import ModuleModel
 from repro.lintkit.rules import Rule, register
 
-EXACT_KERNEL = ("repro/solver/core.py", "repro/linalg/")
+EXACT_KERNEL = ("repro/solver/core.py",)
 """Scope of R1 (float ban), repo-relative."""
 
-KERNEL_MODULES = ("repro/solver/", "repro/linalg/")
+KERNEL_MODULES = ("repro/solver/",)
 """Scope of R2 (budgeted loops) and R3 (popitem ban)."""
 
 PARALLEL_MODULES = ("repro/parallel/",)

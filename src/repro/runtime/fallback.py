@@ -16,10 +16,11 @@ default chain is
     fixpoint/primary LP backend  →  per-LP Fourier–Motzkin retry
     →  naive engine
 
-and every link degrades, never silently changes the answer: each
-backend is sound and complete on the systems it accepts, so a verdict
-produced down-chain equals the verdict the unfaulted run would have
-produced.
+(a faulted ``naive`` or ``pruned`` zero-set walk falls back the other
+way, to the fixpoint), and every link degrades, never silently changes
+the answer: each backend is sound and complete on the systems it
+accepts, so a verdict produced down-chain equals the verdict the
+unfaulted run would have produced.
 
 Budget exhaustion (:class:`~repro.errors.BudgetExceededError`) is
 deliberately *not* retried — running out of resources on one backend

@@ -25,10 +25,11 @@ counted in the same ``calls`` table, so a test can stage a disk crash
 *and* a solver fault in one plan and assert the combined history via
 ``plan.injected`` — there is exactly one injection mechanism.
 
-Fault *points* are string names.  The two solver backends keep their
-historical names (``"simplex"`` — shared by the dense and the interned
-sparse implementation, which are drop-in replacements — and
-``"fourier-motzkin"``); disk fault points are dotted paths like
+Fault *points* are string names.  The two solver points are
+``"simplex"`` (every solve of the sparse kernel,
+:func:`repro.solver.core.solve_interned`) and ``"fourier-motzkin"``
+(every :func:`repro.solver.fourier_motzkin.fm_solve`); disk fault
+points are dotted paths like
 ``store:write:torn`` fired by :mod:`repro.store.atomic` between the
 syscalls of the atomic-write protocol (see :data:`DISK_WRITE_POINTS`).
 
@@ -57,7 +58,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import SolverError
-from repro.solver import core, fourier_motzkin, simplex
+from repro.solver import core, fourier_motzkin
 
 
 class InjectedSolverFault(SolverError):
@@ -212,18 +213,15 @@ def inject_faults(
         disk_corruptions=_normalize_points(disk_corruptions),
         error_factory=error_factory or _default_error,
     )
-    previous_simplex = simplex._FAULT_HOOK
     previous_core = core._FAULT_HOOK
     previous_fm = fourier_motzkin._FAULT_HOOK
     previous_disk = _DISK_HOOK
-    simplex._FAULT_HOOK = lambda: plan.on_call("simplex")
     core._FAULT_HOOK = lambda: plan.on_call("simplex")
     fourier_motzkin._FAULT_HOOK = lambda: plan.on_call("fourier-motzkin")
     _DISK_HOOK = plan.on_call
     try:
         yield plan
     finally:
-        simplex._FAULT_HOOK = previous_simplex
         core._FAULT_HOOK = previous_core
         fourier_motzkin._FAULT_HOOK = previous_fm
         _DISK_HOOK = previous_disk

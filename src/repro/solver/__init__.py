@@ -5,26 +5,24 @@ existence of particular solutions of homogeneous systems of linear
 disequations (Section 3.2).  This package supplies everything that
 reduction needs, implemented from scratch and float-free:
 
-* :mod:`repro.solver.linear` — expressions, constraints, systems;
-* :mod:`repro.solver.simplex` — exact two-phase simplex (Bland's rule);
+* :mod:`repro.solver.linear` — expressions, constraints, systems (the
+  string-keyed form used where systems are rendered or explained);
+* :mod:`repro.solver.core` — the one exact LP kernel: interned sparse
+  systems and a two-phase revised simplex (Dantzig's rule with a
+  Bland fall-back) whose infeasible answers carry Farkas certificates;
+* :mod:`repro.solver.certificates` — those certificates, re-checkable
+  in plain exact arithmetic;
 * :mod:`repro.solver.fourier_motzkin` — Fourier–Motzkin elimination,
-  supporting strict inequalities natively (used on small systems and as
-  a differential-testing oracle for the simplex);
-* :mod:`repro.solver.homogeneous` — decision routines specialised to
-  homogeneous systems: feasibility with strict constraints (by cone
-  scaling), maximal-support computation, integer witnesses.
+  supporting strict inequalities natively (the retry link of the
+  fallback chain and a differential-testing oracle for the kernel);
+* :mod:`repro.solver.homogeneous` — homogeneous-cone results at the
+  string-keyed boundary: maximal support, integer witnesses.
 """
 
 from repro.solver.certificates import FarkasCertificate, farkas_certificate
 from repro.solver.fourier_motzkin import FourierMotzkinResult, fm_feasible, fm_solve
-from repro.solver.homogeneous import (
-    HomogeneousWitness,
-    find_positive_solution,
-    integerize,
-    maximal_support,
-)
+from repro.solver.homogeneous import HomogeneousWitness, integerize, maximal_support
 from repro.solver.linear import Constraint, LinearSystem, LinExpr, Relation, term
-from repro.solver.simplex import SimplexResult, SimplexStatus, solve_lp
 
 # Importing the package finalises the backend registry: the pruned
 # (orbit/nogood) decision procedure registers itself on import, and it
@@ -40,16 +38,12 @@ __all__ = [
     "LinExpr",
     "Relation",
     "term",
-    "SimplexResult",
-    "SimplexStatus",
-    "solve_lp",
     "FarkasCertificate",
     "farkas_certificate",
     "FourierMotzkinResult",
     "fm_feasible",
     "fm_solve",
     "HomogeneousWitness",
-    "find_positive_solution",
     "integerize",
     "maximal_support",
 ]

@@ -26,13 +26,13 @@ debugging" agenda with machine-checkable evidence.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.errors import SolverError
 from repro.solver.core import Coeff, InternedSystem, solve_interned
-from repro.solver.linear import LinearSystem, LinExpr, Relation
+from repro.solver.linear import Constraint, LinearSystem, LinExpr, Relation, term
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,8 @@ def farkas_certificate(system: LinearSystem) -> FarkasCertificate | None:
     """A verified infeasibility proof, or ``None`` if the system is feasible.
 
     The system must be non-strict (sharpen strict homogeneous
-    constraints first — see :mod:`repro.solver.homogeneous`); variables
-    are implicitly non-negative.
+    constraints first — see :func:`repro.solver.core.sharpened_rows`);
+    variables are implicitly non-negative.
 
     A thin wrapper over :func:`repro.solver.core.solve_interned`, whose
     infeasible results carry the phase-1 Farkas ray lifted back through
@@ -123,4 +123,37 @@ def farkas_certificate(system: LinearSystem) -> FarkasCertificate | None:
     return FarkasCertificate.from_weights(result.farkas)
 
 
-__all__ = ["FarkasCertificate", "farkas_certificate"]
+def support_is_certified(
+    system: LinearSystem,
+    candidates: Iterable[str],
+    support: frozenset[str],
+    solution: Mapping[str, Fraction],
+) -> bool:
+    """Check a maximal-support answer of a homogeneous ``system``.
+
+    The answer is certified when ``solution`` is a non-negative solution
+    of ``system``, positive exactly on ``support``, and every candidate
+    outside ``support`` has a Farkas refutation of ``system ∪ {x ≥ 1}``
+    that :meth:`FarkasCertificate.verify` accepts — by cone scaling, no
+    solution then makes that candidate positive.  Only the refutations
+    come from the solver; every check runs in plain exact arithmetic.
+    """
+    if any(value < 0 for value in solution.values()):
+        return False
+    if not system.is_satisfied_by(solution):
+        return False
+    if {name for name, value in solution.items() if value > 0} != support:
+        return False
+    for name in candidates:
+        if name in support:
+            continue
+        probe = system.with_constraints(
+            [Constraint(term(name) - 1, Relation.GE, label=f"probe:{name}")]
+        )
+        certificate = farkas_certificate(probe)
+        if certificate is None or not certificate.verify(probe):
+            return False
+    return True
+
+
+__all__ = ["FarkasCertificate", "farkas_certificate", "support_is_certified"]

@@ -1,11 +1,11 @@
-"""Interned sparse solver core: the numeric engine behind ``Ψ_S``.
+"""Interned sparse solver core: the one exact LP kernel behind ``Ψ_S``.
 
 The systems the paper generates (Section 3.2) are *homogeneous with
 integer coefficients*, and their unknowns explode with the expansion —
-thousands of columns of which each row touches a handful.  The original
-solver stack (:mod:`repro.solver.linear` + :mod:`repro.solver.simplex`)
-passes string-keyed dense ``Fraction`` dicts through a dense tableau;
-this module replaces that on the hot path with
+thousands of columns of which each row touches a handful.  Every LP
+the library solves — each Theorem-3.4 zero-set test, each
+maximal-support probe of the acceptability fixpoint, each Farkas
+certificate — runs here, on
 
 * a **variable interning table** (:class:`VariableTable`) mapping the
   pretty string unknowns (``c3``, ``h13``) to dense integer indices —
@@ -25,12 +25,14 @@ this module replaces that on the hot path with
   phase-1 dual ray, lifted back through the presolve and verified
   (:func:`_certify`), so proving infeasibility never costs a second LP.
 
-The pivoting rules, presolve reductions, early-exit floor, budget
-charging and fault-injection seam all mirror
-:mod:`repro.solver.simplex` (the presolve additionally stops at a row
-whose constant alone is violated), so the two engines are exact drop-in
-replacements for each other — which the differential test-suite and the
-cross-backend parity property test exploit.
+Pivoting is Dantzig's rule with a fall-back to Bland's anti-cycling
+rule after a run of degenerate pivots; every pivot is charged to the
+ambient budget and every solve fires the ``"simplex"`` fault point.
+The differential suite checks the kernel against Fourier–Motzkin
+elimination and scipy's HiGHS, and every infeasible answer carries a
+certificate that
+:meth:`~repro.solver.certificates.FarkasCertificate.verify` re-checks
+in plain exact arithmetic.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ simulate a backend fault."""
 
 _DEGENERATE_PIVOT_LIMIT = 40
 """Consecutive degenerate pivots tolerated under the Dantzig rule
-before switching to Bland's rule (same policy as the dense tableau)."""
+before switching to Bland's rule for the rest of the run."""
 
 
 def _norm(value: Coeff) -> Coeff:
@@ -312,7 +314,7 @@ class InternedSystem:
 
 
 class SparseStatus(enum.Enum):
-    """Outcome of a sparse simplex run (mirrors ``SimplexStatus``)."""
+    """Outcome of a sparse simplex run."""
 
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
@@ -458,9 +460,14 @@ class _SparseTableau:
     def minimize(
         self, cost: Mapping[int, Coeff], floor: Coeff | None = None
     ) -> tuple[SparseStatus, Coeff]:
-        """Simplex iterations minimising ``cost · x`` (see the dense
-        :meth:`~repro.solver.simplex._Tableau.minimize` for the floor
-        early-exit rationale)."""
+        """Simplex iterations minimising ``cost · x``.
+
+        ``floor`` is a value the caller *knows* the objective cannot go
+        below; the iteration stops as optimal the moment it is reached.
+        This matters on degenerate problems: phase 1 of a homogeneous
+        system starts at its optimum (all artificials zero) and would
+        otherwise burn many zero-step pivots polishing reduced costs.
+        """
         self.set_costs(cost)
         degenerate_run = 0
         use_bland = False
@@ -523,7 +530,7 @@ class _SparseTableau:
 
 
 # ---------------------------------------------------------------------------
-# Presolve (interned port of repro.solver.simplex._presolve)
+# Presolve
 # ---------------------------------------------------------------------------
 
 
@@ -536,9 +543,12 @@ def _presolve_interned(
 ) -> tuple[list[tuple[int, SparseRow]], set[int], list[Pin], int | None]:
     """Pinning + triviality reductions, iterated to a fixpoint.
 
-    Same two sound rules as the dense presolve: a constraint forcing a
-    single non-negative variable to zero removes the variable; a
-    constraint non-negativity alone guarantees is dropped.
+    Two sound rules exploit the implicit non-negativity of the
+    variables: a constraint forcing a single non-negative variable to
+    zero (``c·x = 0``, ``x ≤ 0``) removes the variable; a constraint
+    non-negativity alone guarantees is dropped.  The generated systems
+    are full of both (the non-negativity rows of ``Ψ_S``, the
+    forced-zero rows of the fixpoint and of Theorem 3.4's ``Ψ_Z``).
 
     Returns the surviving ``(row index, reduced row)`` pairs, the pinned
     columns, the pinning rows in pin order (what a Farkas certificate
@@ -704,11 +714,13 @@ def solve_interned(
 ) -> SparseResult:
     """Solve ``optimise objective subject to system`` exactly, sparsely.
 
-    The contract mirrors :func:`repro.solver.simplex.solve_lp` — strict
-    rows rejected, variables non-negative unless listed in
-    ``free_variables``, ``known_bound`` an early-exit floor/ceiling the
-    caller can prove — but unknowns are interned integer indices and
-    all arithmetic runs on the int-first sparse representation.
+    Strict rows are rejected (sharpen them first:
+    :func:`sharpened_rows`), variables are non-negative unless listed
+    in ``free_variables`` (split internally into a difference of two
+    non-negative columns), and ``known_bound`` is an early-exit
+    floor/ceiling the caller can prove.  Unknowns are interned integer
+    indices and all arithmetic runs on the int-first sparse
+    representation.
 
     An ``INFEASIBLE`` result carries the Farkas certificate phase 1
     proved it with.  Its duals are read off the final reduced costs:
@@ -850,7 +862,6 @@ def solve_interned(
     # ---- Phase 2: optimise the real objective. ------------------------
     if objective is None:
         cost: dict[int, Coeff] = {}
-        objective_constant: Coeff = 0
         flip = False
         floor: Coeff | None = 0  # feasibility only: nothing to improve
     else:
@@ -864,7 +875,6 @@ def solve_interned(
                 neg_col = neg_column_of[index]
                 cost[neg_col] = _norm(cost.get(neg_col, 0) - signed)
         cost = {col: value for col, value in cost.items() if value != 0}
-        objective_constant = 0
         if known_bound is None:
             floor = None
         else:
@@ -888,16 +898,21 @@ def solve_interned(
         else:
             values[index] = basic.get(column_of[index], 0)
 
-    objective_value = _norm((-value if flip else value) + objective_constant)
+    objective_value = _norm(-value if flip else value)
     return SparseResult(SparseStatus.OPTIMAL, objective_value, values)
 
 
 def _evict_basic_artificials(
     tableau: _SparseTableau, artificial_columns: set[int], num_real_columns: int
 ) -> None:
-    """Pivot zero-valued artificials out of the basis (degenerate rows);
-    see the dense counterpart for why leaving a fully-zero row basic is
-    sound once the column is blocked."""
+    """Pivot zero-valued artificials out of the basis.
+
+    After a successful phase 1 every artificial is zero; one still basic
+    sits in a degenerate row and is pivoted out on any real column with
+    a non-zero entry.  A row that is zero outside the artificials is
+    redundant: leaving its artificial basic at value zero is sound once
+    the column is blocked from re-entering.
+    """
     tableau.reduced = {}
     tableau.neg_obj = 0
     for i in range(len(tableau.rows)):
@@ -928,8 +943,8 @@ def sharpened_rows(system: InternedSystem) -> list[SparseRow]:
     """Strict homogeneous rows rewritten as non-strict LP rows.
 
     ``e > 0`` becomes ``e ≥ 1`` and ``e < 0`` becomes ``e ≤ −1``;
-    sound for homogeneous systems by cone scaling (see
-    :mod:`repro.solver.homogeneous`).
+    sound for homogeneous systems by cone scaling: any positive
+    multiple of a solution is a solution.
     """
     result: list[SparseRow] = []
     for row in system.rows:
@@ -966,14 +981,24 @@ def interned_maximal_support(
     system: InternedSystem,
     candidates: Iterable[str],
 ) -> tuple[frozenset[str], dict[str, Fraction]]:
-    """Maximal-support computation on the interned form.
+    """The largest set of ``candidates`` simultaneously positive.
 
-    Same one-LP shadow-variable construction (and the same definitive
-    contract on the candidates) as
-    :func:`repro.solver.homogeneous.maximal_support`, without ever
-    materialising string-keyed dicts: shadows are fresh interned
-    columns, the probe rows are sparse, and the witness is translated
-    back to names only on return.
+    ``system`` is homogeneous and non-strict.  Returns
+    ``(support, solution)``: ``support`` is exactly the set of unknowns
+    positive in ``solution`` (keyed by name), and for every candidate
+    membership is definitive — no solution makes a candidate outside
+    ``support`` positive.  Unknowns that are not candidates may be
+    positive in the witness as a side effect.
+
+    Correctness rests on the cone structure: if ``x`` and ``y`` are
+    solutions so is ``x + y``, whose support is the union — so there is
+    a unique maximal support ``S*``, readable off a *single* LP.  Each
+    candidate gets a capped shadow ``0 ≤ t_v ≤ x_v``, ``t_v ≤ 1``, and
+    ``Σ t_v`` is maximised: scaling a full-support cone point up shows
+    the optimum is ``|S* ∩ candidates|`` (the early-exit ceiling), and
+    any ``t_v > 0`` forces ``x_v > 0``.  Shadows are fresh columns of a
+    copy of the table, so the caller's table stays clean, and the
+    witness is translated back to names only on return.
     """
     _require_homogeneous(system)
     if system.has_strict_rows():

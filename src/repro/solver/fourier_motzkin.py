@@ -1,11 +1,11 @@
 """Fourier–Motzkin elimination over the rationals.
 
 A second, completely independent decision procedure for linear
-feasibility.  Unlike the simplex (:mod:`repro.solver.simplex`) it
-handles **strict** inequalities natively, which makes it the reference
-oracle for the cone-scaling argument used by
-:mod:`repro.solver.homogeneous`: the test-suite cross-checks the two
-engines on thousands of random systems.
+feasibility.  Unlike the simplex (:mod:`repro.solver.core`) it handles
+**strict** inequalities natively, which makes it the reference oracle
+for the cone-scaling argument (:func:`repro.solver.core.sharpened_rows`):
+the test-suite cross-checks the two engines on thousands of random
+systems.
 
 Fourier–Motzkin is doubly exponential in the number of eliminated
 variables, so this module guards against blow-up with an explicit
@@ -156,7 +156,7 @@ def fm_solve(
     """Decide feasibility by variable elimination and return a witness.
 
     Every variable not in ``free_variables`` is implicitly non-negative,
-    mirroring :func:`repro.solver.simplex.solve_lp`.  Raises
+    as in :func:`repro.solver.core.solve_interned`.  Raises
     :class:`~repro.errors.SolverError` if intermediate systems exceed
     ``max_constraints`` (Fourier–Motzkin can blow up doubly
     exponentially; callers choosing this engine accept small inputs).

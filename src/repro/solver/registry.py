@@ -2,12 +2,12 @@
 
 The decision pipeline needs three numeric services — maximal support of
 a homogeneous system, a positive solution of a possibly-strict system,
-and the full acceptability decision of Theorem 3.3/3.4 — and the repo
-has grown several engines providing them: the interned sparse simplex
-(:mod:`repro.solver.core`), the dense exact tableau
-(:mod:`repro.solver.simplex` via :mod:`repro.solver.homogeneous`),
-Fourier–Motzkin elimination (:mod:`repro.solver.fourier_motzkin`), and
-the naive Theorem-3.4 zero-set enumeration.  This module makes them
+and the full acceptability decision of Theorem 3.3/3.4 — and several
+engines provide them: the interned sparse simplex
+(:mod:`repro.solver.core`, the one exact LP kernel), Fourier–Motzkin
+elimination (:mod:`repro.solver.fourier_motzkin`), and the Theorem-3.4
+zero-set walks (the naive enumeration here, the pruned one in
+:mod:`repro.solver.pruned`).  This module makes them
 first-class :class:`SolverBackend` objects in a process-wide registry,
 each declaring :class:`BackendCapabilities`, so that
 
@@ -53,12 +53,7 @@ from repro.solver.core import (
     solve_positive,
 )
 from repro.solver.fourier_motzkin import fm_solve
-from repro.solver.homogeneous import (
-    HomogeneousWitness,
-    find_positive_solution,
-    integerize,
-    maximal_support,
-)
+from repro.solver.homogeneous import HomogeneousWitness, integerize
 from repro.solver.linear import Constraint, Relation, term
 from repro.solver.stats import bump_search_stat
 
@@ -136,7 +131,7 @@ class SolverBackend(abc.ABC):
     ) -> tuple[frozenset[str], dict[str, Fraction]]:
         """Largest simultaneously-positive set among ``candidates`` of a
         homogeneous non-strict ``system``, with a witness solution
-        (contract of :func:`repro.solver.homogeneous.maximal_support`)."""
+        (contract of :func:`repro.solver.core.interned_maximal_support`)."""
 
     @abc.abstractmethod
     def positive_solution(self, system: InternedSystem) -> HomogeneousWitness:
@@ -290,26 +285,6 @@ class SparseSimplexBackend(SolverBackend):
             return HomogeneousWitness(False, None, None, certificate)
         rational = result.named_values(system.table)
         return HomogeneousWitness(True, rational, integerize(rational))
-
-
-class DenseSimplexBackend(SolverBackend):
-    """The original dense exact tableau (:mod:`repro.solver.simplex`).
-
-    Kept for differential testing; it produces no certificates (the
-    sparse simplex does).  Interned input is projected to the
-    string-keyed form at the boundary.
-    """
-
-    name = "dense-simplex"
-    capabilities = BackendCapabilities()
-
-    def maximal_support(
-        self, system: InternedSystem, candidates: Sequence[str]
-    ) -> tuple[frozenset[str], dict[str, Fraction]]:
-        return maximal_support(system.to_linear(), candidates=list(candidates))
-
-    def positive_solution(self, system: InternedSystem) -> HomogeneousWitness:
-        return find_positive_solution(system.to_linear())
 
 
 class FourierMotzkinBackend(SolverBackend):
@@ -555,7 +530,6 @@ def pin_backend(name: str) -> Iterator[SolverBackend]:
 
 
 register_backend(SparseSimplexBackend())
-register_backend(DenseSimplexBackend())
 register_backend(FourierMotzkinBackend())
 register_backend(NaiveBackend())
 
@@ -565,7 +539,6 @@ __all__ = [
     "BackendCapabilities",
     "DEFAULT_BACKEND",
     "DEFAULT_NAIVE_LIMIT",
-    "DenseSimplexBackend",
     "FourierMotzkinBackend",
     "NaiveBackend",
     "SolverBackend",

@@ -5,8 +5,8 @@ The registry promises that the choice of primary backend is an
 semantic one.  These properties pin that promise on random schemas:
 pinning each registered backend in turn (exactly what ``--backend`` and
 ``REPRO_BACKEND`` do) must leave every satisfiability verdict
-unchanged, and the raw LP backends must compute identical maximal
-supports on the generated systems.
+unchanged, and the maximal supports of the generated systems must be
+certified — and shared by every other LP backend that answers.
 
 The strategies keep schemas to at most four classes, so the consistent
 class unknowns stay below the naive engine's size gate and even the
@@ -22,7 +22,13 @@ from repro.cr.expansion import Expansion
 from repro.errors import SolverError
 from repro.cr.satisfiability import satisfiable_classes
 from repro.cr.system import build_system
-from repro.solver.registry import backend_names, get_backend, pin_backend
+from repro.solver.certificates import support_is_certified
+from repro.solver.registry import (
+    DEFAULT_BACKEND,
+    backend_names,
+    get_backend,
+    pin_backend,
+)
 
 from tests.strategies import schemas
 
@@ -32,10 +38,11 @@ SLOW = settings(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
-LP_BACKENDS = tuple(
+OTHER_LP_BACKENDS = tuple(
     name
     for name in backend_names()
-    if not get_backend(name).capabilities.exponential
+    if name != DEFAULT_BACKEND
+    and not get_backend(name).capabilities.exponential
 )
 
 
@@ -66,14 +73,21 @@ def test_lp_backends_compute_the_same_maximal_support(data):
     schema = data.draw(schemas())
     cr_system = build_system(Expansion(schema), mode="pruned")
     candidates = cr_system.consistent_class_unknowns()
+    # The simplex has no size gate and must always answer, with a
+    # support the exact checker accepts on its own.
+    support, solution = get_backend(DEFAULT_BACKEND).maximal_support(
+        cr_system.interned, candidates
+    )
+    assert support_is_certified(
+        cr_system.system, candidates, support, solution
+    )
     # The contract is definitive on the *candidates* only: unknowns
     # outside the probe set may be positive in one backend's witness
     # and zero in another's, and both witnesses are correct.
     probed = set(candidates)
-    supports = {}
-    for name in LP_BACKENDS:
+    for name in OTHER_LP_BACKENDS:
         try:
-            support, _ = get_backend(name).maximal_support(
+            other, _ = get_backend(name).maximal_support(
                 cr_system.interned, candidates
             )
         except SolverError:
@@ -81,10 +95,4 @@ def test_lp_backends_compute_the_same_maximal_support(data):
             # constraint budget): the chain contract says "ask the next
             # backend", never "give a different answer".
             continue
-        supports[name] = support & probed
-    # The simplex engines have no size gate and must always answer.
-    assert {"sparse-simplex", "dense-simplex"} <= set(supports)
-    reference = supports["sparse-simplex"]
-    assert all(
-        support == reference for support in supports.values()
-    ), supports
+        assert other & probed == support & probed, name

@@ -9,9 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SolverError
-from repro.solver.certificates import FarkasCertificate, farkas_certificate
+from repro.solver.certificates import (
+    FarkasCertificate,
+    farkas_certificate,
+    support_is_certified,
+)
+from repro.solver.fourier_motzkin import fm_solve
+from repro.solver.homogeneous import maximal_support
 from repro.solver.linear import Constraint, LinearSystem, LinExpr, Relation, term
-from repro.solver.simplex import solve_lp
 
 
 class TestExtraction:
@@ -94,6 +99,40 @@ class TestVerification:
         assert not candidate.verify(system)
 
 
+class TestSupportCertification:
+    # y <= x, 2x <= y: only the origin, so x and y are both dead; z is
+    # unconstrained.
+    SYSTEM = LinearSystem(
+        [term("y") <= term("x"), 2 * term("x") <= term("y"), term("z") >= 0]
+    )
+
+    def test_a_maximal_support_is_certified(self):
+        support, solution = maximal_support(self.SYSTEM)
+        assert support == {"z"}
+        assert support_is_certified(
+            self.SYSTEM, ["x", "y", "z"], support, solution
+        )
+
+    def test_a_missed_positive_unknown_is_not_certified(self):
+        # z can be positive, so no Farkas proof refutes z >= 1.
+        solution = {"x": Fraction(0), "y": Fraction(0), "z": Fraction(0)}
+        assert not support_is_certified(
+            self.SYSTEM, ["x", "y", "z"], frozenset(), solution
+        )
+
+    def test_a_witness_off_its_support_is_not_certified(self):
+        solution = {"x": Fraction(0), "y": Fraction(0), "z": Fraction(1)}
+        assert not support_is_certified(
+            self.SYSTEM, ["z"], frozenset(), solution
+        )
+
+    def test_a_witness_violating_the_system_is_not_certified(self):
+        solution = {"x": Fraction(1), "y": Fraction(1), "z": Fraction(0)}
+        assert not support_is_certified(
+            self.SYSTEM, ["x", "y"], frozenset({"x", "y"}), solution
+        )
+
+
 NUM_VARS = 3
 VARIABLES = [f"x{i}" for i in range(NUM_VARS)]
 
@@ -114,9 +153,10 @@ def random_systems(draw) -> LinearSystem:
 @settings(max_examples=120, deadline=None)
 @given(random_systems())
 def test_certificate_exists_iff_infeasible(system):
-    """Farkas' lemma, executably: certificate ⟺ simplex infeasible."""
+    """Farkas' lemma, executably: certificate ⟺ infeasible, with
+    feasibility decided independently by Fourier–Motzkin."""
     certificate = farkas_certificate(system)
-    feasible = solve_lp(system).is_feasible
+    feasible = fm_solve(system).feasible
     if feasible:
         assert certificate is None
     else:

@@ -7,12 +7,9 @@ from fractions import Fraction
 import pytest
 
 from repro.errors import SolverError
-from repro.solver.homogeneous import (
-    find_positive_solution,
-    integerize,
-    maximal_support,
-)
+from repro.solver.homogeneous import integerize, maximal_support
 from repro.solver.linear import LinearSystem, term
+from tests.test_simplex import solve_linear
 
 
 class TestFindPositiveSolution:
@@ -21,33 +18,32 @@ class TestFindPositiveSolution:
         # the paper's Figure 1.
         c, r = term("c"), term("r")
         system = LinearSystem([2 * c <= r, c >= r, c > 0])
-        assert not find_positive_solution(system).feasible
+        assert not solve_linear(system, positive=True)[0].is_feasible
 
     def test_feasible_cone_returns_integral_witness(self):
         c, r = term("c"), term("r")
         system = LinearSystem([c <= r, 2 * c >= r, c > 0])
-        witness = find_positive_solution(system)
-        assert witness.feasible
-        assert witness.integral["c"] >= 1
+        witness = integerize(solve_linear(system, positive=True)[1])
+        assert witness["c"] >= 1
         assert system.is_satisfied_by(
-            {k: Fraction(v) for k, v in witness.integral.items()}
+            {k: Fraction(v) for k, v in witness.items()}
         )
 
     def test_strict_less_than(self):
         x, y = term("x"), term("y")
         system = LinearSystem([x - y < 0, y <= 2 * x, x > 0])
-        witness = find_positive_solution(system)
-        assert witness.feasible
-        assert witness.rational["x"] < witness.rational["y"]
+        _result, solution = solve_linear(system, positive=True)
+        assert solution is not None
+        assert solution["x"] < solution["y"]
+        assert system.is_satisfied_by(solution)
 
     def test_rejects_inhomogeneous(self):
         with pytest.raises(SolverError):
-            find_positive_solution(LinearSystem([term("x") >= 1]))
+            solve_linear(LinearSystem([term("x") >= 1]), positive=True)
 
     def test_no_strict_constraints_zero_is_fine(self):
         system = LinearSystem([term("x") <= term("y")])
-        witness = find_positive_solution(system)
-        assert witness.feasible
+        assert solve_linear(system, positive=True)[0].is_feasible
 
 
 class TestIntegerize:

@@ -197,7 +197,7 @@ class TestRepoLint:
         baseline["suppressions"].append(
             {
                 "rule": "R1",
-                "path": "repro/linalg/nonexistent.py",
+                "path": "repro/solver/nonexistent.py",
                 "scope": "gone",
                 "justification": "matches nothing on purpose",
             }

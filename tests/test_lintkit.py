@@ -62,7 +62,7 @@ class TestRegistry:
 
 class TestR1Floats:
     def test_float_literal(self):
-        (f,) = findings_for("R1", ("repro/linalg/bad.py", "X = 0.5\n"))
+        (f,) = findings_for("R1", ("repro/solver/core.py", "X = 0.5\n"))
         assert (f.rule, f.line, f.scope) == ("R1", 1, "<module>")
         assert "float literal 0.5" in f.message
 
@@ -605,7 +605,7 @@ FIXTURE_MODULES = [
     TestR10AsyncBlocking.BAD,
     TestR11DeterminismTaint.BAD,
     TestR12PickleSafety.BAD,
-    ("repro/linalg/vals.py", "X = 0.5\n"),
+    ("repro/solver/core.py", "X = 0.5\n"),
     ("repro/store/index.py", 'def f(p):\n    open(p, "w")\n'),
 ]
 

@@ -16,7 +16,7 @@ from repro.runtime.faults import (
     inject_faults,
     inject_solver_faults,
 )
-from repro.solver import fourier_motzkin, simplex
+from repro.solver import core, fourier_motzkin
 
 # Fail every Fourier–Motzkin call a test could plausibly make; combined
 # with a simplex fault this forces the chain all the way to the naive
@@ -42,11 +42,11 @@ class TestHarness:
         assert plan.injected == []
 
     def test_hooks_restored_on_exit(self):
-        assert simplex._FAULT_HOOK is None
+        assert core._FAULT_HOOK is None
         assert fourier_motzkin._FAULT_HOOK is None
         with inject_solver_faults(simplex_failures={1}):
-            assert simplex._FAULT_HOOK is not None
-        assert simplex._FAULT_HOOK is None
+            assert core._FAULT_HOOK is not None
+        assert core._FAULT_HOOK is None
         assert fourier_motzkin._FAULT_HOOK is None
 
     def test_injections_nest(self):
@@ -220,6 +220,21 @@ class TestChainParityOnPaperSchemas:
         assert degraded == baseline
         assert ("simplex", 1) in plan.injected
         assert ("fourier-motzkin", 1) in plan.injected
+
+    @pytest.mark.parametrize("engine", ["naive", "pruned"])
+    def test_faulted_walk_falls_back_to_the_fixpoint(self, schema, engine):
+        # One sparse fault inside the zero-set walk, retried on
+        # Fourier–Motzkin under a cap the larger Ψ_Z systems exceed:
+        # the walk faults as a whole, and the fixpoint answers instead.
+        policy = FallbackPolicy(fm_max_constraints=1_000)
+        for cls in schema.classes:
+            baseline = is_class_satisfiable(schema, cls, engine=engine)
+            with inject_faults(simplex_failures={1}) as plan:
+                degraded = is_class_satisfiable(
+                    schema, cls, engine=engine, fallback=policy
+                )
+            assert degraded.satisfiable == baseline.satisfiable, cls
+            assert plan.injected == [("simplex", 1)]
 
     def test_intermittent_faults_parity_on_small_schema(self):
         # Faults scattered through the run, not just at the first call.

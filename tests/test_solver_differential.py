@@ -1,6 +1,7 @@
 """Differential tests: three independent LP engines must agree.
 
-* the exact simplex (:mod:`repro.solver.simplex`),
+* the exact sparse simplex, the library's one LP kernel
+  (:func:`repro.solver.core.solve_interned`),
 * Fourier–Motzkin elimination (:mod:`repro.solver.fourier_motzkin`),
 * scipy's HiGHS ``linprog`` (floating point; used only here, as an
   external oracle — the library's decision paths never touch floats).
@@ -22,7 +23,7 @@ from scipy.optimize import linprog
 
 from repro.solver.fourier_motzkin import fm_solve
 from repro.solver.linear import Constraint, LinearSystem, LinExpr, Relation
-from repro.solver.simplex import solve_lp
+from tests.test_simplex import solve_linear
 
 NUM_VARS = 3
 VARIABLES = [f"x{i}" for i in range(NUM_VARS)]
@@ -74,7 +75,7 @@ def scipy_feasible(system: LinearSystem) -> bool:
 @settings(max_examples=150, deadline=None)
 @given(random_systems())
 def test_simplex_agrees_with_fourier_motzkin(system):
-    simplex_verdict = solve_lp(system).is_feasible
+    simplex_verdict = solve_linear(system)[0].is_feasible
     fm_verdict = fm_solve(system).feasible
     assert simplex_verdict == fm_verdict
 
@@ -82,16 +83,16 @@ def test_simplex_agrees_with_fourier_motzkin(system):
 @settings(max_examples=150, deadline=None)
 @given(random_systems())
 def test_simplex_agrees_with_scipy(system):
-    assert solve_lp(system).is_feasible == scipy_feasible(system)
+    assert solve_linear(system)[0].is_feasible == scipy_feasible(system)
 
 
 @settings(max_examples=100, deadline=None)
 @given(random_systems())
 def test_feasible_witnesses_satisfy_the_system(system):
-    result = solve_lp(system)
+    result, vertex = solve_linear(system)
     if result.is_feasible:
-        assert system.is_satisfied_by(result.assignment)
-        assert all(value >= 0 for value in result.assignment.values())
+        assert system.is_satisfied_by(vertex)
+        assert all(value >= 0 for value in vertex.values())
     fm_result = fm_solve(system)
     if fm_result.feasible:
         assignment = {
@@ -106,7 +107,7 @@ def test_feasible_witnesses_satisfy_the_system(system):
 def test_optimum_matches_scipy(system, objective_index):
     """When both engines find a bounded optimum, the values must agree."""
     objective = LinExpr({VARIABLES[objective_index]: 1})
-    exact = solve_lp(system, objective=objective, sense="min")
+    exact, _vertex = solve_linear(system, objective)
     if not exact.is_feasible:
         return
     row = [0.0] * NUM_VARS
