@@ -13,9 +13,13 @@ perf-trajectory artifact::
     PYTHONPATH=src:. python benchmarks/bench_solver.py --quick \
         --output BENCH_solver.json
 
-``validate_report`` is the schema check CI runs against the JSON; it
-requires every support to be certified
-(:func:`repro.solver.certificates.support_is_certified`).  The runner needs only the
+Each entry records, beside the time, the LP calls and pivots an
+ambient :class:`~repro.runtime.budget.Budget` charged for one solve:
+deterministic counts that show whether a change moved the pivot
+sequence or only its cost.  ``validate_report`` is the schema check CI
+runs against the JSON; it requires every support to be certified
+(:func:`repro.solver.certificates.support_is_certified`) and both
+counts to be non-negative ints.  The runner needs only the
 standard library and :mod:`repro`.
 
 **E12 (pytest-benchmark suite).**  The decision path of the library is
@@ -46,6 +50,7 @@ from repro.cr.expansion import Expansion
 from repro.cr.schema import CRSchema
 from repro.cr.system import CRSystem, build_system
 from repro.paper import figure1_schema, meeting_schema, refined_meeting_schema
+from repro.runtime.budget import Budget, activate
 from repro.solver.certificates import support_is_certified
 from repro.solver.core import InternedSystem, interned_maximal_support, solve_interned
 
@@ -105,18 +110,21 @@ def _support_workload(
     generation is shared infrastructure, not under test), and the probe
     set is the class unknowns — exactly what the satisfiability
     fixpoint probes.  ``repeats`` takes the best of N to stabilise
-    microsecond-scale figure workloads.  Certification runs after the
-    timing, on the string-keyed form of the system.
+    microsecond-scale figure workloads; each repeat runs under a fresh
+    ambient budget, which counts its LP calls and pivots.  Certification
+    runs after the timing, on the string-keyed form of the system.
     """
     cr_system: CRSystem = build_system(Expansion(schema), mode="pruned")
     candidates = list(cr_system.class_var.values())
 
     best = float("inf")
     for _ in range(repeats):
+        budget = Budget()
         start = time.perf_counter()
-        support, solution = interned_maximal_support(
-            cr_system.interned, candidates
-        )
+        with activate(budget):
+            support, solution = interned_maximal_support(
+                cr_system.interned, candidates
+            )
         best = min(best, time.perf_counter() - start)
 
     return {
@@ -127,6 +135,8 @@ def _support_workload(
         "rows": len(cr_system.interned),
         "nonzeros": cr_system.interned.nonzeros(),
         "sparse_s": best,
+        "lp_calls": budget.solver_calls,
+        "pivots": budget.pivots,
         "support_size": len(support),
         "certified": support_is_certified(
             cr_system.system, candidates, support, solution
@@ -170,7 +180,7 @@ def run_benchmarks(quick: bool = False) -> dict:
     largest = max(random_entries, key=lambda entry: entry["unknowns"])
     return {
         "benchmark": "solver",
-        "version": 2,
+        "version": 3,
         "quick": quick,
         "entries": entries,
         "summary": {
@@ -191,6 +201,8 @@ _ENTRY_KEYS = {
     "rows": int,
     "nonzeros": int,
     "sparse_s": float,
+    "lp_calls": int,
+    "pivots": int,
     "support_size": int,
     "certified": bool,
 }
@@ -198,11 +210,16 @@ _ENTRY_KEYS = {
 
 def validate_report(report: dict) -> dict:
     """Raise ``ValueError`` unless ``report`` is a well-formed
-    BENCH_solver.json payload whose every support is certified; returns
-    the report for chaining."""
+    BENCH_solver.json payload whose every support is certified and
+    whose counts are non-negative; returns the report for chaining."""
     entries = check_report_shape(report, "solver")
     for entry in entries:
         check_entry_fields(entry, _ENTRY_KEYS)
+        for key in ("lp_calls", "pivots"):
+            if entry[key] < 0:
+                raise ValueError(
+                    f"entry {entry['workload']!r}: {key} must be >= 0"
+                )
         if not entry["certified"]:
             raise ValueError(
                 f"entry {entry['workload']!r}: the maximal support failed "
@@ -244,6 +261,7 @@ def main(argv: list[str] | None = None) -> int:
         entry_line=lambda entry: (
             f"{entry['workload']:<24} {entry['unknowns']:>5} unknowns"
             f"  sparse {entry['sparse_s']*1e3:8.2f} ms"
+            f"  {entry['lp_calls']} LP {entry['pivots']:>5} pivots"
             f"  support {entry['support_size']:>4}"
             f"  certified {entry['certified']}"
         ),

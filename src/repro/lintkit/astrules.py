@@ -6,6 +6,10 @@ exactly — ``tests/test_check_invariants.py`` pins them through the
 compatibility shim — only the housing changed: they now sit on the
 lintkit registry next to the dataflow rules, and each finding carries
 the enclosing-definition scope so baseline suppressions can target it.
+R1 has since been tightened: it resolves ``math`` through every import
+form (``import math as m``, ``from math import sqrt``), flags any
+reference to a ``math`` function, not only a call, and allows only the
+integer-exact ``gcd`` and ``lcm``.
 
 R2 (budget-governed loops) also lived here historically; its dataflow
 replacement — transitive budget-charge reachability — is in
@@ -22,6 +26,10 @@ from repro.lintkit.rules import Rule, register
 
 EXACT_KERNEL = ("repro/solver/core.py",)
 """Scope of R1 (float ban), repo-relative."""
+
+INTEGER_MATH = frozenset({"gcd", "lcm"})
+"""The ``math`` functions R1 allows: exact on ``int`` arguments, as the
+fraction-free tableau's row normalisation needs."""
 
 KERNEL_MODULES = ("repro/solver/",)
 """Scope of R2 (budgeted loops) and R3 (popitem ban)."""
@@ -66,8 +74,21 @@ def _finding(
     )
 
 
+def _math_aliases(tree: ast.AST) -> set[str]:
+    """``math`` and the names bound to the module by ``import math as
+    m``."""
+    return {"math"} | {
+        alias.asname
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "math" and alias.asname
+    }
+
+
 def check_floats(module: ModuleModel) -> list[Finding]:
     findings = []
+    math_aliases = _math_aliases(module.tree)
     for node in ast.walk(module.tree):
         if isinstance(node, ast.Constant) and isinstance(
             node.value, float
@@ -81,6 +102,19 @@ def check_floats(module: ModuleModel) -> list[Finding]:
                     "exact-arithmetic kernel; use Fraction",
                 )
             )
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            for alias in node.names:
+                if alias.name not in INTEGER_MATH:
+                    findings.append(
+                        _finding(
+                            module,
+                            node.lineno,
+                            "R1",
+                            f"math.{alias.name} imported into the "
+                            "exact-arithmetic kernel; math operates on "
+                            "floats",
+                        )
+                    )
         elif isinstance(node, ast.Call):
             func = node.func
             if isinstance(func, ast.Name) and func.id == "float":
@@ -93,20 +127,21 @@ def check_floats(module: ModuleModel) -> list[Finding]:
                         "kernel; use Fraction",
                     )
                 )
-            elif (
-                isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id == "math"
-            ):
-                findings.append(
-                    _finding(
-                        module,
-                        node.lineno,
-                        "R1",
-                        f"math.{func.attr}() in the exact-arithmetic "
-                        "kernel; math operates on floats",
-                    )
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in math_aliases
+            and node.attr not in INTEGER_MATH
+        ):
+            findings.append(
+                _finding(
+                    module,
+                    node.lineno,
+                    "R1",
+                    f"math.{node.attr} in the exact-arithmetic kernel; "
+                    "math operates on floats",
                 )
+            )
     return findings
 
 
@@ -257,8 +292,9 @@ register(
         rule_id="R1",
         title="exact arithmetic only",
         contract=(
-            "no float literals, float() conversions, or math.* calls "
-            "in the exact-arithmetic kernel"
+            "no float literals, float() conversions, or math functions "
+            "other than the integer gcd and lcm in the exact-arithmetic "
+            "kernel, however math is imported"
         ),
         scope=EXACT_KERNEL,
         check_module=check_floats,

@@ -11,16 +11,21 @@ certificate — runs here, on
   pretty string unknowns (``c3``, ``h13``) to dense integer indices —
   strings exist only at the render/explain boundary;
 * a **sparse row representation** (:class:`SparseRow`,
-  :class:`InternedSystem`) holding ``(column, coefficient)`` pairs with
-  an **integer fast path**: coefficients stay native ``int`` (an order
-  of magnitude cheaper than :class:`~fractions.Fraction` arithmetic)
-  until a pivot genuinely forces a non-integral value, and collapse
-  back to ``int`` the moment a denominator cancels;
+  :class:`InternedSystem`) holding ``(column, coefficient)`` pairs of
+  exact :data:`Coeff` values: native ``int`` for the paper's integer
+  systems, :class:`~fractions.Fraction` only where an input is
+  non-integral;
 * a **revised sparse simplex** (:func:`solve_interned`): rows are
   column-indexed hash maps, a column→rows occupancy index restricts
   every pivot to the rows actually containing the pivot column, and
   reduced costs live in a sparse map so pricing scans only non-zero
   entries instead of the full column range;
+* **fraction-free pivoting** (:class:`_SparseTableau`): every tableau
+  row holds ``int`` numerators over one positive ``int`` denominator,
+  kept in lowest terms by a gcd only when that denominator is not 1,
+  so pivoting never builds a ``Fraction`` (an order of magnitude
+  dearer than ``int`` arithmetic); values become ``int`` or
+  ``Fraction`` only as they leave the kernel (:func:`_ratio`);
 * **Farkas certificates** for free: an infeasible result carries the
   phase-1 dual ray, lifted back through the presolve and verified
   (:func:`_certify`), so proving infeasibility never costs a second LP.
@@ -41,14 +46,17 @@ import enum
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from repro.errors import SolverError
 from repro.runtime.budget import current_budget
 from repro.solver.linear import Constraint, LinearSystem, LinExpr, Relation
 
 Coeff = int | Fraction
-"""Exact coefficient: native ``int`` on the fast path, ``Fraction``
-only when a value is genuinely non-integral."""
+"""Exact value at the kernel boundary (input rows, objectives, results,
+certificates): native ``int`` when integral, ``Fraction`` only when a
+value is genuinely non-integral.  The tableau holds none of these; it
+works on ``int`` numerators over ``int`` row denominators."""
 
 _FAULT_HOOK: Callable[[], None] | None = None
 """Test seam: when set (by :mod:`repro.runtime.faults`), called with no
@@ -61,23 +69,27 @@ before switching to Bland's rule for the rest of the run."""
 
 
 def _norm(value: Coeff) -> Coeff:
-    """Collapse an integral :class:`Fraction` back to ``int``.
-
-    This is the heart of the integer fast path: once a denominator
-    cancels, all further arithmetic on the value is native ``int``.
-    """
+    """Collapse an integral :class:`Fraction` back to ``int`` (for
+    values outside the tableau: presolve, objectives, certificates)."""
     if value.__class__ is Fraction and value.denominator == 1:
         return value.numerator
     return value
 
 
+def _ratio(numerator: int, denominator: int) -> Coeff:
+    """Exact ``numerator / denominator`` as an ``int`` when the division
+    is exact, else a :class:`Fraction`: how a tableau number leaves the
+    kernel."""
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder == 0:
+        return quotient
+    return Fraction(numerator, denominator)
+
+
 def _div(a: Coeff, b: Coeff) -> Coeff:
     """Exact ``a / b`` staying on ``int`` when the division is exact."""
-    if a.__class__ is int and b.__class__ is int:
-        quotient, remainder = divmod(a, b)
-        if remainder == 0:
-            return quotient
-        return Fraction(a, b)
+    if isinstance(a, int) and isinstance(b, int):
+        return _ratio(a, b)
     return _norm(Fraction(a) / Fraction(b))
 
 
@@ -351,25 +363,40 @@ class SparseResult:
 
 
 class _SparseTableau:
-    """Simplex state on hash-map rows with a column occupancy index.
+    """Fraction-free simplex state on hash-map rows with a column
+    occupancy index.
 
-    ``rows[i]`` maps column → non-zero coefficient; ``rhs[i]`` is the
-    right-hand side; ``col_rows[j]`` is the set of row indices with a
-    non-zero entry in column ``j``.  A pivot touches only the rows in
-    ``col_rows[pivot_column]`` and, within each, only the support of the
-    pivot row — on the paper's systems that is a small constant fraction
-    of the dense ``m × n`` work.
+    ``rows[i]`` maps column → non-zero ``int`` numerator and ``rhs[i]``
+    is the right-hand side's numerator, both over the positive row
+    denominator ``denominators[i]``; the basic column of row ``i`` holds
+    exactly ``denominators[i]``.  The reduced costs (``reduced``, a
+    sparse map) and the negated objective (``neg_obj``) share one
+    positive denominator, ``cost_denominator``.  ``col_rows[j]`` is the
+    set of row indices with a non-zero entry in column ``j``; a pivot
+    touches only the rows in ``col_rows[pivot_column]`` and, within
+    each, only the support of the pivot row.
+
+    Every update is integer-preserving elimination (Edmonds 1967;
+    Bareiss 1968; the integer pivoting of Avis's ``lrs``): eliminating
+    with a pivot row over ``p`` multiplies the target's denominator by
+    ``p``, and a row whose denominator is not 1 is then divided by the
+    gcd of its numbers, so it stays in lowest terms.  Pricing compares
+    reduced-cost numerators, the ratio test cross-multiplies, and
+    :func:`_ratio` turns numbers back into values only where they leave
+    the kernel.
     """
 
     __slots__ = (
         "rows",
         "rhs",
+        "denominators",
         "basis",
         "num_columns",
         "col_rows",
         "blocked",
         "reduced",
         "neg_obj",
+        "cost_denominator",
     )
 
     def __init__(
@@ -379,83 +406,155 @@ class _SparseTableau:
         basis: list[int],
         num_columns: int,
     ) -> None:
-        self.rows = rows
-        self.rhs = rhs
+        """Rows in canonical form (each basic column holds 1 in its own
+        row only); ``Fraction`` entries are scaled to numerators over
+        the row's least common denominator."""
+        self.rows: list[dict[int, int]] = []
+        self.rhs: list[int] = []
+        self.denominators: list[int] = []
+        for row, value in zip(rows, rhs):
+            denominator = lcm(
+                value.denominator, *(entry.denominator for entry in row.values())
+            )
+            self.rows.append(
+                {
+                    j: entry.numerator * (denominator // entry.denominator)
+                    for j, entry in row.items()
+                }
+            )
+            self.rhs.append(value.numerator * (denominator // value.denominator))
+            self.denominators.append(denominator)
         self.basis = basis
         self.num_columns = num_columns
         self.col_rows: dict[int, set[int]] = {}
-        for i, row in enumerate(rows):
+        for i, row in enumerate(self.rows):
             for j in row:
                 self.col_rows.setdefault(j, set()).add(i)
         self.blocked: set[int] = set()
-        self.reduced: dict[int, Coeff] = {}
-        self.neg_obj: Coeff = 0
+        self.reduced: dict[int, int] = {}
+        self.neg_obj = 0
+        self.cost_denominator = 1
 
     # -- pivoting ------------------------------------------------------
 
     def pivot(self, row_index: int, col_index: int) -> None:
         """Make ``col_index`` basic in ``row_index``; update rows, the
         occupancy index, and the sparse reduced costs."""
-        pivot_row = self.rows[row_index]
-        pivot_value = pivot_row[col_index]
-        if pivot_value == 0:  # pragma: no cover - defensive
-            raise SolverError("internal error: pivot on a zero entry")
-        if pivot_value != 1:
-            for j, value in pivot_row.items():
-                pivot_row[j] = _div(value, pivot_value)
-            self.rhs[row_index] = _div(self.rhs[row_index], pivot_value)
-        pivot_rhs = self.rhs[row_index]
+        rows = self.rows
+        rhs = self.rhs
+        denominators = self.denominators
         col_rows = self.col_rows
-        occupants = col_rows.get(col_index, set())
-        for i in list(occupants):
+        pivot_row = rows[row_index]
+        scale = pivot_row[col_index]
+        if scale == 0:  # pragma: no cover - defensive
+            raise SolverError("internal error: pivot on a zero entry")
+        pivot_rhs = rhs[row_index]
+        # Divided by its pivot entry, the row keeps its numerators over
+        # the new denominator ``scale``, made positive and reduced.
+        if scale < 0:
+            scale = -scale
+            pivot_rhs = -pivot_rhs
+            pivot_row = {j: -value for j, value in pivot_row.items()}
+        if scale != 1:
+            common = gcd(scale, pivot_rhs, *pivot_row.values())
+            if common != 1:
+                scale //= common
+                pivot_rhs //= common
+                pivot_row = {j: value // common for j, value in pivot_row.items()}
+        rows[row_index] = pivot_row
+        rhs[row_index] = pivot_rhs
+        denominators[row_index] = scale
+        entries = pivot_row.items()
+        for i in list(col_rows[col_index]):
             if i == row_index:
                 continue
-            target = self.rows[i]
+            target = rows[i]
             factor = target[col_index]
-            for j, value in pivot_row.items():
+            target_rhs = rhs[i]
+            denominator = denominators[i]
+            if scale != 1:
+                target = {j: value * scale for j, value in target.items()}
+                target_rhs *= scale
+                denominator *= scale
+            for j, value in entries:
                 current = target.get(j)
                 if current is None:
-                    product = factor * value
-                    if product != 0:
-                        target[j] = _norm(-product)
-                        col_rows.setdefault(j, set()).add(i)
+                    target[j] = -factor * value
+                    col_rows[j].add(i)
                 else:
                     updated = current - factor * value
-                    if updated == 0:
+                    if updated:
+                        target[j] = updated
+                    else:
                         del target[j]
                         col_rows[j].discard(i)
-                    else:
-                        target[j] = _norm(updated)
-            if pivot_rhs != 0:
-                self.rhs[i] = _norm(self.rhs[i] - factor * pivot_rhs)
-        factor = self.reduced.get(col_index)
-        if factor:
-            reduced = self.reduced
-            for j, value in pivot_row.items():
-                updated = reduced.get(j, 0) - factor * value
-                if updated == 0:
-                    reduced.pop(j, None)
-                else:
-                    reduced[j] = _norm(updated)
-            self.neg_obj = _norm(self.neg_obj - factor * pivot_rhs)
+            if pivot_rhs:
+                target_rhs -= factor * pivot_rhs
+            if denominator != 1:
+                common = gcd(denominator, target_rhs, *target.values())
+                if common != 1:
+                    denominator //= common
+                    target_rhs //= common
+                    target = {j: value // common for j, value in target.items()}
+            rows[i] = target
+            rhs[i] = target_rhs
+            denominators[i] = denominator
+        cost_factor = self.reduced.get(col_index)
+        if cost_factor:
+            self._price_out(cost_factor, pivot_row, pivot_rhs, scale)
         self.basis[row_index] = col_index
+
+    def _price_out(
+        self, factor: int, row: dict[int, int], row_rhs: int, scale: int
+    ) -> None:
+        """Eliminate a column from the reduced costs and the objective
+        with ``row`` over ``scale``, which holds ``scale`` in that
+        column; ``factor`` is the column's reduced-cost numerator."""
+        reduced = self.reduced
+        neg_obj = self.neg_obj
+        denominator = self.cost_denominator
+        if scale != 1:
+            reduced = {j: value * scale for j, value in reduced.items()}
+            neg_obj *= scale
+            denominator *= scale
+        for j, value in row.items():
+            updated = reduced.get(j, 0) - factor * value
+            if updated:
+                reduced[j] = updated
+            else:
+                del reduced[j]
+        neg_obj -= factor * row_rhs
+        if denominator != 1:
+            common = gcd(denominator, neg_obj, *reduced.values())
+            if common != 1:
+                denominator //= common
+                neg_obj //= common
+                reduced = {j: value // common for j, value in reduced.items()}
+        self.reduced = reduced
+        self.neg_obj = neg_obj
+        self.cost_denominator = denominator
 
     def set_costs(self, cost: Mapping[int, Coeff]) -> None:
         """Initialise the sparse reduced-cost map for ``min cost · x``."""
-        reduced: dict[int, Coeff] = dict(cost)
-        neg_obj: Coeff = 0
-        for row, rhs, basic in zip(self.rows, self.rhs, self.basis):
-            basic_cost = cost.get(basic, 0)
-            if basic_cost:
-                for j, value in row.items():
-                    updated = reduced.get(j, 0) - basic_cost * value
-                    if updated == 0:
-                        reduced.pop(j, None)
-                    else:
-                        reduced[j] = _norm(updated)
-                neg_obj -= basic_cost * rhs
-        self.reduced = reduced
-        self.neg_obj = _norm(neg_obj)
+        denominator = lcm(*(value.denominator for value in cost.values()))
+        self.reduced = {
+            j: value.numerator * (denominator // value.denominator)
+            for j, value in cost.items()
+        }
+        self.neg_obj = 0
+        self.cost_denominator = denominator
+        for i, basic in enumerate(self.basis):
+            factor = self.reduced.get(basic)
+            if factor:
+                self._price_out(
+                    factor, self.rows[i], self.rhs[i], self.denominators[i]
+                )
+
+    def objective(self) -> Coeff:
+        return _ratio(-self.neg_obj, self.cost_denominator)
+
+    def reduced_cost(self, col: int) -> Coeff:
+        return _ratio(self.reduced.get(col, 0), self.cost_denominator)
 
     def minimize(
         self, cost: Mapping[int, Coeff], floor: Coeff | None = None
@@ -472,33 +571,43 @@ class _SparseTableau:
         degenerate_run = 0
         use_bland = False
         budget = current_budget()
+        rows = self.rows
+        rhs = self.rhs
+        basis = self.basis
         while True:
             if budget is not None:
                 budget.charge_pivots()
-            objective = -self.neg_obj
-            if floor is not None and objective <= floor:
-                return SparseStatus.OPTIMAL, objective
+            if floor is not None and (
+                -self.neg_obj * floor.denominator
+                <= floor.numerator * self.cost_denominator
+            ):
+                return SparseStatus.OPTIMAL, self.objective()
             entering = self._entering_column(use_bland)
             if entering is None:
-                return SparseStatus.OPTIMAL, objective
+                return SparseStatus.OPTIMAL, self.objective()
+            # Ratio test: the row denominator cancels in rhs / entry, so
+            # ratios compare by cross-multiplying numerators.
             leaving: int | None = None
-            best_ratio: Coeff | None = None
+            best_rhs = best_coeff = 0
             for i in self.col_rows.get(entering, ()):
-                coeff = self.rows[i][entering]
+                coeff = rows[i][entering]
                 if coeff > 0:
-                    ratio = _div(self.rhs[i], coeff)
-                    better = best_ratio is None or ratio < best_ratio
-                    tie = best_ratio is not None and ratio == best_ratio
-                    if better or (
-                        tie
-                        and leaving is not None
-                        and self.basis[i] < self.basis[leaving]
-                    ):
-                        best_ratio = ratio
+                    value = rhs[i]
+                    if leaving is None:
+                        better = True
+                    else:
+                        left = value * best_coeff
+                        right = best_rhs * coeff
+                        better = left < right or (
+                            left == right and basis[i] < basis[leaving]
+                        )
+                    if better:
                         leaving = i
+                        best_rhs = value
+                        best_coeff = coeff
             if leaving is None:
-                return SparseStatus.UNBOUNDED, objective
-            if best_ratio == 0:
+                return SparseStatus.UNBOUNDED, self.objective()
+            if best_rhs == 0:
                 degenerate_run += 1
                 if degenerate_run >= _DEGENERATE_PIVOT_LIMIT:
                     use_bland = True
@@ -516,7 +625,7 @@ class _SparseTableau:
                         best = j
             return best
         best = None
-        best_value: Coeff = 0
+        best_value = 0
         for j, value in self.reduced.items():
             if j in blocked:
                 continue
@@ -526,7 +635,12 @@ class _SparseTableau:
         return best
 
     def basic_values(self) -> dict[int, Coeff]:
-        return {basic: rhs for basic, rhs in zip(self.basis, self.rhs)}
+        return {
+            basic: _ratio(value, denominator)
+            for basic, value, denominator in zip(
+                self.basis, self.rhs, self.denominators
+            )
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -719,8 +833,7 @@ def solve_interned(
     in ``free_variables`` (split internally into a difference of two
     non-negative columns), and ``known_bound`` is an early-exit
     floor/ceiling the caller can prove.  Unknowns are interned integer
-    indices and all arithmetic runs on the int-first sparse
-    representation.
+    indices and pivoting runs fraction-free on the sparse tableau.
 
     An ``INFEASIBLE`` result carries the Farkas certificate phase 1
     proved it with.  Its duals are read off the final reduced costs:
@@ -850,7 +963,7 @@ def solve_interned(
         if status is not SparseStatus.OPTIMAL or value > 0:
             weights: dict[int, Coeff] = {}
             for (origin, sign), col in zip(signs, dual_columns):
-                dual = phase1_cost.get(col, 0) - tableau.reduced.get(col, 0)
+                dual = phase1_cost.get(col, 0) - tableau.reduced_cost(col)
                 if dual:
                     weights[origin] = _norm(-dual * sign)
             return _certify(system.rows, weights, pins, free)
@@ -913,8 +1026,7 @@ def _evict_basic_artificials(
     redundant: leaving its artificial basic at value zero is sound once
     the column is blocked from re-entering.
     """
-    tableau.reduced = {}
-    tableau.neg_obj = 0
+    tableau.set_costs({})
     for i in range(len(tableau.rows)):
         if tableau.basis[i] not in artificial_columns:
             continue

@@ -259,7 +259,7 @@ def fixpoint_support(
 class SparseSimplexBackend(SolverBackend):
     """The interned sparse revised simplex (:mod:`repro.solver.core`).
 
-    The default primary backend: integer fast path, sparse pivoting,
+    The default primary backend: fraction-free sparse pivoting,
     no string-keyed data on the hot path.  Strict rows are handled by
     cone sharpening.  The only certificate producer: an infeasible
     :meth:`positive_solution` carries the phase-1 Farkas proof over the

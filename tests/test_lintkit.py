@@ -76,6 +76,30 @@ class TestR1Floats:
     def test_out_of_scope_module_ignored(self):
         assert not findings_for("R1", ("repro/serve/app.py", "X = 0.5\n"))
 
+    def test_from_import_of_a_float_function_flagged(self):
+        (f,) = findings_for(
+            "R1",
+            ("repro/solver/core.py", "from math import sqrt\nz = sqrt(2)\n"),
+        )
+        assert (f.rule, f.line) == ("R1", 1)
+        assert "math.sqrt imported" in f.message
+
+    def test_aliased_math_module_flagged(self):
+        (f,) = findings_for(
+            "R1",
+            ("repro/solver/core.py", "import math as m\nz = m.sqrt(2)\n"),
+        )
+        assert (f.rule, f.line) == ("R1", 2)
+        assert "math.sqrt in" in f.message
+
+    def test_integer_gcd_and_lcm_allowed(self):
+        good = (
+            "import math\n"
+            "from math import gcd, lcm\n"
+            "g = math.gcd(4, 6) + gcd(4, 6) + lcm(4, 6)\n"
+        )
+        assert not findings_for("R1", ("repro/solver/core.py", good))
+
 
 class TestR2BudgetReachability:
     BAD = (

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cr.builder import SchemaBuilder
 from repro.cr.expansion import Expansion
+from repro.cr.implication import implies_max_cardinality
 from repro.cr.satisfiability import (
     acceptable_support,
     is_acceptable,
@@ -15,7 +16,9 @@ from repro.cr.satisfiability import (
 )
 from repro.cr.system import build_system
 from repro.errors import ReproError
-from repro.paper import figure1_schema
+from repro.paper import figure1_schema, meeting_schema, refined_meeting_schema
+from repro.runtime.budget import Budget, activate
+from repro.solver import core
 
 ENGINES = ["fixpoint", "naive"]
 
@@ -104,6 +107,61 @@ class TestRefinedMeeting:
                 if c.label == f"min:Holds:U1:{index}"
             )
             assert row.expr.coefficient(f"c{index}") == 2
+
+
+class TestFixpointCounts:
+    """The fixpoint engine's exact LP work, pinned.  Each count is
+    ``(Budget.solver_calls, Budget.pivots, _SparseTableau.pivot calls)``:
+    the budget charges one pivot per pricing round of a simplex phase,
+    while the tableau count also takes in artificial eviction.  The
+    solves cover phase 1, eviction and the maximising phase 2 of the
+    maximal-support LPs."""
+
+    @pytest.fixture
+    def pivot_calls(self, monkeypatch):
+        calls: list[int] = []
+        pivot = core._SparseTableau.pivot
+
+        def spy(tableau, row_index, col_index):
+            calls.append(col_index)
+            pivot(tableau, row_index, col_index)
+
+        monkeypatch.setattr(core._SparseTableau, "pivot", spy)
+        return calls
+
+    @staticmethod
+    def counted(pivot_calls, decide):
+        pivot_calls.clear()
+        budget = Budget()
+        with activate(budget):
+            answer = decide()
+        return answer, (budget.solver_calls, budget.pivots, len(pivot_calls))
+
+    @pytest.mark.parametrize(
+        ("schema", "satisfiable", "counts"),
+        [
+            (figure1_schema, False, (2, 8, 6)),
+            (meeting_schema, True, (2, 47, 56)),
+            (refined_meeting_schema, False, (2, 19, 23)),
+        ],
+    )
+    def test_every_class(self, pivot_calls, schema, satisfiable, counts):
+        for cls in sorted(schema().classes):
+            result, measured = self.counted(
+                pivot_calls, lambda: is_class_satisfiable(schema(), cls)
+            )
+            assert result.satisfiable is satisfiable
+            assert measured == counts
+
+    def test_section4_cardinality_implication(self, pivot_calls):
+        result, measured = self.counted(
+            pivot_calls,
+            lambda: implies_max_cardinality(
+                meeting_schema(), "Talk", "Participates", "U4", 1
+            ),
+        )
+        assert result.implied
+        assert measured == (2, 62, 76)
 
 
 class TestAcceptability:

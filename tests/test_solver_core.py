@@ -25,6 +25,7 @@ from repro.solver.core import (
     VariableTable,
     _div,
     _norm,
+    _SparseTableau,
     interned_maximal_support,
     sharpened_rows,
     solve_interned,
@@ -32,6 +33,7 @@ from repro.solver.core import (
 )
 from repro.solver.certificates import support_is_certified
 from repro.solver.linear import Constraint, LinearSystem, Relation, term
+from tests.test_simplex import BEALE_OBJECTIVE, BEALE_ROWS, solve_linear
 
 
 class TestNormalisation:
@@ -297,3 +299,62 @@ class TestHomogeneousHelpers:
         assert support_is_certified(
             meeting_system.system, candidates, support, solution
         )
+
+
+class TestIntegerTableau:
+    """The tableau holds ``int`` numerators over positive ``int``
+    denominators, also where the vertex is fractional; ``Fraction``
+    appears only where values leave the kernel."""
+
+    @pytest.fixture
+    def snapshots(self, monkeypatch):
+        """After every pivot: the types of the tableau's numbers, and
+        its denominators."""
+        taken: list[tuple[set[type], list[int]]] = []
+        pivot = _SparseTableau.pivot
+
+        def spy(tableau, row_index, col_index):
+            pivot(tableau, row_index, col_index)
+            numbers = [
+                *(value for row in tableau.rows for value in row.values()),
+                *tableau.rhs,
+                *tableau.reduced.values(),
+                tableau.neg_obj,
+            ]
+            denominators = [*tableau.denominators, tableau.cost_denominator]
+            taken.append(
+                ({type(n) for n in numbers + denominators}, denominators)
+            )
+
+        monkeypatch.setattr(_SparseTableau, "pivot", spy)
+        return taken
+
+    @staticmethod
+    def check(snapshots):
+        assert snapshots, "the solve made no pivot"
+        for types, denominators in snapshots:
+            assert types == {int}, types
+            assert all(d > 0 for d in denominators)
+        # A fractional vertex: some pivot left a row over a denominator.
+        assert any(d != 1 for _, denominators in snapshots for d in denominators)
+
+    def test_fractional_vertex(self, snapshots):
+        x, y = term("x"), term("y")
+        linear = LinearSystem([3 * x + 3 * y <= 2, x - y >= 0])
+        _result, vertex = solve_linear(linear, y, "max")
+        self.check(snapshots)
+        assert vertex == {"x": Fraction(1, 3), "y": Fraction(1, 3)}
+
+    def test_beale_with_fractional_inputs(self, snapshots):
+        result, _vertex = solve_linear(LinearSystem(BEALE_ROWS), BEALE_OBJECTIVE)
+        self.check(snapshots)
+        assert result.objective_value == Fraction(-22, 25)
+
+    def test_maximal_support_on_the_meeting_system(
+        self, snapshots, meeting_system
+    ):
+        support, _solution = interned_maximal_support(
+            meeting_system.interned, meeting_system.consistent_class_unknowns()
+        )
+        self.check(snapshots)
+        assert support

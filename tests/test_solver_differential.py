@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from repro.solver.core import SparseStatus
 from repro.solver.fourier_motzkin import fm_solve
 from repro.solver.linear import Constraint, LinearSystem, LinExpr, Relation
 from tests.test_simplex import solve_linear
@@ -45,12 +46,18 @@ def random_systems(draw) -> LinearSystem:
     return LinearSystem(constraints, variables=VARIABLES)
 
 
-def scipy_feasible(system: LinearSystem) -> bool:
-    """Feasibility via scipy's HiGHS (floats), variables >= 0."""
+def highs(system: LinearSystem, costs: list[int], ray: bool = False):
+    """scipy's HiGHS (floats) on ``min costs · x``, variables >= 0.
+
+    With ``ray``, the rows lose their constants and the variables are
+    capped at 1: the optimum is negative exactly when the original
+    system, if feasible, has a ray along which the objective falls
+    without bound.
+    """
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
     for constraint in system.constraints:
         row = [float(constraint.expr.coefficient(name)) for name in VARIABLES]
-        rhs = -float(constraint.expr.constant_term)
+        rhs = 0.0 if ray else -float(constraint.expr.constant_term)
         if constraint.relation is Relation.LE:
             a_ub.append(row)
             b_ub.append(rhs)
@@ -60,16 +67,20 @@ def scipy_feasible(system: LinearSystem) -> bool:
         else:
             a_eq.append(row)
             b_eq.append(rhs)
-    result = linprog(
-        c=np.zeros(NUM_VARS),
+    return linprog(
+        c=np.array(costs, dtype=float),
         A_ub=np.array(a_ub) if a_ub else None,
         b_ub=np.array(b_ub) if b_ub else None,
         A_eq=np.array(a_eq) if a_eq else None,
         b_eq=np.array(b_eq) if b_eq else None,
-        bounds=[(0, None)] * NUM_VARS,
+        bounds=[(0, 1 if ray else None)] * NUM_VARS,
         method="highs",
     )
-    return bool(result.success)
+
+
+def scipy_feasible(system: LinearSystem) -> bool:
+    """Feasibility via scipy's HiGHS (floats), variables >= 0."""
+    return bool(highs(system, [0] * NUM_VARS).success)
 
 
 @settings(max_examples=150, deadline=None)
@@ -103,38 +114,32 @@ def test_feasible_witnesses_satisfy_the_system(system):
 
 
 @settings(max_examples=60, deadline=None)
-@given(random_systems(), st.integers(0, NUM_VARS - 1))
-def test_optimum_matches_scipy(system, objective_index):
-    """When both engines find a bounded optimum, the values must agree."""
-    objective = LinExpr({VARIABLES[objective_index]: 1})
-    exact, _vertex = solve_linear(system, objective)
-    if not exact.is_feasible:
+@given(
+    random_systems(),
+    st.lists(st.integers(-3, 3), min_size=NUM_VARS, max_size=NUM_VARS),
+    st.sampled_from(["min", "max"]),
+)
+def test_optimum_matches_scipy(system, weights, sense):
+    """On a feasible system both engines agree on the status (optimal
+    or unbounded) and on the optimum.  Maximising runs the phase 2 the
+    maximal-support probes run, with row denominators above 1.
+
+    HiGHS's own status is not the oracle for unboundedness: its
+    presolve can call a feasible, unbounded problem infeasible.  Its
+    optimum over the capped rays (:func:`highs` with ``ray``) is."""
+    objective = LinExpr(dict(zip(VARIABLES, weights)))
+    exact, _vertex = solve_linear(system, objective, sense)
+    if exact.status is SparseStatus.INFEASIBLE:
         return
-    row = [0.0] * NUM_VARS
-    row[objective_index] = 1.0
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for constraint in system.constraints:
-        coeffs = [
-            float(constraint.expr.coefficient(name)) for name in VARIABLES
-        ]
-        rhs = -float(constraint.expr.constant_term)
-        if constraint.relation is Relation.LE:
-            a_ub.append(coeffs)
-            b_ub.append(rhs)
-        elif constraint.relation is Relation.GE:
-            a_ub.append([-value for value in coeffs])
-            b_ub.append(-rhs)
-        else:
-            a_eq.append(coeffs)
-            b_eq.append(rhs)
-    result = linprog(
-        c=np.array(row),
-        A_ub=np.array(a_ub) if a_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(a_eq) if a_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
-        bounds=[(0, None)] * NUM_VARS,
-        method="highs",
-    )
-    assert result.success
-    assert float(exact.objective_value) == pytest.approx(result.fun, abs=1e-7)
+    sign = -1 if sense == "max" else 1
+    costs = [sign * weight for weight in weights]
+    falling_ray = highs(system, costs, ray=True)
+    assert falling_ray.status == 0, falling_ray.message
+    unbounded = falling_ray.fun < -1e-9
+    assert (exact.status is SparseStatus.UNBOUNDED) == unbounded
+    if not unbounded:
+        result = highs(system, costs)
+        assert result.status == 0, result.message
+        assert float(exact.objective_value) == pytest.approx(
+            sign * result.fun, abs=1e-7
+        )
