@@ -51,8 +51,7 @@ from repro.cr.expansion import Expansion
 from repro.cr.satisfiability import class_targets, decision_problem
 from repro.cr.system import build_system
 from repro.runtime.budget import Budget, activate
-from repro.runtime.fallback import DEFAULT_FALLBACK, chain_for
-from repro.solver.registry import get_backend
+from repro.solver.registry import decide_acceptable
 from repro.solver.stats import SearchCounters, search_stats_sink
 
 REPEATS = 3
@@ -111,16 +110,14 @@ def _run_engine(problem, engine: str, jobs: int = 1):
     """One counted run plus ``REPEATS`` timed ones; returns the result
     tuple, the fold of the counted run's search stats, its LP count
     (:attr:`Budget.solver_calls`), and the best wall-clock."""
-    chain = chain_for(DEFAULT_FALLBACK)
-    backend = get_backend(engine)
     counters = SearchCounters()
     budget = Budget()
     with activate(budget), search_stats_sink(counters):
-        result = backend.decide_acceptable(problem, chain=chain, jobs=jobs)
+        result = decide_acceptable(problem, engine, jobs=jobs)
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
-        backend.decide_acceptable(problem, chain=chain, jobs=jobs)
+        decide_acceptable(problem, engine, jobs=jobs)
         best = min(best, time.perf_counter() - start)
     return result, counters, budget.solver_calls, best
 

@@ -75,7 +75,7 @@ from repro.errors import BudgetExceededError, LimitExceededError, ReproError
 from repro.parallel import resolve_jobs
 from repro.pipeline import STAGE_NORMALIZE, PipelineRun, activate_run, stage
 from repro.runtime.budget import Budget, activate
-from repro.solver.registry import backend_names, pin_backend
+from repro.solver.registry import ENGINES, active_backend_name, pin_backend
 from repro.runtime.outcome import ImplicationVerdict, Verdict
 from repro.ext.debugging import (
     minimal_unsatisfiable_constraints,
@@ -723,7 +723,6 @@ def _explain_nogoods(schema: CRSchema, cls: str) -> str:
     learned Farkas nogood against its source system."""
     from repro.cr.expansion import Expansion
     from repro.cr.satisfiability import class_targets, decision_problem
-    from repro.runtime.fallback import DEFAULT_FALLBACK, chain_for
     from repro.solver.pruned import (
         NogoodStore,
         pruned_zero_set_search,
@@ -733,9 +732,7 @@ def _explain_nogoods(schema: CRSchema, cls: str) -> str:
     cr_system = build_system(Expansion(schema), mode="pruned")
     problem = decision_problem(cr_system, class_targets(cr_system, cls))
     store = NogoodStore()
-    pruned_zero_set_search(
-        problem, chain=chain_for(DEFAULT_FALLBACK), store=store
-    )
+    pruned_zero_set_search(problem, store=store)
     return (
         f"nogoods learned while deciding {cls!r} "
         f"(pruned zero-set search):\n{render_nogoods(problem, store)}"
@@ -798,10 +795,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_backend(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
             "--backend",
-            choices=backend_names(),
+            choices=ENGINES,
             default=None,
-            help="pin the primary solver backend for this command "
-            "(default: REPRO_BACKEND env var, else sparse-simplex)",
+            help="pin the decision engine for this command "
+            "(default: REPRO_BACKEND env var, else fixpoint)",
         )
 
     def add_jobs(sub: argparse.ArgumentParser) -> None:
@@ -1190,9 +1187,12 @@ def main(argv: list[str] | None = None) -> int:
         # remaining commands are governed ambiently and surface
         # exhaustion as exit code 3 below.
         with ExitStack() as stack:
-            backend = getattr(args, "backend", None)
-            if backend is not None:
-                stack.enter_context(pin_backend(backend))
+            if hasattr(args, "backend"):
+                # Without --backend, pinning REPRO_BACKEND's engine
+                # validates it before any work starts.
+                stack.enter_context(
+                    pin_backend(args.backend or active_backend_name())
+                )
             stack.enter_context(activate(_budget_from(args)))
             return args.run(args)
     except FileNotFoundError as error:

@@ -23,8 +23,8 @@ Quickstart::
 
 The invariant this package exists to protect: nothing in here expands
 the whole schema.  Expansion and system builds happen inside the inner
-per-component ``ReasoningSession``s only (rule R7 in
-``tools/check_invariants.py``).
+per-component ``ReasoningSession``s only (rule R7 of
+``repro lint --repo``).
 """
 
 from repro.components.decompose import (

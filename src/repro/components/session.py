@@ -122,7 +122,7 @@ class DecomposedSession:
             return
         self._classified.add(component.fingerprint)
         entry = self.cache.artifacts(
-            component.schema, component.fingerprint, self.limits, self.fallback
+            component.schema, component.fingerprint, self.limits
         )
         stats = self.cache.stats
         stats.bump("components_total")

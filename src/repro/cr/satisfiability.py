@@ -45,12 +45,13 @@ Three engines implement the test:
 raises :class:`~repro.errors.BudgetExceededError`), and the public
 entry points accept a ``budget=`` parameter that additionally turns
 exhaustion into a graceful UNKNOWN verdict instead of an exception.
-Solver faults degrade along the chain of
-:mod:`repro.runtime.fallback`: each LP of the fixpoint retries on the
-Fourier–Motzkin backend, and if the fixpoint run still faults the
-whole query falls back to the naive engine — provided the system has
-at most ``naive_limit`` class unknowns (the naive engine enumerates
-``2^n`` zero-sets).
+A solver fault re-decides the whole query on another engine
+(:mod:`repro.runtime.fallback`): a faulted fixpoint falls back to the
+naive engine — provided the system has at most ``naive_limit`` class
+unknowns (the naive engine enumerates ``2^n`` zero-sets) — and a
+faulted ``naive`` or ``pruned`` walk to the fixpoint.  When no
+fallback is left, the fault surfaces as a
+:class:`~repro.errors.SolverError`.
 """
 
 from __future__ import annotations
@@ -81,19 +82,15 @@ from repro.runtime.budget import (
     ProgressSnapshot,
     run_governed,
 )
-from repro.runtime.fallback import (
-    DEFAULT_FALLBACK,
-    FallbackPolicy,
-    chain_for,
-)
+from repro.runtime.fallback import DEFAULT_FALLBACK, FallbackPolicy
 from repro.runtime.outcome import Verdict
 from repro.solver.homogeneous import integerize
 from repro.solver.registry import (
     DEFAULT_NAIVE_LIMIT,
     AcceptabilityProblem,
     active_backend_name,
+    decide_acceptable,
     fixpoint_support,
-    get_backend,
 )
 
 
@@ -281,34 +278,26 @@ def decision_problem(
 
 
 def _resolve_engine(engine: str) -> str:
-    """Honour a pinned decision procedure: pinning ``naive`` or
-    ``pruned`` via ``--backend`` / ``REPRO_BACKEND`` switches the
-    engine, since neither is an LP backend the fixpoint could run on
-    (both declare ``capabilities.exponential``)."""
+    """Honour a pinned engine: the default ``fixpoint`` yields to
+    ``naive`` or ``pruned`` picked via ``--backend`` /
+    ``REPRO_BACKEND``."""
     if engine == "fixpoint":
-        active = active_backend_name()
-        if get_backend(active).capabilities.exponential:
-            return active
+        return active_backend_name()
     return engine
 
 
 def acceptable_support(
     cr_system: CRSystem,
-    fallback: FallbackPolicy | None = DEFAULT_FALLBACK,
 ) -> tuple[frozenset[str], dict[str, Fraction]]:
     """Maximal support over all *acceptable* solutions, with a witness.
 
     The witness is a single acceptable solution positive on exactly the
     returned support.  See the module docstring for why the fixpoint is
-    sound and complete.  Each support LP runs on the policy's backend
-    chain (:func:`repro.runtime.fallback.chain_for` — the active
-    primary backend with Fourier–Motzkin retry by default); the ambient
-    budget is checked once per fixpoint iteration on top of the
-    per-pivot charges inside the solvers.
+    sound and complete.  The ambient budget is checked once per
+    fixpoint iteration on top of the per-pivot charges inside the
+    kernel.
     """
-    support, solution = fixpoint_support(
-        _fixpoint_problem(cr_system), chain_for(fallback)
-    )
+    support, solution = fixpoint_support(_fixpoint_problem(cr_system))
     assert is_acceptable(solution, cr_system.dependencies)
     return support, solution
 
@@ -329,13 +318,12 @@ def acceptable_with_positive(
     counterexample compound classes).  Returns
     ``(found, integer_witness, support)``.
 
-    With a ``fallback`` policy, a fixpoint run whose solver faults even
-    after per-LP down-chain retries falls back to the naive engine —
-    but only when the system has at most ``naive_limit`` class
-    unknowns; otherwise the original fault propagates.  Symmetrically,
-    a faulted ``naive`` or ``pruned`` walk (say, a Fourier–Motzkin
-    retry blowing its constraint cap on a large ``Ψ_Z``) is answered
-    by the fixpoint.  Budget exhaustion is never absorbed by the chain.
+    With a ``fallback`` policy, a fixpoint run whose solver faults
+    falls back to the naive engine — but only when the system has at
+    most ``naive_limit`` class unknowns; otherwise the original fault
+    propagates.  Symmetrically, a faulted ``naive`` or ``pruned`` walk
+    is answered by the fixpoint.  Budget exhaustion is never absorbed
+    by a fallback.
 
     ``jobs > 1`` parallelises the naive engine's zero-set enumeration
     (bit-identical results including the witness, see
@@ -348,7 +336,7 @@ def acceptable_with_positive(
     engine = _resolve_engine(engine)
     if engine == "fixpoint":
         try:
-            return _fixpoint_with_positive(cr_system, targets, fallback)
+            return _fixpoint_with_positive(cr_system, targets)
         except BudgetExceededError:
             raise
         except SolverError:
@@ -358,37 +346,34 @@ def acceptable_with_positive(
                 or len(cr_system.consistent_class_unknowns()) > naive_limit
             ):
                 raise
-            return _naive_with_positive(
-                cr_system, targets, naive_limit, fallback, jobs
-            )
+            return _naive_with_positive(cr_system, targets, naive_limit, jobs)
     if engine in ("naive", "pruned"):
         try:
             return _naive_with_positive(
-                cr_system, targets, naive_limit, fallback, jobs, engine=engine
+                cr_system, targets, naive_limit, jobs, engine=engine
             )
         except BudgetExceededError:
             raise
         except SolverError:
             if fallback is None:
                 raise
-            return _fixpoint_with_positive(cr_system, targets, fallback)
+            return _fixpoint_with_positive(cr_system, targets)
     raise ReproError(f"unknown engine {engine!r}")
 
 
 def _fixpoint_with_positive(
     cr_system: CRSystem,
     targets: frozenset[str],
-    fallback: FallbackPolicy | None,
 ) -> tuple[bool, dict[str, int] | None, frozenset[str]]:
     """Answer the Theorem-3.3 question from :func:`acceptable_support`."""
-    support, solution = acceptable_support(cr_system, fallback)
+    support, solution = acceptable_support(cr_system)
     if not (targets & support):
         return False, None, support
     return True, integerize(solution), support
 
 
 # ---------------------------------------------------------------------------
-# Naive engine (Theorem 3.4 verbatim, provided by the registry)
+# Zero-set walks (Theorem 3.4, dispatched by the registry)
 # ---------------------------------------------------------------------------
 
 
@@ -396,18 +381,12 @@ def _naive_with_positive(
     cr_system: CRSystem,
     targets: frozenset[str],
     naive_limit: int = DEFAULT_NAIVE_LIMIT,
-    fallback: FallbackPolicy | None = DEFAULT_FALLBACK,
     jobs: int = 1,
     engine: str = "naive",
 ) -> tuple[bool, dict[str, int] | None, frozenset[str]]:
-    """Run the registry's Theorem-3.4 decision procedure (``naive`` or
-    ``pruned``); per-zero-set strict probes run on the policy's LP chain
-    (the naivety is the enumeration strategy, not the arithmetic)."""
-    return get_backend(engine).decide_acceptable(
-        _naive_problem(cr_system, targets),
-        chain=chain_for(fallback),
-        naive_limit=naive_limit,
-        jobs=jobs,
+    """Run a Theorem-3.4 zero-set walk (``naive`` or ``pruned``)."""
+    return decide_acceptable(
+        _naive_problem(cr_system, targets), engine, naive_limit, jobs
     )
 
 
@@ -456,7 +435,8 @@ def is_class_satisfiable(
         Cap on class unknowns for the naive engine (it enumerates
         ``2^n`` zero-sets); also bounds the fixpoint→naive fallback.
     fallback:
-        Solver degradation policy (``None`` disables the chain).
+        Solver-fault fallback policy (``None`` disables it; see
+        :func:`acceptable_with_positive`).
     precheck:
         Run the polynomial-time static analyzer first and serve the
         verdict from an ``error`` diagnostic when one proves ``cls``
@@ -523,9 +503,9 @@ def satisfiable_classes(
     Decided classes map to plain booleans.  When a caller-supplied
     ``budget`` runs out, every class maps to
     :data:`repro.runtime.Verdict.UNKNOWN` instead (which is falsy, so
-    aggregate truthiness checks stay conservative).  A solver fault
-    that survives the per-LP Fourier–Motzkin retries re-runs the whole
-    question on the naive engine when the system is small enough.
+    aggregate truthiness checks stay conservative).  A solver fault in
+    the fixpoint re-runs the whole question on the naive engine when
+    the system is small enough, and surfaces otherwise.
 
     With ``precheck=True`` the static analyzer runs first; when it
     proves *every* class empty the whole table is served from the
@@ -558,15 +538,11 @@ def satisfiable_classes(
 
                 with stage(STAGE_SOLVE, phase="decide:fixpoint"):
                     support = parallel_fixpoint_support(
-                        _fixpoint_problem(cr_system),
-                        chain_for(fallback),
-                        jobs,
+                        _fixpoint_problem(cr_system), jobs
                     )
             else:
                 with stage(STAGE_SOLVE, phase="decide:fixpoint"):
-                    support, _solution = acceptable_support(
-                        cr_system, fallback
-                    )
+                    support, _solution = acceptable_support(cr_system)
         except BudgetExceededError:
             raise
         except SolverError:
@@ -582,7 +558,6 @@ def satisfiable_classes(
                         cr_system,
                         class_targets(cr_system, cls),
                         naive_limit,
-                        fallback,
                         jobs,
                     )[0]
                     for cls in schema.classes

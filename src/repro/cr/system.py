@@ -24,8 +24,8 @@ layer exploits: rational feasibility equals integer feasibility.
 
 The generator emits the *interned sparse form*
 (:class:`repro.solver.core.InternedSystem`) directly — integer unknown
-indices and native-``int`` coefficients, the representation the solver
-backends consume.  The pretty string-keyed
+indices and native-``int`` coefficients, the representation the LP
+kernel consumes.  The pretty string-keyed
 :class:`~repro.solver.linear.LinearSystem` (Figure-5 unknown names like
 ``c3`` and ``h13``) is derived lazily via :attr:`CRSystem.system` and
 exists only at the render/explain boundary.
@@ -66,8 +66,8 @@ class CRSystem:
     relationship unknowns vanish whenever a class unknown they depend on
     does — is phrased entirely in terms of this map.
 
-    ``interned`` is the canonical sparse form the solver backends
-    consume; :attr:`system` projects it to the string-keyed
+    ``interned`` is the canonical sparse form the LP kernel
+    consumes; :attr:`system` projects it to the string-keyed
     :class:`~repro.solver.linear.LinearSystem` on first access (the
     render/explain boundary — row order, labels, and origins are
     preserved, so Figure-5 output is byte-identical).

@@ -12,11 +12,9 @@ rules over a shared analysis core:
   function summaries and deterministic witness chains;
 * :mod:`repro.lintkit.rules` — the rule registry (R1–R12);
 * :mod:`repro.lintkit.astrules` / :mod:`repro.lintkit.dataflow` — the
-  migrated pattern rules and the new dataflow detectors;
+  single-module pattern rules and the dataflow detectors;
 * :mod:`repro.lintkit.baseline` / :mod:`repro.lintkit.runner` — the
-  "no new findings" gate behind ``repro lint --repo``;
-* :mod:`repro.lintkit.compat` — the byte-compatible API of the
-  retired ``tools/check_invariants.py``.
+  "no new findings" gate behind ``repro lint --repo``.
 """
 
 from repro.lintkit.baseline import Baseline, Suppression

@@ -1,15 +1,14 @@
-"""R1 and R3–R7: single-module AST rules, migrated byte-for-byte.
+"""R1 and R3–R7: single-module AST rules.
 
-These are the pattern rules the retired ``tools/check_invariants.py``
-walker enforced.  Messages, line anchors, and scoping are preserved
-exactly — ``tests/test_check_invariants.py`` pins them through the
-compatibility shim — only the housing changed: they now sit on the
-lintkit registry next to the dataflow rules, and each finding carries
-the enclosing-definition scope so baseline suppressions can target it.
-R1 has since been tightened: it resolves ``math`` through every import
-form (``import math as m``, ``from math import sqrt``), flags any
-reference to a ``math`` function, not only a call, and allows only the
-integer-exact ``gcd`` and ``lcm``.
+These are the pattern rules of the repo's first invariant walker,
+rehoused on the lintkit registry next to the dataflow rules; each
+finding carries the enclosing-definition scope so baseline
+suppressions can target it, and ``tests/test_lintkit.py`` pins every
+rule on violating and clean inputs.  R1 has since been tightened: it
+resolves ``math`` through every import form (``import math as m``,
+``from math import sqrt``), flags any reference to a ``math``
+function, not only a call, and allows only the integer-exact ``gcd``
+and ``lcm``.
 
 R2 (budget-governed loops) also lived here historically; its dataflow
 replacement — transitive budget-charge reachability — is in

@@ -8,8 +8,7 @@ taint path that proves the finding, rendered innermost-first so a
 reader can replay the derivation.
 
 Renderings are stable by construction: :meth:`Finding.render` is the
-classic ``path:line: RULE message`` single line (byte-compatible with
-the retired ``tools/check_invariants.py`` walker), :meth:`as_dict` is
+classic ``path:line: RULE message`` single line, :meth:`as_dict` is
 the JSON encoding used by ``repro lint --repo --json``, and
 :func:`sort_findings` fixes one canonical order so output never
 depends on module discovery order.

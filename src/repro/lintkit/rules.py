@@ -5,8 +5,7 @@ it patrols and a check callable.  Two kinds exist:
 
 * **module rules** (``check_module(module) -> findings``) — pure AST
   pattern rules; the registry applies the scope filter and exemptions
-  before calling them.  R1–R7, migrated byte-for-byte from
-  ``tools/check_invariants.py``, are module rules.
+  before calling them.  R1 and R3–R7 are module rules.
 * **project rules** (``check_project(project) -> findings``) — the
   dataflow detectors that need the call graph; they receive the whole
   :class:`~repro.lintkit.loader.Project` and self-scope, because one

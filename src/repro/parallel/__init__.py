@@ -9,7 +9,7 @@ naive zero-set lattice).  ``jobs=1`` always bypasses this package —
 the serial code paths remain the oracle.
 
 The fan-out sites are imported lazily by their callers (the CLI, the
-satisfiability layer, the naive backend), so importing
+satisfiability layer, the engine switch), so importing
 :mod:`repro.parallel` itself stays cheap.
 """
 

@@ -30,7 +30,7 @@ one shared immutable input, dispatches them through
     witness-returning entry points stay serial.
 
 :func:`parallel_zero_set_search`
-    The naive backend.  The parent *streams* the zero-sets in the
+    The naive engine.  The parent *streams* the zero-sets in the
     serial enumeration order (size-ascending ``itertools.combinations``)
     into contiguous chunks — chunk boundaries are computed from the
     closed-form candidate count, so nothing is materialised up front —
@@ -40,7 +40,7 @@ one shared immutable input, dispatches them through
     regardless of completion order.
 
 :func:`parallel_pruned_zero_set_search`
-    The pruned backend (:mod:`repro.solver.pruned`).  The parent runs
+    The pruned engine (:mod:`repro.solver.pruned`).  The parent runs
     automorphism discovery and the canonicity filter (deterministic, so
     every run dispatches the same representative stream), chunks the
     surviving candidates, and attaches the nogoods known at dispatch
@@ -65,7 +65,6 @@ from repro.cr.schema import CRSchema
 from repro.errors import BudgetExceededError
 from repro.parallel.pool import WorkerPool, chunk_evenly, worker_caps
 from repro.parallel.worker import (
-    chain_spec,
     run_batch_chunk,
     run_probe_chunk,
     run_pruned_chunk,
@@ -75,7 +74,7 @@ from repro.parallel.worker import (
 from repro.runtime.budget import Budget, activate, current_budget
 from repro.session.session import SESSION_STATS_KEYS
 from repro.solver.pruned import NogoodStore, is_canonical, orbit_permutations
-from repro.solver.registry import AcceptabilityProblem, SolverBackend
+from repro.solver.registry import AcceptabilityProblem
 from repro.solver.stats import bump_search_stat, fold_search_stats
 
 ZERO_CHUNK_FACTOR = 4
@@ -211,9 +210,7 @@ def run_parallel_batch(
 
 
 def parallel_fixpoint_support(
-    problem: AcceptabilityProblem,
-    chain: Sequence[SolverBackend],
-    jobs: int,
+    problem: AcceptabilityProblem, jobs: int
 ) -> frozenset[str]:
     """The acceptability fixpoint with its probe loop fanned out.
 
@@ -223,7 +220,7 @@ def parallel_fixpoint_support(
     the forced-zero sets agree iteration by iteration.  Returns the
     converged support only — no witness solution, see module docstring.
     """
-    payload = {"system": problem.system, "chain": chain_spec(chain)}
+    payload = {"system": problem.system}
     budget = current_budget()
     forced_zero: set[str] = set()
     with WorkerPool(payload, jobs) as pool:
@@ -252,7 +249,7 @@ def parallel_fixpoint_support(
 
 
 # ---------------------------------------------------------------------------
-# Site 3: the naive backend's zero-set lattice
+# Site 3: the naive engine's zero-set lattice
 # ---------------------------------------------------------------------------
 
 
@@ -286,15 +283,12 @@ def _serial_zero_sets(
                 yield zero_tuple
 
 
-def _zero_search_payload(
-    problem: AcceptabilityProblem, chain: Sequence[SolverBackend]
-) -> dict[str, Any]:
+def _zero_search_payload(problem: AcceptabilityProblem) -> dict[str, Any]:
     return {
         "system": problem.system,
         "class_unknowns": tuple(problem.class_unknowns),
         "dependencies": dict(problem.dependencies),
         "targets": problem.targets,
-        "chain": chain_spec(chain),
     }
 
 
@@ -310,9 +304,7 @@ def _first_hit(
 
 
 def parallel_zero_set_search(
-    problem: AcceptabilityProblem,
-    chain: Sequence[SolverBackend],
-    jobs: int,
+    problem: AcceptabilityProblem, jobs: int
 ) -> tuple[bool, dict[str, int] | None, frozenset[str]]:
     """Theorem 3.4's enumeration, chunked in serial order with a
     first-hit short-circuit; bit-identical to the serial naive engine
@@ -343,7 +335,7 @@ def parallel_zero_set_search(
         del index
         fold_search_stats(result.get("stats"))
 
-    with WorkerPool(_zero_search_payload(problem, chain), jobs) as pool:
+    with WorkerPool(_zero_search_payload(problem), jobs) as pool:
         results = pool.map_ordered_streaming(
             run_zero_chunk,
             calls(),
@@ -354,9 +346,7 @@ def parallel_zero_set_search(
 
 
 def parallel_pruned_zero_set_search(
-    problem: AcceptabilityProblem,
-    chain: Sequence[SolverBackend],
-    jobs: int,
+    problem: AcceptabilityProblem, jobs: int
 ) -> tuple[bool, dict[str, int] | None, frozenset[str]]:
     """The pruned walk fanned out over orbit representatives.
 
@@ -402,7 +392,7 @@ def parallel_pruned_zero_set_search(
         store.install_all(result.get("nogoods") or ())
         fold_search_stats(result.get("stats"))
 
-    with WorkerPool(_zero_search_payload(problem, chain), jobs) as pool:
+    with WorkerPool(_zero_search_payload(problem), jobs) as pool:
         results = pool.map_ordered_streaming(
             run_pruned_chunk,
             calls(),

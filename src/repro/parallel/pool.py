@@ -122,9 +122,9 @@ class WorkerPool:
     """A spawn-context process pool over one shared pickled payload.
 
     ``payload`` is pickled once here and shipped to each worker's
-    initializer, which reconstructs the shared inputs (interned system,
-    schema, backend chain spec) exactly once per worker process —
-    dispatched chunks then carry only their private arguments.
+    initializer, which reconstructs the shared inputs (interned system
+    or schema) exactly once per worker process — dispatched chunks then
+    carry only their private arguments.
     """
 
     def __init__(self, payload: dict[str, Any], jobs: int) -> None:

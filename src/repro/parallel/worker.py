@@ -5,9 +5,8 @@ the ``spawn`` start method, so workers pickle task functions by
 qualified name and re-import this module from scratch.  The shared
 inputs arrive exactly once per worker through :func:`bootstrap` (the
 pool initializer) as a compact pickled payload — an interned system
-plus a backend-chain spec for the probe tasks, a schema for the batch
-task — and each dispatched chunk then carries only its private
-arguments.
+for the probe tasks, a schema for the batch task — and each dispatched
+chunk then carries only its private arguments.
 
 Every task runs under its own :class:`~repro.runtime.budget.Budget`
 (built from the caps the parent had left at dispatch time) and its own
@@ -28,7 +27,7 @@ from __future__ import annotations
 import pickle
 from contextlib import ExitStack
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro.errors import BudgetExceededError
 from repro.pipeline import PipelineRun, activate_run
@@ -39,11 +38,8 @@ from repro.solver.linear import Relation
 from repro.solver.pruned import Nogood, check_candidate
 from repro.solver.registry import (
     AcceptabilityProblem,
-    FourierMotzkinBackend,
-    SolverBackend,
-    chain_positive_solution,
-    get_backend,
     pin_backend,
+    positive_witness,
     zero_set_rows,
 )
 from repro.solver.stats import SearchCounters
@@ -52,7 +48,7 @@ _PAYLOAD: dict[str, Any] | None = None
 """The shared inputs, reconstructed once per worker by :func:`bootstrap`."""
 
 _STATE: dict[str, Any] = {}
-"""Warm per-worker derivatives of the payload (session, problem, chain)."""
+"""Warm per-worker derivatives of the payload (session, problem)."""
 
 
 def bootstrap(blob: bytes) -> None:
@@ -65,49 +61,6 @@ def bootstrap(blob: bytes) -> None:
 def _payload() -> dict[str, Any]:
     assert _PAYLOAD is not None, "worker used before bootstrap ran"
     return _PAYLOAD
-
-
-# ---------------------------------------------------------------------------
-# Backend chains across the process boundary
-# ---------------------------------------------------------------------------
-
-
-def chain_spec(
-    chain: Sequence[SolverBackend],
-) -> tuple[tuple[str, int | None], ...]:
-    """A picklable description of a backend chain.
-
-    Backends are registry singletons identified by name; the one
-    configurable backend (Fourier–Motzkin's ``max_constraints``) ships
-    its setting alongside so a tightened fallback policy survives the
-    crossing.
-    """
-    return tuple(
-        (backend.name, backend.max_constraints)
-        if isinstance(backend, FourierMotzkinBackend)
-        else (backend.name, None)
-        for backend in chain
-    )
-
-
-def resolve_chain(
-    spec: Sequence[tuple[str, int | None]],
-) -> tuple[SolverBackend, ...]:
-    """Rebuild a backend chain from :func:`chain_spec` output."""
-    chain: list[SolverBackend] = []
-    for name, fm_max in spec:
-        if name == "fourier-motzkin" and fm_max is not None:
-            chain.append(FourierMotzkinBackend(fm_max))
-        else:
-            chain.append(get_backend(name))
-    return tuple(chain)
-
-
-def _cached_chain() -> tuple[SolverBackend, ...]:
-    chain = _STATE.get("chain")
-    if chain is None:
-        chain = _STATE["chain"] = resolve_chain(_payload()["chain"])
-    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +114,7 @@ def _run_task(
 def run_probe_chunk(args: tuple[Any, ...]) -> dict[str, Any]:
     """One fixpoint iteration's probes for a chunk of candidates.
 
-    Payload: ``{"system": InternedSystem, "chain": chain_spec}``.
+    Payload: ``{"system": InternedSystem}``.
     Args: ``(caps, forced_zero_names, candidate_names)``.  Returns the
     names (class *and* relationship unknowns) positive in the summed
     probe witnesses — a cone member, so the union over chunks is again
@@ -172,7 +125,6 @@ def run_probe_chunk(args: tuple[Any, ...]) -> dict[str, Any]:
     def body(budget: Budget) -> tuple[str, ...]:
         del budget  # charged ambiently by the solver hot loops
         system = _payload()["system"]
-        chain = _cached_chain()
         table = system.table
         constrained = system.with_rows(
             SparseRow.make(
@@ -196,7 +148,7 @@ def run_probe_chunk(args: tuple[Any, ...]) -> dict[str, Any]:
                     )
                 ]
             )
-            witness = chain_positive_solution(probe, chain)
+            witness = positive_witness(probe)
             if witness.feasible:
                 assert witness.rational is not None
                 for var, value in witness.rational.items():
@@ -209,7 +161,7 @@ def run_probe_chunk(args: tuple[Any, ...]) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Fan-out site 3: the naive backend's zero-set enumeration
+# Fan-out site 3: the naive engine's zero-set enumeration
 # ---------------------------------------------------------------------------
 
 
@@ -244,8 +196,8 @@ def _hit_record(
 def run_zero_chunk(args: tuple[Any, ...]) -> dict[str, Any]:
     """Test a contiguous chunk of zero-sets; first feasible one wins.
 
-    Payload: ``{"system", "class_unknowns", "dependencies", "targets",
-    "chain"}``.  Args: ``(caps, zero_sets)`` where ``zero_sets`` is a
+    Payload: ``{"system", "class_unknowns", "dependencies",
+    "targets"}``.  Args: ``(caps, zero_sets)`` where ``zero_sets`` is a
     tuple of tuples in the *serial* enumeration order.  Returns
     ``{"hit": None | {"witness", "support"}, "stats": {...}}`` — the
     earliest feasible zero-set in the chunk, if any, plus the search
@@ -256,7 +208,6 @@ def run_zero_chunk(args: tuple[Any, ...]) -> dict[str, Any]:
 
     def body(budget: Budget) -> dict[str, Any]:
         problem = _zero_search_problem()
-        chain = _cached_chain()
         universe = set(problem.class_unknowns)
         counters = SearchCounters()
         hit: dict[str, Any] | None = None
@@ -267,7 +218,7 @@ def run_zero_chunk(args: tuple[Any, ...]) -> dict[str, Any]:
             candidate = problem.system.with_rows(
                 zero_set_rows(problem, zero_set)
             )
-            witness = chain_positive_solution(candidate, chain)
+            witness = positive_witness(candidate)
             if witness.feasible:
                 hit = _hit_record(universe, zero_set, witness)
                 break
@@ -295,7 +246,6 @@ def run_pruned_chunk(args: tuple[Any, ...]) -> dict[str, Any]:
 
     def body(budget: Budget) -> dict[str, Any]:
         problem = _zero_search_problem()
-        chain = _cached_chain()
         universe = set(problem.class_unknowns)
         counters = SearchCounters()
         learned: list[Nogood] = []
@@ -309,7 +259,7 @@ def run_pruned_chunk(args: tuple[Any, ...]) -> dict[str, Any]:
                 counters.bump("pruned_by_nogood")
                 continue
             counters.bump("zero_sets_enumerated")
-            witness, nogood = check_candidate(problem, zero_set, chain)
+            witness, nogood = check_candidate(problem, zero_set)
             if witness.feasible:
                 hit = _hit_record(universe, zero_set, witness)
                 break
@@ -445,8 +395,6 @@ def run_batch_chunk(args: tuple[Any, ...]) -> dict[str, Any]:
 __all__ = [
     "answer_query",
     "bootstrap",
-    "chain_spec",
-    "resolve_chain",
     "run_batch_chunk",
     "run_probe_chunk",
     "run_pruned_chunk",

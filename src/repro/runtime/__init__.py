@@ -11,17 +11,17 @@ procedures:
 * **three-valued verdicts** (:mod:`repro.runtime.outcome`) — SAT /
   UNSAT / UNKNOWN-with-reason, so governed entry points degrade instead
   of hanging or dying;
-* **engine fallback** (:mod:`repro.runtime.fallback`) — per-LP retry on
-  the Fourier–Motzkin backend and last-resort fall-back to the naive
-  Theorem-3.4 engine when a solver faults mid-run;
+* **engine fallback** (:mod:`repro.runtime.fallback`) — when a solve
+  faults, the query is re-decided on another engine (fixpoint → naive
+  walk on small systems, naive/pruned walk → fixpoint);
 * **fault injection** (:mod:`repro.runtime.faults`) — one deterministic
   registry that fails the N-th solver call or the N-th firing of a disk
   fault point in the persistent artifact store's write protocol, so the
   degradation paths are themselves under test.
 
-Only the dependency-free modules are imported eagerly; ``fallback`` and
-``faults`` (which import the solver layer) load lazily on first
-attribute access, letting the solver modules import
+Only the budget and outcome modules are imported eagerly; ``fallback``
+and ``faults`` (the latter imports the solver layer) load lazily on
+first attribute access, letting the solver modules import
 :func:`current_budget` without a cycle.
 """
 
@@ -42,9 +42,6 @@ from repro.runtime.outcome import ImplicationVerdict, Verdict
 _LAZY = {
     "FallbackPolicy": "repro.runtime.fallback",
     "DEFAULT_FALLBACK": "repro.runtime.fallback",
-    "fm_maximal_support": "repro.runtime.fallback",
-    "resilient_maximal_support": "repro.runtime.fallback",
-    "resilient_positive_solution": "repro.runtime.fallback",
     "FaultPlan": "repro.runtime.faults",
     "InjectedSolverFault": "repro.runtime.faults",
     "SimulatedCrash": "repro.runtime.faults",
@@ -73,9 +70,6 @@ __all__ = [
     "scoped_phase",
     "FallbackPolicy",
     "DEFAULT_FALLBACK",
-    "fm_maximal_support",
-    "resilient_maximal_support",
-    "resilient_positive_solution",
     "FaultPlan",
     "InjectedSolverFault",
     "SimulatedCrash",

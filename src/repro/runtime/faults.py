@@ -5,8 +5,8 @@ they are untested code on the most stressful path.  This harness makes
 every degradation path in the repository *testable* through a single
 deterministic injection registry:
 
-* the **solver fallback chain** of :mod:`repro.runtime.fallback` — the
-  N-th call to a backend raises a chosen exception::
+* the **solver fallbacks** of :mod:`repro.runtime.fallback` — the N-th
+  LP solve raises a chosen exception::
 
       with inject_faults(simplex_failures={1}) as plan:
           result = is_class_satisfiable(schema, "Speaker")
@@ -25,26 +25,25 @@ counted in the same ``calls`` table, so a test can stage a disk crash
 *and* a solver fault in one plan and assert the combined history via
 ``plan.injected`` — there is exactly one injection mechanism.
 
-Fault *points* are string names.  The two solver points are
-``"simplex"`` (every solve of the sparse kernel,
-:func:`repro.solver.core.solve_interned`) and ``"fourier-motzkin"``
-(every :func:`repro.solver.fourier_motzkin.fm_solve`); disk fault
-points are dotted paths like
-``store:write:torn`` fired by :mod:`repro.store.atomic` between the
-syscalls of the atomic-write protocol (see :data:`DISK_WRITE_POINTS`).
+Fault *points* are string names.  The solver point is ``"simplex"``
+(every solve of the one LP kernel,
+:func:`repro.solver.core.solve_interned`); disk fault points are dotted
+paths like ``store:write:torn`` fired by :mod:`repro.store.atomic`
+between the syscalls of the atomic-write protocol (see
+:data:`DISK_WRITE_POINTS`).
 
-Backends expose a module-level ``_FAULT_HOOK`` seam called at the top
-of every solve; the disk layer exposes the module-level :func:`fire`
+The kernel exposes a module-level ``_FAULT_HOOK`` seam called at the
+top of every solve; the disk layer exposes the module-level :func:`fire`
 seam.  :func:`inject_faults` installs counting hooks for the duration
 of the ``with`` block and restores the previous hooks on exit, so
 injections nest and never leak.
 
 ``error_factory`` lets a test inject *any* failure mode at the chosen
 call — e.g. a :class:`~repro.errors.BudgetExceededError` to simulate a
-backend timing out mid-run, or an ``OSError(ENOSPC)`` to simulate a
+solve timing out mid-run, or an ``OSError(ENOSPC)`` to simulate a
 full disk.  The defaults are :class:`InjectedSolverFault` (a
-:class:`~repro.errors.SolverError` — exactly what the fallback chain
-catches) for solver points and :class:`SimulatedCrash` for disk points
+:class:`~repro.errors.SolverError` — exactly what the fallbacks
+catch) for the solver point and :class:`SimulatedCrash` for disk points
 (deliberately *not* an ``OSError``: the store degrades real I/O errors
 gracefully, but a simulated kill must propagate like a dying process,
 leaving the on-disk state exactly as the crash point left it).
@@ -58,7 +57,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import SolverError
-from repro.solver import core, fourier_motzkin
+from repro.solver import core
 
 
 class InjectedSolverFault(SolverError):
@@ -77,8 +76,8 @@ class SimulatedCrash(Exception):
     """
 
 
-SOLVER_POINTS = ("simplex", "fourier-motzkin")
-"""The two solver fault points (per-backend call counters)."""
+SOLVER_POINTS = ("simplex",)
+"""The solver fault point: every solve of the LP kernel."""
 
 DISK_WRITE_POINTS = (
     "store:write:start",
@@ -143,23 +142,18 @@ class FaultPlan:
     """
 
     simplex_failures: frozenset[int] = frozenset()
-    fm_failures: frozenset[int] = frozenset()
     disk_failures: Mapping[str, frozenset[int]] = field(default_factory=dict)
     disk_corruptions: Mapping[str, frozenset[int]] = field(
         default_factory=dict
     )
     error_factory: Callable[[str, int], Exception] = _default_error
-    calls: dict[str, int] = field(
-        default_factory=lambda: {"simplex": 0, "fourier-motzkin": 0}
-    )
+    calls: dict[str, int] = field(default_factory=lambda: {"simplex": 0})
     injected: list[tuple[str, int]] = field(default_factory=list)
     corrupted: list[tuple[str, int]] = field(default_factory=list)
 
     def _failures_for(self, point: str) -> frozenset[int]:
         if point == "simplex":
             return self.simplex_failures
-        if point == "fourier-motzkin":
-            return self.fm_failures
         return self.disk_failures.get(point, frozenset())
 
     def on_call(
@@ -191,7 +185,6 @@ def _normalize_points(
 @contextmanager
 def inject_faults(
     simplex_failures: Iterable[int] = (),
-    fm_failures: Iterable[int] = (),
     disk_failures: Mapping[str, Iterable[int]] | None = None,
     disk_corruptions: Mapping[str, Iterable[int]] | None = None,
     error_factory: Callable[[str, int], Exception] | None = None,
@@ -199,7 +192,7 @@ def inject_faults(
     """Fail the given (1-based) fault-point firings for the block.
 
     Counters are per point: ``simplex_failures={2, 3}`` fails the
-    second and third simplex runs while Fourier–Motzkin runs normally;
+    second and third kernel solves;
     ``disk_failures={"store:write:pre-rename": {1}}`` crashes the first
     write after its fsync but before its rename.  Yields the
     :class:`FaultPlan` so the caller can assert on ``plan.calls``,
@@ -208,36 +201,30 @@ def inject_faults(
     global _DISK_HOOK
     plan = FaultPlan(
         simplex_failures=frozenset(simplex_failures),
-        fm_failures=frozenset(fm_failures),
         disk_failures=_normalize_points(disk_failures),
         disk_corruptions=_normalize_points(disk_corruptions),
         error_factory=error_factory or _default_error,
     )
     previous_core = core._FAULT_HOOK
-    previous_fm = fourier_motzkin._FAULT_HOOK
     previous_disk = _DISK_HOOK
     core._FAULT_HOOK = lambda: plan.on_call("simplex")
-    fourier_motzkin._FAULT_HOOK = lambda: plan.on_call("fourier-motzkin")
     _DISK_HOOK = plan.on_call
     try:
         yield plan
     finally:
         core._FAULT_HOOK = previous_core
-        fourier_motzkin._FAULT_HOOK = previous_fm
         _DISK_HOOK = previous_disk
 
 
 @contextmanager
 def inject_solver_faults(
     simplex_failures: Iterable[int] = (),
-    fm_failures: Iterable[int] = (),
     error_factory: Callable[[str, int], Exception] | None = None,
 ) -> Iterator[FaultPlan]:
     """Solver-only spelling of :func:`inject_faults` (kept because the
     solver suites predate the unified registry; same plan, same hooks)."""
     with inject_faults(
         simplex_failures=simplex_failures,
-        fm_failures=fm_failures,
         error_factory=error_factory,
     ) as plan:
         yield plan

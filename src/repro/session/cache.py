@@ -57,7 +57,6 @@ from repro.pipeline import (
     STAGE_SOLVE,
     stage,
 )
-from repro.runtime.fallback import DEFAULT_FALLBACK, FallbackPolicy
 from repro.session.fingerprint import schema_fingerprint
 from repro.solver.homogeneous import integerize
 from repro.store.store import ArtifactStore
@@ -147,7 +146,6 @@ class SchemaArtifacts:
     schema: CRSchema
     stats: CacheStats
     limits: ExpansionLimits | None = None
-    fallback: FallbackPolicy | None = DEFAULT_FALLBACK
     store: ArtifactStore | None = field(default=None, repr=False)
     analysis: AnalysisReport | None = None
     expansion: Expansion | None = None
@@ -188,9 +186,7 @@ class SchemaArtifacts:
         if self.support is None:
             cr_system = self.ensure_system()
             with stage(STAGE_SOLVE, phase="session:fixpoint"):
-                support, solution = acceptable_support(
-                    cr_system, self.fallback
-                )
+                support, solution = acceptable_support(cr_system)
             self.stats.bump("fixpoint_runs")
             self.witness = integerize(solution)
             self.class_verdicts = support_verdicts(cr_system, support)
@@ -278,7 +274,6 @@ class SessionCache:
         schema: CRSchema,
         fingerprint: str | None = None,
         limits: ExpansionLimits | None = None,
-        fallback: FallbackPolicy | None = DEFAULT_FALLBACK,
     ) -> SchemaArtifacts:
         """The (possibly still cold) entry for ``schema``, creating and
         LRU-promoting as needed.  Nothing expensive happens here; the
@@ -295,7 +290,6 @@ class SessionCache:
             schema=schema,
             stats=self.stats,
             limits=limits,
-            fallback=fallback,
             store=self.store,
         )
         if self.store is not None:

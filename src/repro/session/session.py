@@ -75,20 +75,15 @@ ENGINE = "session"
 """Engine tag carried by results answered from cached session state."""
 
 
-def _pinned_exponential_engine() -> str | None:
-    """The active backend's name when it is a Theorem-3.4 decision
-    engine (``pruned``/``naive``), else ``None``.
-
-    Pinning such a backend means "decide through the zero-set walk",
-    not "solve individual LPs with it" — mirroring
+def _pinned_walk_engine() -> str | None:
+    """The selected engine when it is a Theorem-3.4 zero-set walk
+    (``pruned``/``naive``), else ``None`` — mirroring
     ``repro.cr.satisfiability._resolve_engine`` for the stateless API.
     """
-    from repro.solver.registry import active_backend_name, get_backend
+    from repro.solver.registry import active_backend_name
 
     name = active_backend_name()
-    if get_backend(name).capabilities.exponential:
-        return name
-    return None
+    return None if name == "fixpoint" else name
 
 SESSION_STATS_KEYS: tuple[str, ...] = (
     "queries",
@@ -189,9 +184,11 @@ class ReasoningSession:
         exhaustion; with no budget, an *ambient* budget still applies
         and exhaustion raises.
     limits / fallback:
-        Forwarded to the expansion build and the fixpoint (see
+        Forwarded to the expansion build and to the solver-fault
+        fallback of a pinned zero-set walk (see
         :class:`repro.cr.expansion.ExpansionLimits` and
-        :mod:`repro.runtime.fallback`).
+        :mod:`repro.runtime.fallback`); a fault in the cached fixpoint
+        itself surfaces.
     """
 
     def __init__(
@@ -213,15 +210,11 @@ class ReasoningSession:
     # -- cache plumbing ----------------------------------------------------
 
     def _artifacts(self) -> SchemaArtifacts:
-        return self.cache.artifacts(
-            self.schema, self.fingerprint, self.limits, self.fallback
-        )
+        return self.cache.artifacts(self.schema, self.fingerprint, self.limits)
 
     def _artifacts_for(self, schema: CRSchema) -> SchemaArtifacts:
         """Artifacts for a derived (Section-4 extended) schema."""
-        return self.cache.artifacts(
-            schema, limits=self.limits, fallback=self.fallback
-        )
+        return self.cache.artifacts(schema, limits=self.limits)
 
     @property
     def warm(self) -> bool:
@@ -250,7 +243,7 @@ class ReasoningSession:
         """:func:`run_governed` with this session's cache stats installed
         as the ambient search-counter sink, so any Theorem-3.4 decision
         procedure reached under a query (a pinned ``pruned``/``naive``
-        backend, a future fallback) lands its pruning counters in the
+        engine) lands its pruning counters in the
         same :class:`~repro.session.cache.CacheStats` funnel as the
         cache counters."""
 
@@ -303,7 +296,7 @@ class ReasoningSession:
                 self.cache.stats.bump("analysis_short_circuits")
                 with stage(STAGE_VERDICT, phase="session:lookup"):
                     return diagnostic_result(cls, diagnostic)
-            engine = _pinned_exponential_engine()
+            engine = _pinned_walk_engine()
             if engine is not None:
                 # The user pinned a Theorem-3.4 decision engine
                 # (``--backend pruned``/``naive``): decide this class

@@ -13,24 +13,19 @@ reduction needs, implemented from scratch and float-free:
 * :mod:`repro.solver.certificates` — those certificates, re-checkable
   in plain exact arithmetic;
 * :mod:`repro.solver.fourier_motzkin` — Fourier–Motzkin elimination,
-  supporting strict inequalities natively (the retry link of the
-  fallback chain and a differential-testing oracle for the kernel);
+  supporting strict inequalities natively: the independent reference
+  the kernel is tested against, on no production path;
 * :mod:`repro.solver.homogeneous` — homogeneous-cone results at the
-  string-keyed boundary: maximal support, integer witnesses.
+  string-keyed boundary: maximal support, integer witnesses;
+* :mod:`repro.solver.registry` — the engine switch (``fixpoint``,
+  ``naive``, ``pruned``) and the LP steps the engines share; the
+  pruned walk lives in :mod:`repro.solver.pruned`.
 """
 
 from repro.solver.certificates import FarkasCertificate, farkas_certificate
 from repro.solver.fourier_motzkin import FourierMotzkinResult, fm_feasible, fm_solve
 from repro.solver.homogeneous import HomogeneousWitness, integerize, maximal_support
 from repro.solver.linear import Constraint, LinearSystem, LinExpr, Relation, term
-
-# Importing the package finalises the backend registry: the pruned
-# (orbit/nogood) decision procedure registers itself on import, and it
-# lives above repro.solver.registry, so the registry module cannot pull
-# it in directly without a cycle.
-from repro.solver import pruned as _pruned  # noqa: E402  (registration import)
-
-del _pruned
 
 __all__ = [
     "Constraint",

@@ -61,7 +61,7 @@ works on ``int`` numerators over ``int`` row denominators."""
 _FAULT_HOOK: Callable[[], None] | None = None
 """Test seam: when set (by :mod:`repro.runtime.faults`), called with no
 arguments at the top of every :func:`solve_interned`; may raise to
-simulate a backend fault."""
+simulate a solver fault."""
 
 _DEGENERATE_PIVOT_LIMIT = 40
 """Consecutive degenerate pivots tolerated under the Dantzig rule
@@ -201,7 +201,7 @@ class InternedSystem:
 
     The canonical internal currency of the solver layer: generated
     directly by :func:`repro.cr.system.build_system`, consumed by the
-    sparse simplex and the backend registry, convertible to and from the
+    sparse simplex and the engine switch, convertible to and from the
     string-keyed :class:`~repro.solver.linear.LinearSystem` at the
     render/explain boundary.
     """

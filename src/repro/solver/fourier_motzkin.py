@@ -3,9 +3,10 @@
 A second, completely independent decision procedure for linear
 feasibility.  Unlike the simplex (:mod:`repro.solver.core`) it handles
 **strict** inequalities natively, which makes it the reference oracle
-for the cone-scaling argument (:func:`repro.solver.core.sharpened_rows`):
-the test-suite cross-checks the two engines on thousands of random
-systems.
+for the cone-scaling argument (:func:`repro.solver.core.sharpened_rows`).
+No query runs on it: it is the independent reference the differential,
+certificate and maximal-support tests (and ``benchmarks/bench_solver.py``
+E12) check the kernel against, on thousands of random systems.
 
 Fourier–Motzkin is doubly exponential in the number of eliminated
 variables, so this module guards against blow-up with an explicit
@@ -20,14 +21,9 @@ from fractions import Fraction
 
 from repro.errors import SolverError
 from repro.runtime.budget import current_budget
-from repro.solver.linear import LinearSystem, Relation
+from repro.solver.linear import Constraint, LinearSystem, Relation, term
 
 _ZERO = Fraction(0)
-
-_FAULT_HOOK = None
-"""Test seam: when set (by :mod:`repro.runtime.faults`), called with no
-arguments at the top of every :func:`fm_solve`; may raise to simulate a
-backend fault."""
 
 
 @dataclass(frozen=True)
@@ -161,8 +157,6 @@ def fm_solve(
     ``max_constraints`` (Fourier–Motzkin can blow up doubly
     exponentially; callers choosing this engine accept small inputs).
     """
-    if _FAULT_HOOK is not None:
-        _FAULT_HOOK()
     budget = current_budget()
     if budget is not None:
         budget.charge_solver_call()
@@ -207,6 +201,39 @@ def fm_solve(
     for name, inequalities_before in reversed(snapshots):
         assignment[name] = _choose_value(name, inequalities_before, assignment)
     return FourierMotzkinResult(True, assignment)
+
+
+def fm_maximal_support(
+    system: LinearSystem,
+    candidates: Iterable[str],
+    max_constraints: int = 50_000,
+) -> tuple[frozenset[str], dict[str, Fraction]]:
+    """Maximal support among ``candidates`` of a homogeneous non-strict
+    system, by one strict Fourier–Motzkin probe per candidate.
+
+    The reference the kernel's
+    :func:`repro.solver.core.interned_maximal_support` is tested
+    against.  Feasible probe witnesses are summed (cone closure), so the
+    union of the probe supports is itself the support of one solution,
+    which is returned with it.  Raises
+    :class:`~repro.errors.SolverError` when a probe exceeds
+    ``max_constraints``.
+    """
+    totals: dict[str, Fraction] = {name: _ZERO for name in system.variables}
+    for name in candidates:
+        if totals.get(name, _ZERO) > 0:
+            continue  # already known positive via an earlier witness
+        probe = system.with_constraints(
+            [Constraint(term(name), Relation.GT, label=f"fm-probe:{name}")]
+        )
+        result = fm_solve(probe, max_constraints=max_constraints)
+        if result.feasible:
+            assert result.assignment is not None
+            for var, value in result.assignment.items():
+                totals[var] = totals.get(var, _ZERO) + value
+    solution = {name: totals[name] for name in system.variables}
+    support = frozenset(name for name, value in solution.items() if value > 0)
+    return support, solution
 
 
 def _dedup(inequalities: Sequence[_Ineq]) -> list[_Ineq]:
@@ -265,4 +292,9 @@ def _choose_value(
     return (lower + upper) / 2
 
 
-__all__ = ["FourierMotzkinResult", "fm_feasible", "fm_solve"]
+__all__ = [
+    "FourierMotzkinResult",
+    "fm_feasible",
+    "fm_maximal_support",
+    "fm_solve",
+]

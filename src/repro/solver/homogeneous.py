@@ -37,14 +37,14 @@ from repro.utils.rationals import common_denominator_scale
 
 @dataclass(frozen=True)
 class HomogeneousWitness:
-    """A backend's answer to a possibly-strict homogeneous system.
+    """The kernel's answer to a possibly-strict homogeneous system
+    (:func:`repro.solver.registry.positive_witness`).
 
     When ``feasible``, ``rational`` is a solution of the original system
     (strict constraints satisfied strictly) and ``integral`` is the same
-    solution scaled to non-negative integers.  When infeasible, a
-    backend that certifies (the sparse simplex) sets ``certificate`` to
-    the Farkas proof over the sharpened system, row for row; the other
-    backends leave it empty.
+    solution scaled to non-negative integers.  When infeasible,
+    ``certificate`` is the Farkas proof over the sharpened system, row
+    for row, or ``None`` when the kernel could not verify one.
     """
 
     feasible: bool

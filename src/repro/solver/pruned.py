@@ -1,8 +1,8 @@
 """Orbit symmetry reduction and Farkas-nogood pruning for the zero-set
-search (the ``pruned`` backend).
+search (the ``pruned`` engine).
 
-The naive Theorem-3.4 engine (:class:`repro.solver.registry.NaiveBackend`)
-walks every subset ``Z`` of the class unknowns and solves one exact LP
+The naive Theorem-3.4 walk (:func:`repro.solver.registry.naive_zero_set_search`)
+visits every subset ``Z`` of the class unknowns and solves one exact LP
 per subset — ``2^|V_C|`` LPs in the worst case.  Component decomposition
 (PR 8) caps the blow-up at the largest island but does nothing *within*
 a dense component.  This module prunes inside one component with two
@@ -36,18 +36,16 @@ remapping (DESIGN §15).
 
 **Farkas nogoods.**  Each infeasible candidate yields a dual
 infeasibility certificate over the sharpened ``Ψ_Z``, returned by the
-very sparse solve that refuted it (one LP per tested candidate;
-:func:`repro.solver.certificates.farkas_certificate` only stands in when
-another backend answered).  The certificate is generalised to the minimal
-support it actually uses: the ``Z-zero``/``Z-positive``/``Z-dep`` rows
-it weights identify a set ``zeros`` that must be pinned to 0 and a set
-``positives`` that must be positive for the same weighted combination
-to apply (for a weighted ``Z-dep`` row the serially-earliest zeroed
-dependency is recorded, which keeps that row present in any matching
-candidate).  Any later ``Z'`` with ``zeros ⊆ Z'`` and
-``positives ∩ Z' = ∅`` contains every row the certificate weights, so
-the identical combination proves ``Ψ_{Z'}`` infeasible and the LP is
-skipped.  Nogoods only ever match infeasible candidates, so first-hit
+very sparse solve that refuted it (one LP per tested candidate).  The
+certificate is generalised to the minimal support it actually uses:
+the ``Z-zero``/``Z-positive``/``Z-dep`` rows it weights identify a set
+``zeros`` that must be pinned to 0 and a set ``positives`` that must
+be positive for the same weighted combination to apply (for a
+weighted ``Z-dep`` row the serially-earliest zeroed dependency is
+recorded, which keeps that row present in any matching candidate).
+Any later ``Z'`` with ``zeros ⊆ Z'`` and ``positives ∩ Z' = ∅``
+contains every row the certificate weights, so the identical
+combination proves ``Ψ_{Z'}`` infeasible and the LP is skipped.  Nogoods only ever match infeasible candidates, so first-hit
 semantics and the witness are untouched.  The store saturates as the
 walk proceeds — each learned fact prunes all later cousins — and
 subsumed (strictly less general) nogoods are dropped on install.
@@ -64,24 +62,18 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
-from repro.errors import LimitExceededError, SolverError
 from repro.runtime.budget import current_budget
+# ``farkas_certificate`` is re-exported: perfbench's traced run wraps it
+# under this module's name (``perfbench/tracing.py``, ``CALL_SITES``).
 from repro.solver.certificates import FarkasCertificate, farkas_certificate
 from repro.solver.core import InternedSystem, sharpened_rows
 from repro.solver.homogeneous import HomogeneousWitness
 from repro.solver.linear import LinearSystem
 from repro.solver.registry import (
-    DEFAULT_BACKEND,
-    DEFAULT_NAIVE_LIMIT,
     AcceptabilityProblem,
-    BackendCapabilities,
-    SolverBackend,
-    chain_positive_solution,
-    get_backend,
-    register_backend,
+    positive_witness,
     zero_set_rows,
 )
 from repro.solver.stats import bump_search_stat
@@ -458,10 +450,7 @@ def nogood_source_system(
     constraint indices (and :meth:`FarkasCertificate.verify` /
     :meth:`~FarkasCertificate.pretty`) line up.
     """
-    return _sharpened_linear(candidate_system(problem, frozenset(nogood.source)))
-
-
-def _sharpened_linear(candidate: InternedSystem) -> LinearSystem:
+    candidate = candidate_system(problem, frozenset(nogood.source))
     sharp = InternedSystem(candidate.table, tuple(sharpened_rows(candidate)))
     return sharp.to_linear()
 
@@ -475,27 +464,19 @@ def learn_nogood(
     problem: AcceptabilityProblem,
     zero_set: frozenset[str],
     candidate: InternedSystem,
-    certificate: FarkasCertificate | None = None,
+    certificate: FarkasCertificate | None,
 ) -> Nogood | None:
     """Generalise a nogood from an infeasible ``Ψ_Z``.
 
     ``certificate`` is the Farkas proof over the sharpened candidate
     (strict rows become their integer-cone equivalents, row for row)
     that the refuting solve returned; only the zero-set rows it weights
-    survive into the nogood, their labels read off ``candidate``.  When
-    the refuting backend gave none (the Fourier–Motzkin retry after a
-    sparse fault), it is extracted with :func:`farkas_certificate`;
-    extraction faults (or a feasible sharpening, which cannot happen for
-    a candidate the chain called infeasible) simply skip learning —
-    pruning less is always sound.
+    survive into the nogood, their labels read off ``candidate``.  A
+    refutation the kernel could not certify (``None``) teaches nothing,
+    and learning is skipped: pruning less is always sound.
     """
     if certificate is None:
-        try:
-            certificate = farkas_certificate(_sharpened_linear(candidate))
-        except SolverError:
-            return None
-        if certificate is None:
-            return None
+        return None
     zeros: set[str] = set()
     positives: set[str] = set()
     rows = candidate.rows
@@ -523,18 +504,16 @@ def learn_nogood(
 
 
 def check_candidate(
-    problem: AcceptabilityProblem,
-    zero_set: frozenset[str],
-    probes: Sequence[SolverBackend],
+    problem: AcceptabilityProblem, zero_set: frozenset[str]
 ) -> tuple[HomogeneousWitness, Nogood | None]:
-    """Test one candidate: solve ``Ψ_Z`` down ``probes`` once, and learn
-    the nogood of a refuted one from the certificate of that same solve.
+    """Test one candidate: solve ``Ψ_Z`` once, and learn the nogood of a
+    refuted one from the certificate of that same solve.
 
     The single step shared by the serial walk and the pool's
     :func:`~repro.parallel.worker.run_pruned_chunk`.
     """
     candidate = candidate_system(problem, zero_set)
-    witness = chain_positive_solution(candidate, probes)
+    witness = positive_witness(candidate)
     if witness.feasible:
         return witness, None
     return witness, learn_nogood(
@@ -549,18 +528,18 @@ def check_candidate(
 
 def pruned_zero_set_search(
     problem: AcceptabilityProblem,
-    chain: Sequence[SolverBackend] | None = None,
     store: NogoodStore | None = None,
 ) -> tuple[bool, dict[str, int] | None, frozenset[str]]:
     """The Theorem-3.4 walk with orbit and nogood pruning (serial).
 
-    Same contract and byte-identical output as the naive walk of
-    :class:`~repro.solver.registry.NaiveBackend` — see the module
-    docstring for why pruning cannot change the first hit.  ``store``
-    may be supplied to observe the learned nogoods (``repro explain``).
+    Same contract and byte-identical output as
+    :func:`~repro.solver.registry.naive_zero_set_search` — see the
+    module docstring for why pruning cannot change the first hit.
+    ``store`` may be supplied to observe the learned nogoods
+    (``repro explain``).  Ungated: :func:`repro.solver.registry.decide_acceptable`
+    applies ``naive_limit`` and the ``jobs`` fan-out.
     """
     names = list(problem.class_unknowns)
-    probes = chain or (get_backend(DEFAULT_BACKEND),)
     if store is None:
         store = NogoodStore()
     perms, orbits_found = orbit_permutations(problem)
@@ -584,7 +563,7 @@ def pruned_zero_set_search(
                 bump_search_stat("pruned_by_nogood")
                 continue
             bump_search_stat("zero_sets_enumerated")
-            witness, learned = check_candidate(problem, zero_set, probes)
+            witness, learned = check_candidate(problem, zero_set)
             if witness.feasible:
                 assert witness.integral is not None
                 support = frozenset(
@@ -597,58 +576,6 @@ def pruned_zero_set_search(
             if learned is not None:
                 store.install(learned)
     return False, None, frozenset()
-
-
-class PrunedBackend(SolverBackend):
-    """The pruned Theorem-3.4 decision procedure, registry-selectable.
-
-    Exactly the :class:`~repro.solver.registry.NaiveBackend` contract —
-    a decision procedure gated by ``naive_limit`` that refuses the LP
-    primitives so chains skip over it — with the orbit/nogood walk
-    underneath.  ``jobs > 1`` fans the canonical representatives out
-    through :func:`repro.parallel.fanout.parallel_pruned_zero_set_search`.
-    """
-
-    name = "pruned"
-    capabilities = BackendCapabilities(exponential=True)
-
-    def maximal_support(
-        self, system: InternedSystem, candidates: Sequence[str]
-    ) -> tuple[frozenset[str], dict[str, Fraction]]:
-        raise SolverError(
-            "the pruned backend provides no LP primitives; use "
-            "decide_acceptable"
-        )
-
-    def positive_solution(self, system: InternedSystem):
-        raise SolverError(
-            "the pruned backend provides no LP primitives; use "
-            "decide_acceptable"
-        )
-
-    def decide_acceptable(
-        self,
-        problem: AcceptabilityProblem,
-        chain: Sequence[SolverBackend] | None = None,
-        naive_limit: int = DEFAULT_NAIVE_LIMIT,
-        jobs: int = 1,
-    ) -> tuple[bool, dict[str, int] | None, frozenset[str]]:
-        class_unknowns = problem.class_unknowns
-        if len(class_unknowns) > naive_limit:
-            raise LimitExceededError(
-                f"the pruned (Theorem 3.4) engine still visits the "
-                f"2^{len(class_unknowns)} zero-set lattice, above the "
-                f"configured naive_limit of {naive_limit}; use "
-                "engine='fixpoint' for schemas of this size or raise the "
-                "limit"
-            )
-        probes = chain or (get_backend(DEFAULT_BACKEND),)
-        if jobs > 1:
-            # Deferred import: repro.parallel sits above the solver layer.
-            from repro.parallel.fanout import parallel_pruned_zero_set_search
-
-            return parallel_pruned_zero_set_search(problem, probes, jobs)
-        return pruned_zero_set_search(problem, probes)
 
 
 # ---------------------------------------------------------------------------
@@ -690,15 +617,13 @@ def render_nogoods(problem: AcceptabilityProblem, store: NogoodStore) -> str:
     return "\n".join(blocks)
 
 
-register_backend(PrunedBackend())
-
 __all__ = [
     "GROUP_CLOSURE_CAP",
     "Nogood",
     "NogoodStore",
-    "PrunedBackend",
     "candidate_system",
     "check_candidate",
+    "farkas_certificate",
     "is_canonical",
     "learn_nogood",
     "nogood_source_system",

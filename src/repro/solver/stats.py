@@ -5,8 +5,8 @@ The decision procedures (:mod:`repro.solver.registry`'s naive walk and
 that own statistics objects — sessions hold a
 :class:`~repro.session.cache.CacheStats`, benchmarks hold ad-hoc
 counter bags — and threading a stats parameter through
-``decide_acceptable`` → ``chain_positive_solution`` call chains would
-contaminate every backend signature.  Instead the owner *activates* its
+``decide_acceptable`` → walk → ``positive_witness`` call chains would
+contaminate every engine signature.  Instead the owner *activates* its
 stats object as the ambient sink::
 
     with search_stats_sink(cache.stats):

@@ -2,8 +2,8 @@
 
 Every byte the store puts on disk goes through
 :func:`atomic_write_bytes` (invariant R6, enforced by
-``tools/check_invariants.py``: no other module under ``repro/store/``
-may open a file for writing).  The protocol is the classic
+``repro lint --repo``: no other module under ``repro/store/`` may open
+a file for writing).  The protocol is the classic
 crash-safe sequence:
 
 1. create a uniquely-named temp file *in the target directory* (same

@@ -193,6 +193,16 @@ class TestExitCodes:
         assert main(["check", meeting_file, "--class", "Nope"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("removed", ["fourier-motzkin", "sparse-simplex"])
+    def test_removed_backend_value_is_two(
+        self, meeting_file, capsys, monkeypatch, removed
+    ):
+        monkeypatch.setenv("REPRO_BACKEND", removed)
+        assert main(["check", meeting_file]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown solver backend {removed!r}" in err
+        assert "fixpoint, naive, pruned" in err
+
     def test_parse_error_is_two_with_position(self, tmp_path, capsys):
         path = tmp_path / "broken.cr"
         path.write_text("schema Bad {\n  class A;\n  garbage !!\n}\n")

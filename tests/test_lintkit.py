@@ -76,6 +76,40 @@ class TestR1Floats:
     def test_out_of_scope_module_ignored(self):
         assert not findings_for("R1", ("repro/serve/app.py", "X = 0.5\n"))
 
+    def test_rule_only_applies_to_the_exact_kernel(self):
+        for path in ("repro/cli.py", "repro/solver/pruned.py"):
+            assert not findings_for("R1", (path, "x = 0.5\n")), path
+        (f,) = findings_for("R1", ("repro/solver/core.py", "x = 0.5\n"))
+        assert f.rule == "R1"
+
+    @pytest.mark.parametrize(
+        "source",
+        ["y = float(3)\n", "import math\nz = math.sqrt(2)\n"],
+        ids=["float-call", "math-module"],
+    )
+    def test_module_level_float_arithmetic_flagged(self, source):
+        (f,) = findings_for("R1", ("repro/solver/core.py", source))
+        assert f.rule == "R1"
+
+    def test_fractions_allowed(self):
+        good = (
+            "from fractions import Fraction\n"
+            "\n"
+            "half = Fraction(1, 2)\n"
+        )
+        assert not findings_for("R1", ("repro/solver/core.py", good))
+
+    def test_violations_render_file_line_rule(self):
+        (f,) = findings_for("R1", ("repro/solver/core.py", "x = 0.5\n"))
+        assert f.render().startswith("repro/solver/core.py:1: R1")
+
+    def test_line_numbers_point_at_the_offence(self):
+        (f,) = findings_for(
+            "R1", ("repro/solver/core.py", "a = 1\nb = 2\nc = 3.0\n")
+        )
+        assert f.line == 3
+        assert f.render().startswith("repro/solver/core.py:3: R1")
+
     def test_from_import_of_a_float_function_flagged(self):
         (f,) = findings_for(
             "R1",
@@ -164,6 +198,28 @@ class TestR2BudgetReachability:
         assert f.line == 5
         assert "'for' over itertools.count(...)" in f.message
 
+    def test_bare_while_true_flagged(self):
+        (f,) = findings_for(
+            "R2",
+            (
+                "repro/solver/core.py",
+                "def spin():\n    while True:\n        pass\n",
+            ),
+        )
+        assert (f.rule, f.line) == ("R2", 2)
+
+    def test_bounded_loops_clean(self):
+        good = (
+            "repro/solver/core.py",
+            """
+            def scan(rows):
+                for row in rows:
+                    while row:
+                        row = row.tail
+            """,
+        )
+        assert not findings_for("R2", good)
+
     def test_in_body_marker_is_still_a_fast_path(self):
         good = (
             "repro/solver/spin.py",
@@ -183,6 +239,21 @@ class TestR3Popitem:
             ("repro/solver/tab.py", "def f(d):\n    d.popitem()\n"),
         )
         assert (f.rule, f.line) == ("R3", 2)
+
+    @pytest.mark.parametrize(
+        "path",
+        ["repro/solver/core.py", "repro/solver/pruned.py"],
+        ids=["core", "pruned"],
+    )
+    def test_module_level_popitem_flagged_in_kernel_modules(self, path):
+        (f,) = findings_for("R3", (path, "state.popitem()\n"))
+        assert (f.rule, f.line) == ("R3", 1)
+
+    def test_popitem_allowed_outside_the_kernel(self):
+        assert not findings_for(
+            "R3",
+            ("repro/session/cache.py", "cache.popitem(last=False)\n"),
+        )
 
 
 class TestR4SpawnOnly:
@@ -207,6 +278,25 @@ class TestR4SpawnOnly:
             ),
         )
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            'multiprocessing.set_start_method("forkserver")\n',
+            # A bare get_context() inherits the platform default, which
+            # is fork on Linux — the start method must be spelled out.
+            "ctx = multiprocessing.get_context()\n",
+            'multiprocessing.set_start_method(method="fork")\n',
+        ],
+        ids=["forkserver", "default-context", "method-keyword"],
+    )
+    def test_other_non_spawn_start_methods_flagged(self, source):
+        (f,) = findings_for("R4", ("repro/parallel/pool.py", source))
+        assert (f.rule, f.line) == ("R4", 1)
+
+    def test_rule_scoped_to_the_parallel_package(self):
+        source = 'ctx = multiprocessing.get_context("fork")\n'
+        assert not findings_for("R4", ("repro/cli.py", source))
+
 
 class TestR5DeadlinedWaits:
     def test_bare_result_flagged(self):
@@ -216,6 +306,37 @@ class TestR5DeadlinedWaits:
         )
         assert (f.rule, f.line) == ("R5", 2)
         assert "result() without timeout=" in f.message
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "done, pending = wait(futures)\n",
+            "for future in as_completed(futures):\n    pass\n",
+            "results = pool.map(task, items)\n",
+        ],
+        ids=["wait", "as-completed", "pool-map"],
+    )
+    def test_other_bare_waits_flagged(self, source):
+        (f,) = findings_for("R5", ("repro/parallel/pool.py", source))
+        assert (f.rule, f.line) == ("R5", 1)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "value = future.result(timeout=0.05)\n"
+            "done, pending = wait(futures, timeout=0.05)\n",
+            # shutdown's wait= keyword is not a wait call.
+            "executor.shutdown(wait=True, cancel_futures=True)\n",
+        ],
+        ids=["timeout-keyword", "shutdown-wait-keyword"],
+    )
+    def test_deadlined_waits_clean(self, source):
+        assert not findings_for("R5", ("repro/parallel/pool.py", source))
+
+    def test_rule_scoped_to_the_parallel_package(self):
+        assert not findings_for(
+            "R5", ("repro/cli.py", "value = future.result()\n")
+        )
 
 
 class TestR6AtomicWrites:
@@ -232,6 +353,53 @@ class TestR6AtomicWrites:
             ("repro/store/atomic.py", 'def f(p):\n    open(p, "w")\n'),
         )
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            'open(path, "wb")\n',
+            'open(path, "a")\n',
+            'open(path, "x")\n',
+            'open(path, "r+")\n',
+            'open(path, mode="w")\n',
+            # A mode the AST cannot prove read-only counts as a write.
+            "open(path, mode)\n",
+            'path.write_text("x")\n',
+            'path.write_bytes(b"x")\n',
+        ],
+        ids=[
+            "wb",
+            "a",
+            "x",
+            "r+",
+            "mode-keyword",
+            "computed-mode",
+            "write-text",
+            "write-bytes",
+        ],
+    )
+    def test_other_write_primitives_flagged(self, source):
+        (f,) = findings_for("R6", ("repro/store/store.py", source))
+        assert (f.rule, f.line) == ("R6", 1)
+
+    def test_reads_clean(self):
+        good = (
+            "repro/store/store.py",
+            """
+            blob = path.read_bytes()
+            with open(path) as handle:
+                handle.read()
+            with open(path, "rb") as handle:
+                handle.read()
+            """,
+        )
+        assert not findings_for("R6", good)
+
+    def test_rule_scoped_to_the_store_package(self):
+        source = 'open(path, "w")\n'
+        assert not findings_for("R6", ("repro/cli.py", source))
+        (f,) = findings_for("R6", ("repro/store/locks.py", source))
+        assert f.rule == "R6"
+
 
 class TestR7NoWholeSchemaExpansion:
     def test_expansion_call_flagged(self):
@@ -243,6 +411,36 @@ class TestR7NoWholeSchemaExpansion:
             ),
         )
         assert (f.rule, f.line) == ("R7", 2)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "system = build_system(expansion)\n",
+            # Reaching the banned entry point through the module object
+            # is the same violation.
+            "expansion = cr_expansion.Expansion(schema)\n",
+        ],
+        ids=["build-system", "attribute-call"],
+    )
+    def test_other_whole_schema_calls_flagged(self, source):
+        (f,) = findings_for("R7", ("repro/components/decompose.py", source))
+        assert (f.rule, f.line) == ("R7", 1)
+
+    def test_delegating_to_sessions_clean(self):
+        good = (
+            "repro/components/decompose.py",
+            """
+            session = ReasoningSession(component.schema, cache=cache)
+            entry = cache.artifacts(component.schema, fingerprint)
+            """,
+        )
+        assert not findings_for("R7", good)
+
+    def test_rule_scoped_to_the_component_package(self):
+        source = "expansion = Expansion(schema)\n"
+        assert not findings_for("R7", ("repro/cli.py", source))
+        (f,) = findings_for("R7", ("repro/components/session.py", source))
+        assert f.rule == "R7"
 
 
 class TestR8LockDiscipline:

@@ -2,10 +2,10 @@
 
 Covers the two pruning levers of :mod:`repro.solver.pruned` in
 isolation — automorphism discovery over the symmetric sibling family,
-the canonicity test, nogood learning/subsumption — plus the backend
-registration contract, the ``naive_limit`` size gate, exact parity with
-the naive oracle (verdict, witness, support, *and* a ≥5x reduction in
-LPs solved on the symmetric family), and the pinned human-readable
+the canonicity test, nogood learning/subsumption — plus the
+``naive_limit`` size gate, exact parity with the naive oracle
+(verdict, witness, support, *and* a ≥5x reduction in LPs solved on the
+symmetric family), and the pinned human-readable
 rendering behind ``repro explain --nogoods``.
 """
 
@@ -13,16 +13,12 @@ from __future__ import annotations
 
 import pytest
 
-import repro.solver.pruned as pruned_module
 from repro.cr.builder import SchemaBuilder
 from repro.cr.expansion import Expansion
 from repro.cr.satisfiability import class_targets, decision_problem
 from repro.cr.system import build_system
-from repro.errors import LimitExceededError, SolverError
-from repro.paper import figure1_schema
+from repro.errors import LimitExceededError
 from repro.runtime.budget import Budget, activate
-from repro.runtime.fallback import DEFAULT_FALLBACK, chain_for
-from repro.runtime.faults import inject_faults
 from repro.solver.core import InternedSystem, VariableTable
 from repro.solver.pruned import (
     Nogood,
@@ -36,8 +32,7 @@ from repro.solver.pruned import (
 from repro.solver.registry import (
     DEFAULT_NAIVE_LIMIT,
     AcceptabilityProblem,
-    backend_names,
-    get_backend,
+    decide_acceptable,
 )
 from repro.solver.stats import SearchCounters, search_stats_sink
 
@@ -65,18 +60,6 @@ def problem_for(schema, cls: str) -> AcceptabilityProblem:
 
 
 class TestRegistration:
-    def test_the_pruned_backend_is_registered(self):
-        assert "pruned" in backend_names()
-        assert get_backend("pruned").capabilities.exponential
-
-    def test_refuses_the_lp_primitives(self):
-        pruned = get_backend("pruned")
-        system = InternedSystem(VariableTable(["x"]))
-        with pytest.raises(SolverError, match="no LP primitives"):
-            pruned.maximal_support(system, ["x"])
-        with pytest.raises(SolverError, match="no LP primitives"):
-            pruned.positive_solution(system)
-
     def test_the_size_gate_fires(self):
         wide = InternedSystem(
             VariableTable([f"c{i}" for i in range(DEFAULT_NAIVE_LIMIT + 1)])
@@ -88,7 +71,7 @@ class TestRegistration:
             targets=frozenset({"c0"}),
         )
         with pytest.raises(LimitExceededError, match="naive_limit"):
-            get_backend("pruned").decide_acceptable(problem)
+            decide_acceptable(problem, "pruned")
 
 
 class TestOrbits:
@@ -132,18 +115,13 @@ class TestOrbits:
 class TestParity:
     def test_matches_naive_with_a_5x_lp_reduction(self):
         problem = problem_for(symmetric_conflict_schema(), "T")
-        chain = chain_for(DEFAULT_FALLBACK)
 
         naive_counters = SearchCounters()
         with search_stats_sink(naive_counters):
-            expected = get_backend("naive").decide_acceptable(
-                problem, chain=chain
-            )
+            expected = decide_acceptable(problem, "naive")
         pruned_counters = SearchCounters()
         with search_stats_sink(pruned_counters):
-            actual = get_backend("pruned").decide_acceptable(
-                problem, chain=chain
-            )
+            actual = decide_acceptable(problem, "pruned")
 
         assert actual == expected
         assert pruned_counters.pruned_by_orbit > 0
@@ -164,9 +142,7 @@ class TestParity:
         counters = SearchCounters()
         budget = Budget()
         with activate(budget), search_stats_sink(counters):
-            found, _, _ = pruned_zero_set_search(
-                problem, chain=chain_for(DEFAULT_FALLBACK)
-            )
+            found, _, _ = pruned_zero_set_search(problem)
         assert not found
         assert budget.solver_calls == counters.zero_sets_enumerated == lps
         assert budget.pivots == pivots
@@ -183,50 +159,10 @@ class TestParity:
             builder.relationship(f"R{i}", **{f"x{i}": f"A{i}", f"y{i}": "T"})
             builder.card(f"A{i}", f"R{i}", f"x{i}", 1, 2)
         problem = problem_for(builder.build(), "T")
-        chain = chain_for(DEFAULT_FALLBACK)
-        expected = get_backend("naive").decide_acceptable(problem, chain=chain)
-        actual = get_backend("pruned").decide_acceptable(problem, chain=chain)
+        expected = decide_acceptable(problem, "naive")
+        actual = decide_acceptable(problem, "pruned")
         assert expected[0]
         assert actual == expected
-
-
-class TestCertificateFallback:
-    @pytest.mark.parametrize("cls", ["C", "D"])
-    def test_a_faulted_solve_learns_the_same_nogoods(self, cls, monkeypatch):
-        # The second sparse solve faults, so the Fourier–Motzkin retry
-        # refutes that candidate without a certificate and
-        # farkas_certificate supplies it.  Figure 1 keeps the retry under
-        # its constraint cap.
-        problem = problem_for(figure1_schema(), cls)
-
-        def facts(store):
-            return [
-                (ng.zeros, ng.positives, ng.source, ng.certificate.weights)
-                for ng in store.nogoods
-            ]
-
-        expected_store = NogoodStore()
-        expected = pruned_zero_set_search(
-            problem, chain=chain_for(DEFAULT_FALLBACK), store=expected_store
-        )
-        extractions = []
-        extract = pruned_module.farkas_certificate
-        monkeypatch.setattr(
-            pruned_module,
-            "farkas_certificate",
-            lambda system: extractions.append(system) or extract(system),
-        )
-        store = NogoodStore()
-        with inject_faults(simplex_failures={2}) as plan:
-            actual = pruned_zero_set_search(
-                problem, chain=chain_for(DEFAULT_FALLBACK), store=store
-            )
-        assert plan.injected == [("simplex", 2)]
-        assert plan.calls["fourier-motzkin"] == 1
-        assert len(extractions) == 1
-        assert actual == expected
-        assert not actual[0]
-        assert store.nogoods and facts(store) == facts(expected_store)
 
 
 class TestNogoodStore:
@@ -325,18 +261,14 @@ class TestExplainRendering:
     def test_the_farkas_nogood_rendering_is_pinned(self):
         problem = problem_for(self._loop_schema(), "T")
         store = NogoodStore()
-        found, witness, support = pruned_zero_set_search(
-            problem, chain=chain_for(DEFAULT_FALLBACK), store=store
-        )
+        found, witness, support = pruned_zero_set_search(problem, store=store)
         assert not found and witness is None and support == frozenset()
         assert render_nogoods(problem, store) == PINNED_RENDERING
 
     def test_every_learned_nogood_reverifies(self):
         problem = problem_for(symmetric_conflict_schema(), "T")
         store = NogoodStore()
-        pruned_zero_set_search(
-            problem, chain=chain_for(DEFAULT_FALLBACK), store=store
-        )
+        pruned_zero_set_search(problem, store=store)
         assert store.nogoods
         for nogood in store.nogoods:
             source = set(nogood.source)

@@ -21,13 +21,12 @@ from hypothesis import strategies as st
 from repro.cr.expansion import Expansion
 from repro.cr.satisfiability import class_targets, decision_problem
 from repro.cr.system import build_system
-from repro.runtime.fallback import DEFAULT_FALLBACK, chain_for
 from repro.solver.pruned import (
     NogoodStore,
     nogood_source_system,
     pruned_zero_set_search,
 )
-from repro.solver.registry import get_backend
+from repro.solver.registry import decide_acceptable
 
 from tests.strategies import symmetric_schemas
 
@@ -54,9 +53,8 @@ def drawn_problem(data, max_siblings: int = 3):
 @given(data=st.data())
 def test_pruned_matches_the_naive_oracle(data):
     problem = drawn_problem(data)
-    chain = chain_for(DEFAULT_FALLBACK)
-    expected = get_backend("naive").decide_acceptable(problem, chain=chain)
-    actual = get_backend("pruned").decide_acceptable(problem, chain=chain)
+    expected = decide_acceptable(problem, "naive")
+    actual = decide_acceptable(problem, "pruned")
     assert actual == expected
 
 
@@ -64,11 +62,8 @@ def test_pruned_matches_the_naive_oracle(data):
 @given(data=st.data())
 def test_two_workers_reproduce_the_serial_pruned_answer(data):
     problem = drawn_problem(data, max_siblings=2)
-    chain = chain_for(DEFAULT_FALLBACK)
-    serial = get_backend("pruned").decide_acceptable(problem, chain=chain)
-    pooled = get_backend("pruned").decide_acceptable(
-        problem, chain=chain, jobs=2
-    )
+    serial = decide_acceptable(problem, "pruned")
+    pooled = decide_acceptable(problem, "pruned", jobs=2)
     assert pooled == serial
 
 
@@ -82,9 +77,7 @@ def test_every_installed_nogood_reverifies_against_its_source(data):
     genuinely outside it)."""
     problem = drawn_problem(data)
     store = NogoodStore()
-    pruned_zero_set_search(
-        problem, chain=chain_for(DEFAULT_FALLBACK), store=store
-    )
+    pruned_zero_set_search(problem, store=store)
     for nogood in store.nogoods:
         source = set(nogood.source)
         assert nogood.zeros <= source

@@ -1,4 +1,10 @@
-"""Fault injection and the fixpoint → Fourier–Motzkin → naive chain."""
+"""Fault injection and the query-level fallbacks between engines.
+
+A faulted fixpoint retries on the naive walk when the system is small
+enough; a faulted ``naive`` or ``pruned`` walk is answered by the
+fixpoint.  With no fallback left the typed ``SolverError`` surfaces at
+once.  Whatever happens, a fault never changes a verdict.
+"""
 
 from __future__ import annotations
 
@@ -16,12 +22,7 @@ from repro.runtime.faults import (
     inject_faults,
     inject_solver_faults,
 )
-from repro.solver import core, fourier_motzkin
-
-# Fail every Fourier–Motzkin call a test could plausibly make; combined
-# with a simplex fault this forces the chain all the way to the naive
-# engine.
-_ALL_FM = range(1, 1000)
+from repro.solver import core
 
 
 class TestHarness:
@@ -32,7 +33,6 @@ class TestHarness:
                 is_class_satisfiable(schema, "Speaker", fallback=None)
         assert plan.injected == [("simplex", 2)]
         assert plan.calls["simplex"] == 2
-        assert plan.calls["fourier-motzkin"] == 0
 
     def test_unscripted_runs_are_untouched_but_counted(self):
         with inject_solver_faults() as plan:
@@ -43,11 +43,9 @@ class TestHarness:
 
     def test_hooks_restored_on_exit(self):
         assert core._FAULT_HOOK is None
-        assert fourier_motzkin._FAULT_HOOK is None
         with inject_solver_faults(simplex_failures={1}):
             assert core._FAULT_HOOK is not None
         assert core._FAULT_HOOK is None
-        assert fourier_motzkin._FAULT_HOOK is None
 
     def test_injections_nest(self):
         with inject_solver_faults(simplex_failures={1}) as outer:
@@ -63,8 +61,8 @@ class TestHarness:
 
         with inject_solver_faults(
             simplex_failures={1},
-            error_factory=lambda backend, index: CustomFault(
-                f"{backend}#{index}"
+            error_factory=lambda point, index: CustomFault(
+                f"{point}#{index}"
             ),
         ):
             with pytest.raises(CustomFault):
@@ -83,26 +81,15 @@ class TestHarness:
 
 
 class TestFallbackChain:
-    def test_simplex_fault_retries_on_fourier_motzkin(self):
+    def test_fixpoint_fault_retries_on_the_walk(self):
         schema = meeting_schema()
         baseline = is_class_satisfiable(schema, "Speaker")
         with inject_solver_faults(simplex_failures={1}) as plan:
             degraded = is_class_satisfiable(schema, "Speaker")
         assert degraded.satisfiable == baseline.satisfiable
+        # The fixpoint's first LP faulted; the naive walk's own LPs
+        # (later calls, none scripted) produced the verdict.
         assert plan.injected == [("simplex", 1)]
-        assert plan.calls["fourier-motzkin"] >= 1
-
-    def test_chain_reaches_naive_engine(self):
-        schema = meeting_schema()
-        baseline = is_class_satisfiable(schema, "Speaker")
-        with inject_solver_faults(
-            simplex_failures={1}, fm_failures=_ALL_FM
-        ) as plan:
-            degraded = is_class_satisfiable(schema, "Speaker")
-        assert degraded.satisfiable == baseline.satisfiable
-        # The FM retry itself faulted, proving the naive engine (which
-        # solves fresh LPs on later simplex calls) produced the verdict.
-        assert ("fourier-motzkin", 1) in plan.injected
         assert plan.calls["simplex"] > 1
 
     def test_fallback_none_disables_the_chain(self):
@@ -114,31 +101,42 @@ class TestFallbackChain:
 
     def test_policy_can_disable_naive_stage_only(self):
         policy = FallbackPolicy(use_naive=False)
-        with inject_solver_faults(simplex_failures={1}, fm_failures=_ALL_FM):
+        with inject_solver_faults(simplex_failures={1}):
             with pytest.raises(SolverError):
                 is_class_satisfiable(
                     meeting_schema(), "Speaker", fallback=policy
                 )
 
     def test_naive_fallback_respects_naive_limit(self):
-        with inject_solver_faults(simplex_failures={1}, fm_failures=_ALL_FM):
+        with inject_solver_faults(simplex_failures={1}):
             with pytest.raises(SolverError):
                 is_class_satisfiable(
                     meeting_schema(), "Speaker", naive_limit=1
                 )
 
     def test_budget_exhaustion_is_never_absorbed_by_the_chain(self):
-        # A backend "fault" that is actually budget exhaustion must
-        # propagate, not trigger a retry that would overspend.
+        # A solver "fault" that is actually budget exhaustion must
+        # propagate, not trigger a fallback that would overspend.
         with inject_solver_faults(
             simplex_failures={1},
-            error_factory=lambda backend, index: BudgetExceededError(
-                f"simulated exhaustion at {backend}#{index}"
+            error_factory=lambda point, index: BudgetExceededError(
+                f"simulated exhaustion at {point}#{index}"
             ),
         ) as plan:
             with pytest.raises(BudgetExceededError):
                 is_class_satisfiable(meeting_schema(), "Speaker")
-        assert plan.calls["fourier-motzkin"] == 0
+        assert plan.calls["simplex"] == 1
+
+    def test_a_faulted_session_fixpoint_fails_fast(self):
+        # The session's cached fixpoint has no fallback of its own: the
+        # injected fault itself surfaces, at once.
+        from repro.session import ReasoningSession
+
+        session = ReasoningSession(meeting_schema())
+        with inject_faults(simplex_failures={1}) as plan:
+            with pytest.raises(InjectedSolverFault):
+                session.satisfiable_classes()
+        assert plan.injected == [("simplex", 1)]
 
 
 class TestUnifiedRegistry:
@@ -146,12 +144,10 @@ class TestUnifiedRegistry:
 
     def test_solver_and_disk_faults_compose_in_one_plan(self, tmp_path):
         from repro.session import ReasoningSession, SessionCache
+        from repro.solver.registry import pin_backend
         from repro.store import ArtifactStore
 
-        # Figure 1: small enough that the faulted LP retries cleanly on
-        # Fourier–Motzkin (the chain's cap would fire on the larger
-        # schemas — the boundary the parity tests below document).
-        schema = figure1_schema()
+        schema = meeting_schema()
         store = ArtifactStore(tmp_path, stale_lock_after=0.0)
         with inject_faults(
             simplex_failures={1},
@@ -160,13 +156,15 @@ class TestUnifiedRegistry:
             session = ReasoningSession(
                 schema, cache=SessionCache(store=store)
             )
-            # The solver fault degrades to the FM retry inside the
-            # fixpoint; the disk fault then kills the write-through.
+            # The solver fault lands in the pinned pruned walk, which
+            # the fixpoint answers; the disk fault then kills the
+            # write-through of the session's own fixpoint.
+            with pin_backend("pruned"):
+                assert session.is_class_satisfiable("Speaker").satisfiable
             with pytest.raises(SimulatedCrash):
                 session.satisfiable_classes()
         assert plan.injected[0] == ("simplex", 1)
         assert plan.injected[-1] == ("store:write:pre-rename", 1)
-        assert plan.calls["fourier-motzkin"] >= 1
         # The crash left no entry behind — absent, not torn.
         assert ArtifactStore(tmp_path, stale_lock_after=0.0).get(
             session.fingerprint
@@ -195,7 +193,7 @@ class TestUnifiedRegistry:
 
 
 class TestChainParityOnPaperSchemas:
-    """Acceptance: the degraded chain agrees with the unfaulted run."""
+    """Acceptance: a fallback agrees with the unfaulted run."""
 
     @pytest.fixture(
         params=[figure1_schema, meeting_schema, refined_meeting_schema],
@@ -204,45 +202,36 @@ class TestChainParityOnPaperSchemas:
     def schema(self, request):
         return request.param()
 
-    def test_fm_retry_parity(self, schema):
+    def test_fixpoint_fault_parity(self, schema):
         baseline = satisfiable_classes(schema)
         with inject_solver_faults(simplex_failures={1}) as plan:
             degraded = satisfiable_classes(schema)
         assert degraded == baseline
         assert plan.injected == [("simplex", 1)]
 
-    def test_full_chain_parity(self, schema):
-        baseline = satisfiable_classes(schema)
-        with inject_solver_faults(
-            simplex_failures={1}, fm_failures=_ALL_FM
-        ) as plan:
-            degraded = satisfiable_classes(schema)
-        assert degraded == baseline
-        assert ("simplex", 1) in plan.injected
-        assert ("fourier-motzkin", 1) in plan.injected
-
     @pytest.mark.parametrize("engine", ["naive", "pruned"])
     def test_faulted_walk_falls_back_to_the_fixpoint(self, schema, engine):
-        # One sparse fault inside the zero-set walk, retried on
-        # Fourier–Motzkin under a cap the larger Ψ_Z systems exceed:
-        # the walk faults as a whole, and the fixpoint answers instead.
-        policy = FallbackPolicy(fm_max_constraints=1_000)
+        # One fault inside the zero-set walk: the walk faults as a
+        # whole, and the fixpoint answers instead.
         for cls in schema.classes:
             baseline = is_class_satisfiable(schema, cls, engine=engine)
             with inject_faults(simplex_failures={1}) as plan:
-                degraded = is_class_satisfiable(
-                    schema, cls, engine=engine, fallback=policy
-                )
+                degraded = is_class_satisfiable(schema, cls, engine=engine)
             assert degraded.satisfiable == baseline.satisfiable, cls
             assert plan.injected == [("simplex", 1)]
 
-    def test_intermittent_faults_parity_on_small_schema(self):
-        # Faults scattered through the run, not just at the first call.
-        # Only on Figure 1: its systems are small enough that *every*
-        # faulted LP can be retried on Fourier–Motzkin (on the larger
-        # schemas a mid-fixpoint FM retry exceeds the constraint cap,
-        # which is the documented boundary of the chain).
-        baseline = satisfiable_classes(figure1_schema())
-        with inject_solver_faults(simplex_failures={1, 2, 5}):
-            degraded = satisfiable_classes(figure1_schema())
+    @pytest.mark.parametrize(
+        "failures", [{1}, {2}, {3}, {1, 2, 5}], ids=["1", "2", "3", "1-2-5"]
+    )
+    def test_intermittent_faults_never_change_a_verdict(
+        self, schema, failures
+    ):
+        # Faults scattered through the run, not just at the first call:
+        # the answer is the unfaulted one, or the fault surfaces.
+        baseline = satisfiable_classes(schema)
+        with inject_solver_faults(simplex_failures=failures):
+            try:
+                degraded = satisfiable_classes(schema)
+            except SolverError:
+                return
         assert degraded == baseline

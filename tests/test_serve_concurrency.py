@@ -17,6 +17,9 @@ shared-state ones:
   reaches the in-process server's threads) must degrade to
   rebuild-and-answer: the response is a normal 200 with the same bytes
   a fault-free run produces, never a 500 carrying partial output;
+* **solver faults mid-request** — a scripted kernel fault inside a
+  served zero-set walk is answered by the fixpoint, with the unfaulted
+  verdict;
 * **saturation** — past ``max_inflight`` the daemon answers 503 +
   ``Retry-After`` immediately instead of queueing unboundedly, and the
   in-flight gauge returns to zero afterwards.
@@ -35,7 +38,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import parse_batch_query
-from repro.dsl import parse_schema
+from repro.dsl import parse_schema, serialize_schema
+from repro.paper import refined_meeting_schema
 from repro.parallel.worker import answer_query
 from repro.runtime.faults import inject_faults
 from repro.serve import ServeClient, ServeConfig, running_server
@@ -223,6 +227,22 @@ def test_store_crash_mid_request_degrades_to_rebuild_and_answer(
         assert payload["exit_code"] in (0, 1)
     assert metrics["server"]["retries"] >= 1
     assert metrics["server"]["responses_by_status"].get("500") is None
+
+
+def test_solver_fault_in_a_served_walk_is_answered_by_the_fixpoint():
+    """One kernel fault inside the pinned pruned walk of a served
+    ``/check`` (Section 3.3's schema, ``Speaker``): the walk faults as a
+    whole and the fixpoint answers the request, with the unfaulted
+    verdict and no other LP faulted."""
+    text = serialize_schema(refined_meeting_schema())
+    with running_server(ServeConfig(backend="pruned")) as server:
+        with inject_faults(simplex_failures={1}) as plan:
+            status, payload = ServeClient(server.base_url).check(
+                text, "Speaker"
+            )
+    assert status == 200, payload
+    assert [record["verdict"] for record in payload["results"]] == ["unsat"]
+    assert plan.injected == [("simplex", 1)]
 
 
 def test_corrupted_store_entry_quarantined_on_restart(tmp_path, expected):
