@@ -98,7 +98,10 @@ class ComponentDecomposition:
     """
 
     def __init__(
-        self, schema: CRSchema, components: tuple[SchemaComponent, ...]
+        self,
+        schema: CRSchema,
+        components: tuple[SchemaComponent, ...],
+        whole_fingerprint: str | None = None,
     ) -> None:
         self.schema = schema
         self.components = components
@@ -106,9 +109,9 @@ class ComponentDecomposition:
         for component in components:
             for cls in component.classes:
                 self._owner[cls] = component
-        self._whole_fingerprint: str | None = (
-            components[0].fingerprint if len(components) == 1 else None
-        )
+        if whole_fingerprint is None and len(components) == 1:
+            whole_fingerprint = components[0].fingerprint
+        self._whole_fingerprint = whole_fingerprint
         self._all_indices = frozenset(range(len(components)))
         self._merged: dict[frozenset[int], CRSchema] = {}
         self._merged_fingerprints: dict[frozenset[int], str] = {}
@@ -177,17 +180,23 @@ class ComponentDecomposition:
         )
 
 
-def decompose_schema(schema: CRSchema) -> ComponentDecomposition:
+def decompose_schema(
+    schema: CRSchema, fingerprint: str | None = None
+) -> ComponentDecomposition:
     """Split ``schema`` into its constraint-graph components.
 
     The single-island case (including the empty schema) keeps the
     original schema object, so downstream fingerprints and cache keys
-    match the monolithic path exactly.
+    match the monolithic path exactly.  A caller that already holds the
+    whole schema's ``fingerprint`` passes it, and the decomposition
+    starts with it set instead of computing it again.
     """
     groups = connected_class_sets(schema)
     if len(groups) <= 1:
+        if fingerprint is None:
+            fingerprint = schema_fingerprint(schema)
         component = SchemaComponent(
-            0, frozenset(schema.classes), schema, schema_fingerprint(schema)
+            0, frozenset(schema.classes), schema, fingerprint
         )
         return ComponentDecomposition(schema, (component,))
     components = []
@@ -197,7 +206,7 @@ def decompose_schema(schema: CRSchema) -> ComponentDecomposition:
         components.append(
             SchemaComponent(index, island, sub, schema_fingerprint(sub))
         )
-    return ComponentDecomposition(schema, tuple(components))
+    return ComponentDecomposition(schema, tuple(components), fingerprint)
 
 
 def query_partition_key(

@@ -67,7 +67,10 @@ class DecomposedSession:
     Same constructor and query surface as
     :class:`~repro.session.session.ReasoningSession`; ``cache``,
     ``budget``, ``limits`` and ``fallback`` are shared by every inner
-    per-component session.
+    per-component session.  ``decomposition`` is a prebuilt
+    :func:`~repro.components.decompose.decompose_schema` of ``schema``
+    (the serve engine memoizes one per schema text); without it the
+    session decomposes ``schema`` under the ``decompose`` stage.
     """
 
     def __init__(
@@ -77,16 +80,19 @@ class DecomposedSession:
         budget: Budget | None = None,
         limits: ExpansionLimits | None = None,
         fallback: FallbackPolicy | None = DEFAULT_FALLBACK,
+        decomposition: ComponentDecomposition | None = None,
     ) -> None:
         self.schema = schema
         self.cache = cache if cache is not None else SessionCache()
         self.budget = budget
         self.limits = limits
         self.fallback = fallback
-        # Timing-only stage: no budget phase, so construction stays
-        # check-free exactly like ReasoningSession.__init__.
-        with stage(STAGE_DECOMPOSE):
-            self.decomposition = decompose_schema(schema)
+        if decomposition is None:
+            # Timing-only stage: no budget phase, so construction stays
+            # check-free exactly like ReasoningSession.__init__.
+            with stage(STAGE_DECOMPOSE):
+                decomposition = decompose_schema(schema)
+        self.decomposition = decomposition
         self.fingerprint = self.decomposition.whole_fingerprint
         self.queries = 0
         self.components_total = 0

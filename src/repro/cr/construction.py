@@ -45,6 +45,7 @@ from repro.cr.interpretation import Interpretation, LabeledTuple
 from repro.cr.satisfiability import SatisfiabilityResult, is_acceptable
 from repro.cr.system import CRSystem
 from repro.errors import ReproError
+from repro.solver.linear import Relation
 
 
 def construct_model(
@@ -56,7 +57,9 @@ def construct_model(
     scaled) solution values.  Raises :class:`ReproError` if the solution
     does not satisfy ``Ψ_S`` or is not acceptable.
     """
-    _validate_solution(cr_system, solution)
+    violation = witness_violation(cr_system, solution)
+    if violation is not None:
+        raise ReproError(violation)
     counts = _scaled_counts(cr_system, solution)
 
     # Individuals: one disjoint pool per consistent compound class.
@@ -138,31 +141,52 @@ def construct_model_for_result(result: SatisfiabilityResult) -> Interpretation:
     return construct_model(result.cr_system, result.solution)
 
 
-# ---------------------------------------------------------------------------
-# internals
-# ---------------------------------------------------------------------------
+def witness_violation(
+    cr_system: CRSystem, witness: Mapping[str, int]
+) -> str | None:
+    """Why ``witness`` is not an acceptable solution of ``Ψ_S``, or
+    ``None`` when it is one.
 
-
-def _validate_solution(
-    cr_system: CRSystem, solution: Mapping[str, int]
-) -> None:
-    for name, value in solution.items():
+    Works on the interned ``int`` rows, so no string-keyed system is
+    built: negative counts first, then every non-strict row, then the
+    Section-3.3 acceptability condition.  Only a violated row is
+    rendered, in the form :meth:`~repro.solver.linear.Constraint.pretty`
+    gives it.
+    """
+    for name, value in witness.items():
         if value < 0:
-            raise ReproError(f"solution assigns a negative count to {name!r}")
-    violated = cr_system.system.violated_constraints(
-        {name: solution.get(name, 0) for name in cr_system.system.variables}
-    )
-    blocking = [c for c in violated if not c.relation.is_strict]
-    if blocking:
-        raise ReproError(
-            "the given assignment does not solve Psi_S; first violated "
-            f"disequation: {blocking[0].pretty()}"
-        )
-    if not is_acceptable(solution, cr_system.dependencies):
-        raise ReproError(
+            return f"solution assigns a negative count to {name!r}"
+    interned = cr_system.interned
+    values = [witness.get(name, 0) for name in interned.table.names()]
+    for row in interned.rows:
+        relation = row.relation
+        if relation.is_strict:
+            continue
+        total = row.const
+        for col, coeff in zip(row.cols, row.coeffs):
+            total += coeff * values[col]
+        if relation is Relation.LE:
+            holds = total <= 0
+        elif relation is Relation.GE:
+            holds = total >= 0
+        else:
+            holds = total == 0
+        if not holds:
+            return (
+                "the given assignment does not solve Psi_S; first violated "
+                f"disequation: {interned.constraint(row).pretty()}"
+            )
+    if not is_acceptable(witness, cr_system.dependencies):
+        return (
             "the given solution is not acceptable: some relationship "
             "unknown is positive while a class unknown it depends on is zero"
         )
+    return None
+
+
+# ---------------------------------------------------------------------------
+# internals
+# ---------------------------------------------------------------------------
 
 
 def _capacity(role_counts: list[int]) -> int:

@@ -17,14 +17,20 @@
   implied iff no consistent compound class containing both can be
   populated.
 
-Whenever a statement is *not* implied, the engine returns an explicit
-finite counter-model (a model of ``S`` violating ``K``), which the
-test-suite re-validates with the Definition-2.2 checker.
+Whenever a statement is *not* implied, the result can produce an
+explicit finite counter-model (a model of ``S`` violating ``K``), which
+the test-suite re-validates with the Definition-2.2 checker.  The model
+is evidence, not part of the verdict, so it is built on first read of
+:attr:`ImplicationResult.countermodel`: the verdict paths keep only the
+system and the integer witness, and callers that never read the model
+(batch, diff and served records) never pay for its construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.cr.constraints import (
     DisjointnessStatement,
@@ -37,7 +43,7 @@ from repro.cr.expansion import Expansion, ExpansionLimits
 from repro.cr.interpretation import Interpretation
 from repro.cr.satisfiability import DEFAULT_NAIVE_LIMIT, acceptable_with_positive
 from repro.cr.schema import Card, CRSchema, Relationship, UNBOUNDED
-from repro.cr.system import build_system
+from repro.cr.system import CRSystem, build_system
 from repro.errors import BudgetExceededError, ReproError, SchemaError
 from repro.pipeline import (
     STAGE_BUILD_SYSTEM,
@@ -64,16 +70,22 @@ class ImplicationResult:
     """Outcome of an implication check ``S ⊨ K``.
 
     When not implied, ``countermodel`` is a finite model of ``S`` in
-    which ``K`` fails.  ``verdict`` is the three-valued answer:
-    ``IMPLIED``, ``NOT_IMPLIED``, or — only when a caller-supplied
-    budget ran out — ``UNKNOWN``, in which case ``unknown_reason``
-    explains why and ``implied`` conservatively reads ``False``.
+    which ``K`` fails.  It is built on first read, by the zero-argument
+    ``countermodel_builder`` the deciding procedure passes in place of a
+    model, and cached on the result; implied and UNKNOWN results carry
+    no builder and read ``None``.  Construction charges no budget.
+    ``verdict`` is the three-valued answer: ``IMPLIED``,
+    ``NOT_IMPLIED``, or — only when a caller-supplied budget ran out —
+    ``UNKNOWN``, in which case ``unknown_reason`` explains why and
+    ``implied`` conservatively reads ``False``.
     """
 
     query: ImplicationQuery
     implied: bool
     engine: str
-    countermodel: Interpretation | None
+    countermodel_builder: Callable[[], Interpretation] | None = field(
+        compare=False, repr=False
+    )
     verdict: ImplicationVerdict | None = None
     unknown_reason: str | None = None
     snapshot: ProgressSnapshot | None = None
@@ -83,6 +95,14 @@ class ImplicationResult:
             object.__setattr__(
                 self, "verdict", ImplicationVerdict.from_bool(self.implied)
             )
+
+    @cached_property
+    def countermodel(self) -> Interpretation | None:
+        """A finite model of ``S`` violating the query (not implied
+        only), built on first access."""
+        if self.countermodel_builder is None:
+            return None
+        return self.countermodel_builder()
 
     def pretty(self) -> str:
         if self.verdict is ImplicationVerdict.UNKNOWN:
@@ -99,7 +119,7 @@ def _unknown_implication(
         query=query,
         implied=False,
         engine=engine,
-        countermodel=None,
+        countermodel_builder=None,
         verdict=ImplicationVerdict.UNKNOWN,
         unknown_reason=str(error),
         snapshot=snapshot if isinstance(snapshot, ProgressSnapshot) else None,
@@ -183,8 +203,9 @@ def implies_isa(
             if not found:
                 return ImplicationResult(query, True, engine, None)
             assert solution is not None
-            countermodel = construct_model(cr_system, solution)
-            return ImplicationResult(query, False, engine, countermodel)
+            return ImplicationResult(
+                query, False, engine, _countermodel_builder(cr_system, solution)
+            )
 
     return run_governed(
         budget, compute, lambda error: _unknown_implication(query, engine, error)
@@ -243,6 +264,22 @@ def strip_class(interpretation: Interpretation, cls: str) -> Interpretation:
     )
 
 
+def _countermodel_builder(
+    cr_system: CRSystem,
+    solution: Mapping[str, int],
+    strip: str | None = None,
+) -> Callable[[], Interpretation]:
+    """The deferred Theorem-3.3 countermodel of a not-implied answer:
+    ``construct_model`` over the witness, with the Section-4 class
+    ``strip`` (``C_exc``) dropped from the model when given."""
+
+    def build() -> Interpretation:
+        model = construct_model(cr_system, solution)
+        return model if strip is None else strip_class(model, strip)
+
+    return build
+
+
 def _cardinality_implication(
     schema: CRSchema,
     query: MinCardinalityStatement | MaxCardinalityStatement,
@@ -275,10 +312,12 @@ def _cardinality_implication(
             if not found:
                 return ImplicationResult(query, True, engine, None)
             assert solution is not None
-            countermodel = strip_class(
-                construct_model(cr_system, solution), exc
+            return ImplicationResult(
+                query,
+                False,
+                engine,
+                _countermodel_builder(cr_system, solution, strip=exc),
             )
-            return ImplicationResult(query, False, engine, countermodel)
 
     return run_governed(
         budget, compute, lambda error: _unknown_implication(query, engine, error)
@@ -383,8 +422,9 @@ def implies_disjointness(
             if not found:
                 return ImplicationResult(query, True, engine, None)
             assert solution is not None
-            countermodel = construct_model(cr_system, solution)
-            return ImplicationResult(query, False, engine, countermodel)
+            return ImplicationResult(
+                query, False, engine, _countermodel_builder(cr_system, solution)
+            )
 
     return run_governed(
         budget, compute, lambda error: _unknown_implication(query, engine, error)

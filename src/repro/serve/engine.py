@@ -29,6 +29,16 @@ sharing a constraint-graph island may race on that island's component
 entry; the race is benign — the staged builds are idempotent and each
 ``ensure_*`` stage publishes complete state or nothing.
 
+**Parsed-schema memo**: a bounded LRU keyed by the exact schema text
+holds each parsed schema with its fingerprint and component
+decomposition, so a repeated text is neither re-parsed, re-fingerprinted
+nor re-decomposed.  It holds at most ``memory_entries`` texts, is
+guarded by its own lock, and a decomposition enters it only with its
+whole fingerprint set; its lazily merged sub-schemas are then written
+only by requests holding that fingerprint's lock (``/diff`` reads the
+old side's decomposition and writes nothing to it).  A text that fails
+to parse is never memoized.
+
 **Fault degradation**: the staged cache publishes the in-memory entry
 *before* persisting it, so a store crash mid-write (a
 :class:`~repro.runtime.faults.SimulatedCrash`, or any unexpected
@@ -40,17 +50,18 @@ normally — rebuild-and-answer, never a 500 carrying bad bytes.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from collections.abc import Iterator
 from contextlib import ExitStack, contextmanager
 from typing import Any
 
 from repro.cli import parse_batch_query, parse_statement
 from repro.components import (
+    ComponentDecomposition,
     DecomposedSession,
     compute_delta,
     decompose_schema,
 )
-from repro.cr.schema import CRSchema
 from repro.dsl import parse_schema
 from repro.errors import LimitExceededError, ReproError
 from repro.parallel.worker import answer_query
@@ -157,19 +168,43 @@ class ServeEngine:
         self.metrics = metrics
         self._fingerprint_locks: dict[str, threading.Lock] = {}
         self._locks_guard = threading.Lock()
+        # Schema text -> its decomposition, which carries the parsed
+        # schema and (set before it is published) its fingerprint.
+        self._parsed: OrderedDict[str, ComponentDecomposition] = OrderedDict()
+        self._parsed_lock = threading.Lock()
 
     # -- request parsing -----------------------------------------------------
 
-    def _schema_from(
-        self, payload: dict[str, Any], field_name: str = "schema"
-    ) -> CRSchema:
+    def _parsed_from(
+        self, payload: dict[str, Any], run: PipelineRun, field_name: str = "schema"
+    ) -> ComponentDecomposition:
+        """The schema text in ``field_name``, parsed, fingerprinted and
+        decomposed, through the memo.  A miss records its ``decompose``
+        stage in ``run``; a parse error propagates before anything is
+        memoized."""
         text = payload.get(field_name)
         if not isinstance(text, str):
             raise ReproError(
                 f'request needs a "{field_name}" field holding the '
                 "schema DSL text"
             )
-        return parse_schema(text)
+        with self._parsed_lock:
+            decomposition = self._parsed.get(text)
+            if decomposition is not None:
+                self._parsed.move_to_end(text)
+                return decomposition
+        schema = parse_schema(text)
+        fingerprint = schema_fingerprint(schema)
+        with activate_run(run), stage(STAGE_DECOMPOSE):
+            decomposition = decompose_schema(schema, fingerprint)
+        with self._parsed_lock:
+            # A concurrent miss on the same text may have published
+            # first; every request then shares that one decomposition.
+            decomposition = self._parsed.setdefault(text, decomposition)
+            self._parsed.move_to_end(text)
+            while len(self._parsed) > self.cache.max_entries:
+                self._parsed.popitem(last=False)
+        return decomposition
 
     def _queries_from(
         self, endpoint: str, payload: dict[str, Any]
@@ -272,17 +307,17 @@ class ServeEngine:
         """
         if not isinstance(payload, dict):
             raise ReproError("request body must be a JSON object")
+        run = PipelineRun()
         if endpoint == "diff":
-            return self._handle_diff(payload)
-        schema = self._schema_from(payload)
+            return self._handle_diff(payload, run)
+        decomposition = self._parsed_from(payload, run)
         queries = self._queries_from(endpoint, payload)
         budget = self._budget_from(payload)
-        fingerprint = schema_fingerprint(schema)
-        run = PipelineRun()
+        fingerprint = decomposition.whole_fingerprint
         with self.hold_fingerprint_lock(fingerprint):
             try:
                 records, any_unknown, all_positive = self._answer(
-                    schema, queries, budget, run
+                    decomposition, queries, budget, run
                 )
             except ReproError:
                 raise
@@ -294,12 +329,12 @@ class ServeEngine:
                 if self.metrics is not None:
                     self.metrics.count_retry()
                 records, any_unknown, all_positive = self._answer(
-                    schema, queries, budget, run
+                    decomposition, queries, budget, run
                 )
         exit_code = 3 if any_unknown else (0 if all_positive else 1)
         return {
             "payload": {
-                "schema": schema.name,
+                "schema": decomposition.schema.name,
                 "fingerprint": fingerprint,
                 "results": records,
                 "exit_code": exit_code,
@@ -309,17 +344,14 @@ class ServeEngine:
 
     def _answer(
         self,
-        schema: CRSchema,
+        decomposition: ComponentDecomposition,
         queries: list[tuple[str, Any]],
         budget: Budget | None,
         run: PipelineRun,
     ) -> tuple[list[dict[str, Any]], bool, bool]:
-        """The CLI's serial batch loop, verbatim: one session, the shared
-        :func:`answer_query` formatter, the same exit-code folding.
-
-        The session is constructed *inside* the activated run so its
-        decompose stage lands in this request's stage timings.
-        """
+        """The CLI's serial batch loop, verbatim: one session over the
+        memoized decomposition, the shared :func:`answer_query`
+        formatter, the same exit-code folding."""
         records: list[dict[str, Any]] = []
         any_unknown = False
         all_positive = True
@@ -331,7 +363,10 @@ class ServeEngine:
                 # request rather than once at startup.
                 stack.enter_context(pin_backend(self.backend))
             session = DecomposedSession(
-                schema, cache=self.cache, budget=budget
+                decomposition.schema,
+                cache=self.cache,
+                budget=budget,
+                decomposition=decomposition,
             )
             for kind, query in queries:
                 record, _text, positive, unknown = answer_query(
@@ -342,7 +377,9 @@ class ServeEngine:
                 all_positive = all_positive and positive
         return records, any_unknown, all_positive
 
-    def _handle_diff(self, payload: dict[str, Any]) -> dict[str, Any]:
+    def _handle_diff(
+        self, payload: dict[str, Any], run: PipelineRun
+    ) -> dict[str, Any]:
         """``POST /diff``: component delta between two schemas, plus
         optional queries answered against the *new* one.
 
@@ -353,37 +390,32 @@ class ServeEngine:
         on the *new* schema's fingerprint, like any other request that
         builds its artifacts.
         """
-        old_schema = self._schema_from(payload, "old_schema")
-        new_schema = self._schema_from(payload, "new_schema")
+        old = self._parsed_from(payload, run, "old_schema")
+        new = self._parsed_from(payload, run, "new_schema")
         queries = self._diff_queries_from(payload)
         budget = self._budget_from(payload)
-        fingerprint = schema_fingerprint(new_schema)
-        run = PipelineRun()
-        with self.hold_fingerprint_lock(fingerprint):
+        with self.hold_fingerprint_lock(new.whole_fingerprint):
             try:
-                body = self._answer_diff(
-                    old_schema, new_schema, queries, budget, run
-                )
+                body = self._answer_diff(old, new, queries, budget, run)
             except ReproError:
                 raise
             except Exception:
                 if self.metrics is not None:
                     self.metrics.count_retry()
-                body = self._answer_diff(
-                    old_schema, new_schema, queries, budget, run
-                )
+                body = self._answer_diff(old, new, queries, budget, run)
         return {"payload": body, "stages": run.as_dict()}
 
     def _answer_diff(
         self,
-        old_schema: CRSchema,
-        new_schema: CRSchema,
+        old: ComponentDecomposition,
+        new: ComponentDecomposition,
         queries: list[tuple[str, Any]],
         budget: Budget | None,
         run: PipelineRun,
     ) -> dict[str, Any]:
-        """The CLI's diff loop: decompose both sides, pair components
-        by fingerprint, classify the new side, answer queries."""
+        """The CLI's diff loop over both memoized decompositions: pair
+        components by fingerprint, classify the new side, answer
+        queries."""
         records: list[dict[str, Any]] = []
         any_unknown = False
         all_positive = True
@@ -391,12 +423,10 @@ class ServeEngine:
             stack.enter_context(activate_run(run))
             if self.backend:
                 stack.enter_context(pin_backend(self.backend))
-            with stage(STAGE_DECOMPOSE):
-                old_decomposition = decompose_schema(old_schema)
             session = DecomposedSession(
-                new_schema, cache=self.cache, budget=budget
+                new.schema, cache=self.cache, budget=budget, decomposition=new
             )
-            delta = compute_delta(old_decomposition, session.decomposition)
+            delta = compute_delta(old, new)
             session.classify_all()
             for kind, query in queries:
                 record, _text, positive, unknown = answer_query(
@@ -410,9 +440,9 @@ class ServeEngine:
         else:
             exit_code = 0
         return {
-            "old_schema": old_schema.name,
-            "new_schema": new_schema.name,
-            "old_fingerprint": old_decomposition.whole_fingerprint,
+            "old_schema": old.schema.name,
+            "new_schema": new.schema.name,
+            "old_fingerprint": old.whole_fingerprint,
             "new_fingerprint": session.fingerprint,
             "components": delta.as_dict(),
             "results": records,

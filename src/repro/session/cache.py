@@ -46,11 +46,12 @@ from typing import Any
 
 from repro.analysis.analyzer import analyze
 from repro.analysis.diagnostics import AnalysisReport
+from repro.cr.construction import witness_violation
 from repro.cr.expansion import Expansion, ExpansionLimits
 from repro.cr.satisfiability import acceptable_support, support_verdicts
 from repro.cr.schema import CRSchema
 from repro.cr.system import CRSystem, build_system
-from repro.errors import ReproError
+from repro.errors import ReproError, SolverError
 from repro.pipeline import (
     STAGE_BUILD_SYSTEM,
     STAGE_EXPAND,
@@ -182,13 +183,25 @@ class SchemaArtifacts:
 
     def ensure_support(self) -> frozenset[str]:
         """Run (once) the acceptability fixpoint; derive the witness and
-        the per-class verdict table."""
+        the per-class verdict table.
+
+        The integer witness is checked against ``Ψ_S`` here, where it is
+        born, before any field is set or persisted: every witness the
+        cache publishes has passed :func:`witness_violation`, so warm
+        answers and lazily built countermodels can rely on it.  A
+        rejected witness raises :class:`SolverError` and leaves the entry
+        cold.
+        """
         if self.support is None:
             cr_system = self.ensure_system()
             with stage(STAGE_SOLVE, phase="session:fixpoint"):
                 support, solution = acceptable_support(cr_system)
             self.stats.bump("fixpoint_runs")
-            self.witness = integerize(solution)
+            witness = integerize(solution)
+            violation = witness_violation(cr_system, witness)
+            if violation is not None:
+                raise SolverError(f"fixpoint witness rejected: {violation}")
+            self.witness = witness
             self.class_verdicts = support_verdicts(cr_system, support)
             self.support = support
             self._persist()

@@ -52,6 +52,7 @@ from repro.cr.implication import (
     exceptional_schema,
     strip_class,
 )
+from repro.cr.interpretation import Interpretation
 from repro.cr.satisfiability import (
     SatisfiabilityResult,
     _unknown_result,
@@ -414,13 +415,18 @@ class ReasoningSession:
         artifacts: SchemaArtifacts,
         strip: str | None = None,
     ) -> ImplicationResult:
+        """A not-implied answer whose countermodel is built on first read
+        from the cached witness (checked when the fixpoint produced it),
+        with the Section-4 class ``strip`` dropped when given."""
         witness = artifacts.witness
         assert witness is not None  # callers run ensure_support() first
-        with stage(STAGE_VERDICT, phase="session:countermodel"):
-            model = construct_model(artifacts.ensure_system(), witness)
-            if strip is not None:
-                model = strip_class(model, strip)
-        return ImplicationResult(query, False, ENGINE, model)
+        cr_system = artifacts.ensure_system()
+
+        def build() -> Interpretation:
+            model = construct_model(cr_system, witness)
+            return model if strip is None else strip_class(model, strip)
+
+        return ImplicationResult(query, False, ENGINE, build)
 
     def _implies_isa(
         self, query: IsaStatement, budget: Budget | None

@@ -275,21 +275,20 @@ class InternedSystem:
         """Project back to the string-keyed form (render/explain only)."""
         system = LinearSystem(variables=self.table.names())
         for row in self.rows:
-            system.add(
-                Constraint(
-                    LinExpr(
-                        {
-                            self.table.name(col): Fraction(value)
-                            for col, value in row.items()
-                        },
-                        Fraction(row.const),
-                    ),
-                    row.relation,
-                    row.label,
-                    row.origin,
-                )
-            )
+            system.add(self.constraint(row))
         return system
+
+    def constraint(self, row: SparseRow) -> Constraint:
+        """One row in the string-keyed form, as :meth:`to_linear` has it."""
+        return Constraint(
+            LinExpr(
+                {self.table.name(col): Fraction(value) for col, value in row.items()},
+                Fraction(row.const),
+            ),
+            row.relation,
+            row.label,
+            row.origin,
+        )
 
     # -- inspection ----------------------------------------------------
 
@@ -575,8 +574,6 @@ class _SparseTableau:
         rhs = self.rhs
         basis = self.basis
         while True:
-            if budget is not None:
-                budget.charge_pivots()
             if floor is not None and (
                 -self.neg_obj * floor.denominator
                 <= floor.numerator * self.cost_denominator
@@ -613,6 +610,8 @@ class _SparseTableau:
                     use_bland = True
             else:
                 degenerate_run = 0
+            if budget is not None:
+                budget.charge_pivots()
             self.pivot(leaving, entering)
 
     def _entering_column(self, use_bland: bool) -> int | None:
@@ -1027,6 +1026,7 @@ def _evict_basic_artificials(
     the column is blocked from re-entering.
     """
     tableau.set_costs({})
+    budget = current_budget()
     for i in range(len(tableau.rows)):
         if tableau.basis[i] not in artificial_columns:
             continue
@@ -1035,6 +1035,8 @@ def _evict_basic_artificials(
             default=None,
         )
         if replacement is not None:
+            if budget is not None:
+                budget.charge_pivots()
             tableau.pivot(i, replacement)
 
 

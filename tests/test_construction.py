@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.cr.construction import (
     _distinct_balanced_tuples,
     construct_model,
     construct_model_for_result,
+    witness_violation,
 )
 from repro.cr.expansion import CompoundRelationship, Expansion
 from repro.cr.satisfiability import is_class_satisfiable
@@ -98,6 +100,28 @@ class TestSolutionValidation:
         solution["c3"] = -1
         with pytest.raises(ReproError, match="negative"):
             construct_model(meeting_system, solution)
+
+    def test_the_reported_row_matches_the_string_keyed_system(
+        self, meeting_system
+    ):
+        # witness_violation checks the interned rows; the string-keyed
+        # Psi_S is the reference for which row is violated first and
+        # how it renders.
+        rng = random.Random(0)
+        names = meeting_system.system.variables
+        for _ in range(300):
+            witness = {name: rng.randint(0, 2) for name in names}
+            blocking = [
+                c
+                for c in meeting_system.system.violated_constraints(witness)
+                if not c.relation.is_strict
+            ]
+            message = witness_violation(meeting_system, witness)
+            if blocking:
+                assert message is not None
+                assert message.endswith(f"disequation: {blocking[0].pretty()}")
+            else:
+                assert message is None or "not acceptable" in message
 
 
 class TestTupleDistribution:

@@ -133,7 +133,7 @@ class TestParity:
         )
 
     @pytest.mark.parametrize(
-        ("siblings", "lps", "pivots"), [(2, 11, 218), (3, 63, 3370)]
+        ("siblings", "lps", "pivots"), [(2, 11, 207), (3, 63, 3307)]
     )
     def test_one_lp_per_tested_candidate(self, siblings, lps, pivots):
         # A refuted candidate's nogood comes from the certificate of the

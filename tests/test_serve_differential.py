@@ -17,7 +17,12 @@ pin that sharing down from the outside:
   against cold, because exhaustion is a property of cold builds (a
   warm entry answers without spending budget, on either path);
 * a warm second daemon adopting the first daemon's persisted store
-  entries, still answering byte-for-byte what a cold CLI run answers.
+  entries, still answering byte-for-byte what a cold CLI run answers;
+* capped NOT_IMPLIED answers, served and from the CLI, which never
+  build a countermodel (no record carries one);
+* the engine's parsed-schema memo: one parse per text, per-text schema
+  names, no memoized parse errors, its bound, and ``/diff`` bodies
+  equal to a cold engine's.
 
 The only tolerated difference is the wall-clock figure embedded in
 exhaustion reasons (``after 0.004s``) — physical time, not reasoning
@@ -37,9 +42,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.cr.implication
+import repro.serve.engine
+import repro.session.session
 from repro.cli import main as cli_main
 from repro.dsl import serialize_schema
+from repro.errors import ReproError
+from repro.paper import meeting_schema
 from repro.serve import ServeClient, ServeConfig, running_server
+from repro.serve.engine import ServeEngine
 
 from tests.strategies import query_lines, query_mixes, schemas
 
@@ -217,8 +228,6 @@ def test_bad_schema_is_http_400_and_cli_exit_2(server):
 
 
 def test_bad_query_and_bad_budget_are_http_400(server):
-    from repro.paper import meeting_schema
-
     text = serialize_schema(meeting_schema())
     client = ServeClient(server.base_url)
     status, payload = client.batch(text, ["frobnicate Speaker"])
@@ -227,3 +236,141 @@ def test_bad_query_and_bad_budget_are_http_400(server):
     assert status == 400 and "error" in payload
     status, payload = client.batch(text, ["sat Speaker"], budget={"max_lp": "many"})
     assert status == 400 and "error" in payload
+
+
+# ---------------------------------------------------------------------------
+# capped NOT_IMPLIED answers never build a countermodel
+# ---------------------------------------------------------------------------
+
+
+def _refuse_countermodels(monkeypatch) -> None:
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a countermodel was built")
+
+    monkeypatch.setattr(repro.session.session, "construct_model", refuse)
+    monkeypatch.setattr(repro.cr.implication, "construct_model", refuse)
+
+
+CAPS = {"timeout": 60, "max_lp": 1000, "max_expansion": 100000}
+NOT_IMPLIED_LINES = ["Talk isa Speaker", "minc(Speaker, Holds, U1) = 2"]
+
+
+def test_capped_served_implies_answers_without_a_countermodel(monkeypatch):
+    _refuse_countermodels(monkeypatch)
+    text = serialize_schema(meeting_schema())
+    engine = ServeEngine()
+    for line in NOT_IMPLIED_LINES:
+        response = engine.handle(
+            "implies", {"schema": text, "statement": line, "budget": CAPS}
+        )
+        payload = response["payload"]
+        assert [r["verdict"] for r in payload["results"]] == ["not-implied"]
+        assert payload["exit_code"] == 1
+
+
+def test_capped_cli_answers_without_a_countermodel(monkeypatch):
+    _refuse_countermodels(monkeypatch)
+    text = serialize_schema(meeting_schema())
+    flags = ("--timeout", "60", "--max-lp", "1000", "--max-expansion", "100000")
+    report, code = run_cli_batch(text, NOT_IMPLIED_LINES, flags)
+    assert [r["verdict"] for r in report["results"]] == ["not-implied"] * 2
+    assert code == 1
+    with tempfile.TemporaryDirectory() as tmp:
+        schema_path = Path(tmp) / "meeting.cr"
+        schema_path.write_text(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli_main(
+                ["implies", str(schema_path), NOT_IMPLIED_LINES[0], *flags]
+            )
+    assert code == 1
+    assert out.getvalue() == "S |/= Talk isa Speaker\n"
+
+
+# ---------------------------------------------------------------------------
+# the engine's parsed-schema memo
+# ---------------------------------------------------------------------------
+
+ISLANDS = """schema Islands {{
+  class A;
+  class B;
+  class C;
+  class D;
+  relationship R(x: A, y: B);
+  relationship S(w: C, z: D);
+  cardinality A in R.x: (1, 2);
+  cardinality C in S.w: (1, {max_card});
+}}"""
+
+
+class TestParsedSchemaMemo:
+    @staticmethod
+    def _count_parses(monkeypatch) -> list[str]:
+        parsed: list[str] = []
+        parse = repro.serve.engine.parse_schema
+
+        def spy(text):
+            parsed.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(repro.serve.engine, "parse_schema", spy)
+        return parsed
+
+    def test_one_text_is_parsed_once(self, monkeypatch):
+        parsed = self._count_parses(monkeypatch)
+        engine = ServeEngine()
+        text = serialize_schema(meeting_schema())
+        bodies = [
+            engine.handle("check", {"schema": text, "class": "Speaker"})["payload"]
+            for _ in range(10)
+        ]
+        assert parsed == [text]
+        assert all(body == bodies[0] for body in bodies)
+
+    def test_texts_sharing_a_fingerprint_keep_their_own_names(self):
+        engine = ServeEngine()
+        first = ISLANDS.format(max_card=3)
+        second = first.replace("schema Islands", "schema Renamed")
+        one = engine.handle("check", {"schema": first, "class": "A"})["payload"]
+        two = engine.handle("check", {"schema": second, "class": "A"})["payload"]
+        assert one["fingerprint"] == two["fingerprint"]
+        assert (one["schema"], two["schema"]) == ("Islands", "Renamed")
+        assert one["results"] == two["results"]
+
+    def test_an_unparsable_text_is_a_400_every_time_and_never_memoized(self):
+        text = "this is not a schema"
+        with running_server(ServeConfig()) as srv:
+            client = ServeClient(srv.base_url)
+            answers = [client.check(text, "A") for _ in range(3)]
+            assert all(status == 400 for status, _payload in answers)
+            assert all(payload == answers[0][1] for _status, payload in answers)
+            assert text not in srv.engine._parsed
+
+    def test_the_memo_holds_at_most_memory_entries_texts(self, monkeypatch):
+        parsed = self._count_parses(monkeypatch)
+        engine = ServeEngine(memory_entries=2)
+        texts = [ISLANDS.format(max_card=card) for card in range(2, 7)]
+        for text in texts:
+            engine.handle("check", {"schema": text, "class": "C"})
+            assert len(engine._parsed) <= 2
+        assert list(engine._parsed) == texts[-2:]
+        engine.handle("check", {"schema": texts[-1], "class": "C"})
+        assert len(parsed) == len(texts)  # the newest text stayed memoized
+
+    def test_a_diff_over_memoized_texts_equals_a_cold_diff(self, monkeypatch):
+        old = ISLANDS.format(max_card=3)
+        new = ISLANDS.format(max_card=4)
+        payload = {"old_schema": old, "new_schema": new, "queries": ["sat C"]}
+        cold = ServeEngine().handle("diff", payload)["payload"]
+
+        memoized = ServeEngine()
+        for text in (old, new):
+            # A request that fails on its query memoizes its schema
+            # text without touching the reasoning cache.
+            with pytest.raises(ReproError):
+                memoized.handle("batch", {"schema": text, "queries": ["bogus"]})
+        assert list(memoized._parsed) == [old, new]
+        parsed = self._count_parses(monkeypatch)
+        warm = memoized.handle("diff", payload)["payload"]
+        assert parsed == []
+        assert json.dumps(warm, sort_keys=True) == json.dumps(cold, sort_keys=True)

@@ -1,27 +1,41 @@
 """The session layer: cache reuse, pruned enumeration, fingerprints,
-budget degradation, and the ISSUE-2 acceptance scenario (a 50-query
-batch on a Figure-5-sized schema must build the expansion zero times
-once warm)."""
+budget degradation, countermodels built on first read, and the
+acceptance scenario of a 50-query batch on a Figure-5-sized schema that
+must build the expansion zero times once warm."""
 
 from __future__ import annotations
 
 import itertools
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.session.cache as cache_module
+import repro.session.session as session_module
+from repro.components import DecomposedSession
 from repro.cr.builder import SchemaBuilder
+from repro.cr.checker import check_model
 from repro.cr.constraints import (
     DisjointnessStatement,
     IsaStatement,
+    MaxCardinalityStatement,
     MinCardinalityStatement,
 )
 from repro.cr.expansion import Expansion
+from repro.cr.implication import statement_holds
 from repro.cr.schema import CRSchema
+from repro.errors import SolverError
 from repro.runtime.budget import Budget
-from repro.runtime.outcome import Verdict
+from repro.runtime.outcome import ImplicationVerdict, Verdict
 from repro.session import ReasoningSession, SessionCache, schema_fingerprint
-from tests.strategies import property_max_examples, schemas
+from repro.store import ArtifactStore
+from tests.strategies import (
+    implication_queries_for,
+    multi_component_schemas,
+    property_max_examples,
+    schemas,
+)
 
 
 def _chain(k: int) -> CRSchema:
@@ -221,3 +235,135 @@ def test_lru_eviction_and_invalidation(meeting, figure1):
     assert cache.invalidate(figure1_session.fingerprint)
     assert not cache.invalidate(figure1_session.fingerprint)
     assert len(cache) == 0
+
+
+# ---------------------------------------------------------------------------
+# countermodels: built on first read, from a witness checked at birth
+# ---------------------------------------------------------------------------
+
+SESSION_KINDS = (ReasoningSession, DecomposedSession)
+
+
+def _loose_schema() -> CRSchema:
+    """A schema with room above its upper bound: on the Figure-3 schema
+    every ``maxc`` statement with a positive value is implied."""
+    return (
+        SchemaBuilder("Loose")
+        .classes("A", "B", "C")
+        .isa("C", "A")
+        .relationship("R", u="A", v="B")
+        .card("A", "R", "u", 0, 3)
+        .build()
+    )
+
+
+NOT_IMPLIED = [
+    ("meeting", IsaStatement("Talk", "Speaker")),
+    ("meeting", IsaStatement("Speaker", "Talk")),
+    ("meeting", DisjointnessStatement(frozenset({"Speaker", "Discussant"}))),
+    ("meeting", DisjointnessStatement(frozenset({"Speaker", "Talk"}))),
+    ("meeting", MinCardinalityStatement("Speaker", "Holds", "U1", 2)),
+    ("meeting", MinCardinalityStatement("Talk", "Participates", "U4", 2)),
+    ("loose", MaxCardinalityStatement("A", "R", "u", 1)),
+    ("loose", MaxCardinalityStatement("C", "R", "u", 2)),
+    ("loose", MinCardinalityStatement("C", "R", "u", 1)),
+]
+
+
+def _assert_refuting_model(schema: CRSchema, result) -> None:
+    """``result`` is NOT_IMPLIED and its countermodel is a model of
+    ``schema`` (``C_exc`` stripped) in which the query fails."""
+    assert result.verdict is ImplicationVerdict.NOT_IMPLIED
+    model = result.countermodel
+    assert model is not None
+    assert set(model.class_extensions) <= set(schema.classes)
+    assert check_model(schema, model) == []
+    assert not statement_holds(model, result.query)
+
+
+@pytest.mark.parametrize("session_kind", SESSION_KINDS)
+@pytest.mark.parametrize(("which", "query"), NOT_IMPLIED)
+def test_session_countermodels_refute_the_query(
+    meeting, session_kind, which, query
+):
+    schema = meeting if which == "meeting" else _loose_schema()
+    session = session_kind(schema)
+    _assert_refuting_model(schema, session.implies(query))
+    # The warm answer builds its model from the same cached witness.
+    _assert_refuting_model(schema, session.implies(query))
+
+
+@pytest.mark.parametrize("session_kind", SESSION_KINDS)
+def test_implied_answers_carry_no_countermodel(meeting, session_kind):
+    session = session_kind(meeting)
+    for query in (
+        IsaStatement("Discussant", "Speaker"),
+        MaxCardinalityStatement("Speaker", "Holds", "U1", 2),
+    ):
+        result = session.implies(query)
+        assert result.verdict is ImplicationVerdict.IMPLIED
+        assert result.countermodel is None
+
+
+@settings(
+    max_examples=max(5, property_max_examples() // 10),
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(data=st.data())
+def test_session_countermodels_on_multi_component_schemas(data):
+    schema, _count = data.draw(multi_component_schemas())
+    query = data.draw(implication_queries_for(schema))
+    for session_kind in SESSION_KINDS:
+        result = session_kind(schema).implies(query)
+        if result.verdict is ImplicationVerdict.NOT_IMPLIED:
+            _assert_refuting_model(schema, result)
+        else:
+            assert result.countermodel is None
+
+
+@pytest.mark.parametrize("session_kind", SESSION_KINDS)
+def test_no_model_is_built_until_the_countermodel_is_read(
+    meeting, session_kind, monkeypatch
+):
+    built = []
+    construct = session_module.construct_model
+
+    def spy(cr_system, witness):
+        built.append(cr_system)
+        return construct(cr_system, witness)
+
+    monkeypatch.setattr(session_module, "construct_model", spy)
+    session = session_kind(meeting)
+    results = [
+        session.implies(IsaStatement("Talk", "Speaker")),
+        session.implies(DisjointnessStatement(frozenset({"Speaker", "Talk"}))),
+        session.implies(MinCardinalityStatement("Speaker", "Holds", "U1", 2)),
+    ]
+    assert [result.implied for result in results] == [False, False, False]
+    assert built == []
+    model = results[0].countermodel
+    assert len(built) == 1
+    assert results[0].countermodel is model  # built once, then cached
+    assert len(built) == 1
+
+
+def test_a_witness_violating_psi_s_is_never_published(meeting, tmp_path, monkeypatch):
+    def violating(solution):
+        # One discussant and nothing else: Discussant's minc on
+        # Participates.U3 is (1, 1), so no Psi_S row can hold.
+        witness = {name: 0 for name in solution}
+        witness["c4"] = 1
+        return witness
+
+    monkeypatch.setattr(cache_module, "integerize", violating)
+    store = ArtifactStore(str(tmp_path / "store"))
+    cache = SessionCache(store=store)
+    entry = cache.artifacts(meeting)
+    with pytest.raises(SolverError, match="does not solve Psi_S"):
+        entry.ensure_support()
+    assert not entry.warm
+    assert entry.witness is None and entry.class_verdicts is None
+    assert cache.stats.store_writes == 0
+    assert store.stats.writes == 0
+    assert ArtifactStore(str(tmp_path / "store")).get(entry.fingerprint) is None
