@@ -4,7 +4,7 @@ Paper context: Theorem 3.3 decides satisfiability through the
 Section-3.1 expansion, which is exponential in the class set.  The
 constraint graph of a schema assembled from independent islands is
 disconnected, and models compose across islands — so
-:class:`~repro.components.DecomposedSession` may expand each island
+:class:`~repro.session.ReasoningSession` may expand each island
 separately (``k * 2^m`` instead of ``2^(k*m)``), and an edit that
 touches one island can reuse every other island's persisted artifacts
 (the ``repro diff`` contract).
@@ -17,9 +17,10 @@ over them — the count grows like ``4^k`` per relationship — while each
 island's own expansion is constant-size):
 
 * ``monolithic-vs-decomposed`` — cold ``satisfiable_classes`` through
-  :class:`~repro.session.ReasoningSession` versus
-  :class:`DecomposedSession`; verdict agreement is a hard check, the
-  speedup is reported but not gated;
+  a session over :func:`~repro.components.monolithic_decomposition`
+  (the whole schema as one island) versus a per-island session;
+  verdict agreement is a hard check, the speedup is reported but not
+  gated;
 * ``warm-delta-vs-cold-full`` — after a one-statement cardinality edit
   in a single island, a store-warm delta run (only the touched island
   rebuilds; ``components_reused == k-1`` is a hard check) versus a
@@ -44,7 +45,7 @@ from benchmarks._emit import (
     check_summary,
     run_emit_main,
 )
-from repro.components import DecomposedSession
+from repro.components import monolithic_decomposition
 from repro.cr.schema import Card, CRSchema, Relationship
 from repro.session import ReasoningSession, SessionCache
 from repro.store import ArtifactStore
@@ -99,18 +100,23 @@ def _timed(fn, repeats: int = REPEATS) -> float:
     return best
 
 
+def _monolithic(schema: CRSchema) -> ReasoningSession:
+    """A session reasoning over the whole schema as one island."""
+    return ReasoningSession(
+        schema, decomposition=monolithic_decomposition(schema)
+    )
+
+
 def run_split_workload(islands: int) -> dict:
     """Cold whole-schema reasoning vs cold per-island reasoning."""
     schema = archipelago(islands)
-    monolithic_verdicts = ReasoningSession(schema).satisfiable_classes()
-    probe = DecomposedSession(schema)
+    monolithic_verdicts = _monolithic(schema).satisfiable_classes()
+    probe = ReasoningSession(schema)
     decomposed_verdicts = probe.satisfiable_classes()
 
-    monolithic_s = _timed(
-        lambda: ReasoningSession(schema).satisfiable_classes()
-    )
+    monolithic_s = _timed(lambda: _monolithic(schema).satisfiable_classes())
     decomposed_s = _timed(
-        lambda: DecomposedSession(schema).satisfiable_classes()
+        lambda: ReasoningSession(schema).satisfiable_classes()
     )
     return {
         "workload": f"split-{islands}",
@@ -136,19 +142,19 @@ def run_delta_workload(islands: int) -> dict:
     """
     old = archipelago(islands, card=2)
     new = archipelago(islands, card=3)
-    cold_verdicts = ReasoningSession(new).satisfiable_classes()
+    cold_verdicts = _monolithic(new).satisfiable_classes()
 
     reused = rebuilt = 0
     delta_verdicts: dict = {}
     best_delta = float("inf")
     for _ in range(REPEATS):
         with tempfile.TemporaryDirectory() as store_dir:
-            warmer = DecomposedSession(
+            warmer = ReasoningSession(
                 old, cache=SessionCache(store=ArtifactStore(store_dir))
             )
             warmer.satisfiable_classes()
             start = time.perf_counter()
-            session = DecomposedSession(
+            session = ReasoningSession(
                 new, cache=SessionCache(store=ArtifactStore(store_dir))
             )
             delta_verdicts = session.satisfiable_classes()
@@ -156,7 +162,7 @@ def run_delta_workload(islands: int) -> dict:
             reused = session.components_reused
             rebuilt = session.components_rebuilt
 
-    cold_full_s = _timed(lambda: ReasoningSession(new).satisfiable_classes())
+    cold_full_s = _timed(lambda: _monolithic(new).satisfiable_classes())
     return {
         "workload": f"delta-{islands}",
         "kind": "warm-delta-vs-cold-full",

@@ -162,12 +162,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     jobs = resolve_jobs(getattr(args, "jobs", None))
     if args.cls:
         result = is_class_satisfiable(
-            schema,
-            args.cls,
-            engine=args.engine,
-            budget=budget,
-            precheck=True,
-            jobs=jobs,
+            schema, args.cls, budget=budget, precheck=True, jobs=jobs
         )
         if result.verdict is Verdict.UNKNOWN:
             print(f"{args.cls}: UNKNOWN ({result.unknown_reason})")
@@ -354,15 +349,14 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 for text in outcome.texts:
                     print(text)
         else:
-            from repro.components import DecomposedSession
-            from repro.session import SessionCache
+            from repro.session import ReasoningSession, SessionCache
 
             cache = None
             if cache_dir is not None:
                 from repro.store import ArtifactStore
 
                 cache = SessionCache(store=ArtifactStore(cache_dir))
-            session = DecomposedSession(schema, cache=cache, budget=budget)
+            session = ReasoningSession(schema, cache=cache, budget=budget)
             records = []
             any_unknown = False
             all_positive = True
@@ -461,11 +455,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     artifacts are recomputed.  Without queries the run is report-only
     and exits 0; with queries the exit semantics match ``batch``.
     """
-    from repro.components import (
-        DecomposedSession,
-        compute_delta,
-        decompose_schema,
-    )
+    from repro.components import compute_delta, decompose_schema
     from repro.parallel.worker import answer_query
     from repro.pipeline import STAGE_DECOMPOSE
     from repro.store import resolve_cache_dir
@@ -480,7 +470,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         new_schema = _load_schema(args.new_schema)
         queries = _collect_queries(args)
         budget = _budget_from(args)
-        from repro.session import SessionCache
+        from repro.session import ReasoningSession, SessionCache
 
         cache = None
         if cache_dir is not None:
@@ -489,7 +479,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
             cache = SessionCache(store=ArtifactStore(cache_dir))
         with stage(STAGE_DECOMPOSE):
             old_decomposition = decompose_schema(old_schema)
-        session = DecomposedSession(new_schema, cache=cache, budget=budget)
+        session = ReasoningSession(new_schema, cache=cache, budget=budget)
         delta = compute_delta(old_decomposition, session.decomposition)
         session.classify_all()
         delta_dict = delta.as_dict()
@@ -683,7 +673,6 @@ def _cmd_implies(args: argparse.Namespace) -> int:
     result = implies(
         schema,
         statement,
-        engine=args.engine,
         budget=_budget_from(args),
         jobs=resolve_jobs(getattr(args, "jobs", None)),
     )
@@ -697,7 +686,7 @@ def _cmd_implies(args: argparse.Namespace) -> int:
 
 def _cmd_model(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
-    result = is_class_satisfiable(schema, args.cls, engine=args.engine)
+    result = is_class_satisfiable(schema, args.cls)
     if not result.satisfiable:
         print(f"{args.cls} is unsatisfiable; no model exists")
         return 1
@@ -784,14 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def add_engine(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--engine",
-            choices=["fixpoint", "naive", "pruned"],
-            default="fixpoint",
-            help="satisfiability engine (default: fixpoint)",
-        )
-
     def add_backend(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
             "--backend",
@@ -843,7 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also report satisfiability over possibly-infinite models",
     )
-    add_engine(check)
     add_backend(check)
     add_budget(check)
     add_jobs(check)
@@ -1112,7 +1092,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the counter-model when not implied",
     )
-    add_engine(imp)
     add_backend(imp)
     add_budget(imp)
     add_jobs(imp)
@@ -1121,7 +1100,6 @@ def build_parser() -> argparse.ArgumentParser:
     model = subparsers.add_parser("model", help="construct a witness state")
     model.add_argument("schema")
     model.add_argument("--class", dest="cls", required=True)
-    add_engine(model)
     add_backend(model)
     add_budget(model)
     model.set_defaults(run=_cmd_model)

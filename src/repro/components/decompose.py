@@ -5,8 +5,9 @@ islands of :mod:`repro.components.graph`.  Each island becomes a
 :class:`SchemaComponent`: a canonical sub-schema (statements filtered in
 declaration order, so a component is itself a well-formed ``CRSchema``)
 plus its content-addressed fingerprint.  A single-island schema keeps
-the *original* schema object as its component schema, so fingerprints,
-cache keys, and artifacts are bit-identical to the monolithic path.
+the *original* schema object as its component schema
+(:func:`monolithic_decomposition`), so fingerprints, cache keys, and
+artifacts are bit-identical to the monolithic path.
 
 :class:`ComponentDecomposition` also owns the *merged* sub-schemas used
 for cross-component queries (an ISA or disjointness question whose
@@ -180,25 +181,40 @@ class ComponentDecomposition:
         )
 
 
+def monolithic_decomposition(
+    schema: CRSchema, fingerprint: str | None = None
+) -> ComponentDecomposition:
+    """``schema`` as its own only component, whatever its islands.
+
+    The component is the original schema object under the whole
+    schema's fingerprint, so a :class:`~repro.session.ReasoningSession`
+    given this decomposition keys, builds and answers exactly as over
+    the undecomposed schema — the reference that per-island answers are
+    compared against.  ``fingerprint``, when the caller holds it, is
+    used instead of computing it again.
+    """
+    if fingerprint is None:
+        fingerprint = schema_fingerprint(schema)
+    component = SchemaComponent(
+        0, frozenset(schema.classes), schema, fingerprint
+    )
+    return ComponentDecomposition(schema, (component,))
+
+
 def decompose_schema(
     schema: CRSchema, fingerprint: str | None = None
 ) -> ComponentDecomposition:
     """Split ``schema`` into its constraint-graph components.
 
-    The single-island case (including the empty schema) keeps the
-    original schema object, so downstream fingerprints and cache keys
-    match the monolithic path exactly.  A caller that already holds the
-    whole schema's ``fingerprint`` passes it, and the decomposition
-    starts with it set instead of computing it again.
+    The single-island case (including the empty schema) is
+    :func:`monolithic_decomposition`, so downstream fingerprints and
+    cache keys match the monolithic path exactly.  A caller that already
+    holds the whole schema's ``fingerprint`` passes it, and the
+    decomposition starts with it set instead of computing it again.
     """
     groups = connected_class_sets(schema)
     if len(groups) <= 1:
-        if fingerprint is None:
-            fingerprint = schema_fingerprint(schema)
-        component = SchemaComponent(
-            0, frozenset(schema.classes), schema, fingerprint
-        )
-        return ComponentDecomposition(schema, (component,))
+        return monolithic_decomposition(schema, fingerprint)
     components = []
     for index, members in enumerate(groups):
         island = frozenset(members)
@@ -270,6 +286,7 @@ __all__ = [
     "ComponentDecomposition",
     "SchemaComponent",
     "decompose_schema",
+    "monolithic_decomposition",
     "query_partition_key",
     "sub_schema",
 ]

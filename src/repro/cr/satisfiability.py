@@ -498,7 +498,10 @@ def satisfiable_classes(
 
     The final acceptable support settles all classes at once: a class is
     satisfiable exactly when some consistent compound class containing
-    it has a positive unknown in the support.
+    it has a positive unknown in the support.  So the sweep runs the
+    fixpoint even when a zero-set walk is pinned (``--backend``,
+    ``REPRO_BACKEND``): a walk would cost one exponential search per
+    class.
 
     Decided classes map to plain booleans.  When a caller-supplied
     ``budget`` runs out, every class maps to

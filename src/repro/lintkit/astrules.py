@@ -39,8 +39,9 @@ PARALLEL_MODULES = ("repro/parallel/",)
 STORE_MODULES = ("repro/store/",)
 """Scope of R6 (atomic writes only)."""
 
-COMPONENT_MODULES = ("repro/components/",)
-"""Scope of R7 (no whole-schema expansion)."""
+COMPONENT_MODULES = ("repro/components/", "repro/session/session.py")
+"""Scope of R7 (no whole-schema expansion): the component layer and the
+session that routes queries to its islands."""
 
 STORE_WRITE_HELPER = "repro/store/atomic.py"
 """The one module allowed to open files for writing inside the store."""
@@ -349,7 +350,8 @@ register(
         rule_id="R7",
         title="no whole-schema expansion",
         contract=(
-            "the component layer never calls Expansion()/build_system()"
+            "the component layer and the session's routing never call "
+            "Expansion()/build_system()"
         ),
         scope=COMPONENT_MODULES,
         check_module=check_whole_schema_expansion,

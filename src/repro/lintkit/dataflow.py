@@ -28,8 +28,9 @@ R10  event-loop hygiene: blocking calls (file I/O, ``subprocess``,
 R11  determinism taint: iteration over a ``set``/``frozenset`` must
      not flow into ordered output (list/tuple/join accumulation)
      without an intervening ``sorted()`` in the solver, parallel, and
-     component layers.  (``dict`` iteration is insertion-ordered in
-     the kernels and therefore deterministic by construction.)
+     component layers and the session's query routing.  (``dict``
+     iteration is insertion-ordered in the kernels and therefore
+     deterministic by construction.)
 R12  spawn-payload pickle-safety: values flowing into the worker
      payload must be module-level picklable — no lambdas, no nested
      functions, no locks.
@@ -58,6 +59,7 @@ DETERMINISM_MODULES = (
     "repro/solver/",
     "repro/parallel/",
     "repro/components/",
+    "repro/session/session.py",
 )
 PARALLEL_MODULES = ("repro/parallel/",)
 

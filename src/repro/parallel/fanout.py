@@ -120,7 +120,7 @@ def partition_queries(
     The key comes from :func:`repro.components.query_partition_key`:
     queries route to the constraint-graph component (or merged /
     Section-4 extended sub-schema) whose artifacts answer them
-    (mirroring :class:`~repro.components.DecomposedSession`), so a
+    (mirroring :class:`~repro.session.ReasoningSession`), so a
     component's base artifacts are acquired — and classified as
     reused/rebuilt — by exactly one worker, keeping the aggregated
     stats equal to a serial run's.  A query that cannot be routed

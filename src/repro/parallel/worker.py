@@ -343,7 +343,7 @@ def run_batch_chunk(args: tuple[Any, ...]) -> dict[str, Any]:
     Payload: ``{"schema": CRSchema, "backend": str | None, "cache_dir":
     str | None}``.  Args: ``(caps, items)`` with ``items`` a tuple of
     ``(index, kind, query)``.  The chunk shares one
-    :class:`~repro.components.DecomposedSession` — the parent partitions
+    :class:`~repro.session.ReasoningSession` — the parent partitions
     queries by the fingerprint of the component (or merged / extended
     sub-schema) that answers them, so queries sharing artifacts land on
     the same worker and hit them warm, and each component is classified
@@ -355,8 +355,7 @@ def run_batch_chunk(args: tuple[Any, ...]) -> dict[str, Any]:
 
     def body(budget: Budget) -> dict[str, Any]:
         del budget  # the ambient budget governs the session's queries
-        from repro.components import DecomposedSession
-        from repro.session import SessionCache
+        from repro.session import ReasoningSession, SessionCache
 
         payload = _payload()
         session = _STATE.get("session")
@@ -368,7 +367,7 @@ def run_batch_chunk(args: tuple[Any, ...]) -> dict[str, Any]:
                 cache = SessionCache(
                     store=ArtifactStore(payload["cache_dir"])
                 )
-            session = _STATE["session"] = DecomposedSession(
+            session = _STATE["session"] = ReasoningSession(
                 payload["schema"], cache=cache
             )
         # The session outlives the chunk (a worker may take several), so

@@ -5,7 +5,7 @@ thread-safe :class:`~repro.session.SessionCache` front (memory LRU)
 over an optional :class:`~repro.store.ArtifactStore` (the crash-safe
 persistent tier) — and answers ``check`` / ``implies`` / ``batch`` /
 ``diff`` requests on executor threads, off the event loop.  Requests
-reason through :class:`~repro.components.DecomposedSession`, so cache
+reason through :class:`~repro.session.ReasoningSession`, so cache
 entries are keyed per constraint-graph component and two schemas
 sharing an unchanged island share its artifacts.
 
@@ -58,7 +58,6 @@ from typing import Any
 from repro.cli import parse_batch_query, parse_statement
 from repro.components import (
     ComponentDecomposition,
-    DecomposedSession,
     compute_delta,
     decompose_schema,
 )
@@ -68,7 +67,7 @@ from repro.parallel.worker import answer_query
 from repro.pipeline import STAGE_DECOMPOSE, PipelineRun, activate_run, stage
 from repro.runtime.budget import Budget, budget_from_caps
 from repro.serve.metrics import ServeMetrics
-from repro.session import SessionCache
+from repro.session import ReasoningSession, SessionCache
 from repro.session.cache import CacheStats
 from repro.session.fingerprint import schema_fingerprint
 from repro.solver.registry import pin_backend
@@ -362,7 +361,7 @@ class ServeEngine:
                 # contextvars, so the server-wide pin is re-applied per
                 # request rather than once at startup.
                 stack.enter_context(pin_backend(self.backend))
-            session = DecomposedSession(
+            session = ReasoningSession(
                 decomposition.schema,
                 cache=self.cache,
                 budget=budget,
@@ -423,7 +422,7 @@ class ServeEngine:
             stack.enter_context(activate_run(run))
             if self.backend:
                 stack.enter_context(pin_backend(self.backend))
-            session = DecomposedSession(
+            session = ReasoningSession(
                 new.schema, cache=self.cache, budget=budget, decomposition=new
             )
             delta = compute_delta(old, new)

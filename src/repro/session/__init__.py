@@ -6,7 +6,8 @@
                                        systems and acceptable supports
 :mod:`repro.session.session`           :class:`ReasoningSession` — batch
                                        and repeated queries from one
-                                       expansion build
+                                       expansion build per
+                                       constraint-graph island
 =====================================  ==================================
 
 Quickstart::
@@ -14,10 +15,10 @@ Quickstart::
     from repro.session import ReasoningSession
 
     session = ReasoningSession(schema)
-    session.satisfiable_classes()          # cold: builds once
+    session.satisfiable_classes()          # cold: builds each island once
     session.is_class_satisfiable("A")      # warm: support lookup
     session.implies_all(queries)           # warm: batch of lookups
-    session.stats.expansion_builds         # -> 1
+    session.stats.expansion_builds         # -> number of islands built
 """
 
 from repro.session.cache import CacheStats, SchemaArtifacts, SessionCache

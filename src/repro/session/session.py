@@ -1,16 +1,36 @@
-"""Cached reasoning sessions: amortise one expansion over many queries.
+"""Cached reasoning sessions: amortise one expansion per island over many
+queries.
 
 The Section-3.1 expansion is exponential in the class set, and the
 stateless entry points (:func:`repro.cr.satisfiability.is_class_satisfiable`,
 :func:`repro.cr.implication.implies`) rebuild it — and re-run the
 acceptability fixpoint — on every call.  A :class:`ReasoningSession`
 front-ends the same decision procedures with a content-addressed cache
-(:mod:`repro.session.fingerprint`, :mod:`repro.session.cache`): the
-first query against a schema builds the expansion, the pruned system
-``Ψ_S``, and the maximal acceptable support once; every further
-satisfiability or implication query against that schema — in any order,
-batched or not — is answered from the cached support without touching
-the solver.
+(:mod:`repro.session.fingerprint`, :mod:`repro.session.cache`), and it
+pays the expansion per constraint-graph island
+(:mod:`repro.components.decompose`, DESIGN §13) rather than for the whole
+schema:
+
+* the ``decompose`` pipeline stage splits the schema into islands, each
+  cached (memory LRU *and* persistent store) under its own fingerprint,
+  so a one-island edit invalidates one entry, not the bundle;
+* satisfiability is decided on the owning island's entry, and
+  ``satisfiable_classes`` folds the per-island verdict maps under the
+  ``combine`` stage;
+* ISA and disjointness questions whose classes span islands are decided
+  on the merged sub-schema of just the touched islands (equivalent to
+  the whole schema), and Section-4 cardinality questions on the owning
+  island's extended schema, cached under its own fingerprint;
+* every first touch of an island's base entry *classifies* it — warm
+  entries count as ``components_reused``, cold ones as
+  ``components_rebuilt`` — through the shared
+  :meth:`~repro.session.cache.CacheStats.bump` funnel, which is what
+  ``repro diff``, ``batch --stats`` and ``/metrics`` report.
+
+Each island and merged sub-schema is keyed by the fingerprint the
+decomposition already holds, so a session computes none of its own.  A
+single-island schema is its own only component: its cache key and
+artifacts are the whole schema's.
 
 Soundness of the warm path is the same mathematics the one-shot API
 relies on: the maximal acceptable support is the union of the supports
@@ -20,9 +40,6 @@ for ISA and disjointness implication) is exactly "the target set meets
 the support", and the cached full-support integer witness is itself an
 acceptable solution positive on every support unknown — one witness
 serves every satisfiable class and every counter-model at once.
-Cardinality implications extend the schema with the Section-4
-exceptional class; the extended schema is cached under its own
-fingerprint, so repeated cardinality queries are warm as well.
 
 Budgets (:mod:`repro.runtime.budget`) thread through unchanged: each
 entry point takes ``budget=`` with the same degrade-to-UNKNOWN contract
@@ -37,6 +54,11 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import TypeVar
 
+from repro.components.decompose import (
+    ComponentDecomposition,
+    SchemaComponent,
+    decompose_schema,
+)
 from repro.cr.constraints import (
     DisjointnessStatement,
     IsaStatement,
@@ -62,11 +84,19 @@ from repro.cr.satisfiability import (
 )
 from repro.cr.schema import Card, CRSchema, UNBOUNDED
 from repro.errors import BudgetExceededError, ReproError, SchemaError
-from repro.pipeline import STAGE_SOLVE, STAGE_VERDICT, stage
+from repro.pipeline import (
+    STAGE_COMBINE,
+    STAGE_DECOMPOSE,
+    STAGE_SOLVE,
+    STAGE_VERDICT,
+    stage,
+)
 from repro.runtime.budget import Budget, run_governed
 from repro.runtime.fallback import DEFAULT_FALLBACK, FallbackPolicy
 from repro.runtime.outcome import Verdict
 from repro.session.cache import SchemaArtifacts, SessionCache
+# ``schema_fingerprint`` is re-exported: perfbench's traced run wraps it
+# under this module's name (``perfbench/tracing.py``, ``CALL_SITES``).
 from repro.session.fingerprint import schema_fingerprint
 from repro.solver.stats import search_stats_sink
 
@@ -164,16 +194,16 @@ class SessionStats:
 
 
 class ReasoningSession:
-    """Answer many queries against one (or a few) schemas from shared
-    cached state.
+    """Answer many queries against one schema from shared cached state,
+    one constraint-graph island at a time.
 
     Parameters
     ----------
     schema:
         The CR-schema this session fronts.  Schemas are immutable;
-        "editing" one means building a new schema, whose different
-        fingerprint naturally misses the cache — create a sibling
-        session with :meth:`for_schema` to keep sharing the cache.
+        "editing" one means building a new schema — create a sibling
+        session with :meth:`for_schema` to keep sharing the cache, so
+        that only the islands the edit touched go cold.
     cache:
         A :class:`~repro.session.cache.SessionCache` to draw artifacts
         from.  Pass one cache to many sessions to amortise across
@@ -190,6 +220,13 @@ class ReasoningSession:
         :class:`repro.cr.expansion.ExpansionLimits` and
         :mod:`repro.runtime.fallback`); a fault in the cached fixpoint
         itself surfaces.
+    decomposition:
+        A prebuilt :func:`~repro.components.decompose.decompose_schema`
+        of ``schema`` (the serve engine memoizes one per schema text);
+        without it the session decomposes ``schema`` under the
+        ``decompose`` stage.  Passing
+        :func:`~repro.components.decompose.monolithic_decomposition`
+        reasons over the whole schema as one island.
     """
 
     def __init__(
@@ -199,36 +236,83 @@ class ReasoningSession:
         budget: Budget | None = None,
         limits: ExpansionLimits | None = None,
         fallback: FallbackPolicy | None = DEFAULT_FALLBACK,
+        decomposition: ComponentDecomposition | None = None,
     ) -> None:
         self.schema = schema
         self.cache = cache if cache is not None else SessionCache()
         self.budget = budget
         self.limits = limits
         self.fallback = fallback
-        self.fingerprint = schema_fingerprint(schema)
+        if decomposition is None:
+            # Timing-only stage: no budget phase, so construction stays
+            # check-free.
+            with stage(STAGE_DECOMPOSE):
+                decomposition = decompose_schema(schema)
+        self.decomposition = decomposition
+        self.fingerprint = decomposition.whole_fingerprint
         self.queries = 0
+        self.components_total = 0
+        self.components_reused = 0
+        self.components_rebuilt = 0
+        self._classified: set[str] = set()
+        self._merged: dict[frozenset[int], CRSchema] = {}
 
-    # -- cache plumbing ----------------------------------------------------
+    # -- island plumbing ---------------------------------------------------
 
-    def _artifacts(self) -> SchemaArtifacts:
-        return self.cache.artifacts(self.schema, self.fingerprint, self.limits)
+    def _artifacts(self, schema: CRSchema, fingerprint: str) -> SchemaArtifacts:
+        return self.cache.artifacts(schema, fingerprint, self.limits)
 
-    def _artifacts_for(self, schema: CRSchema) -> SchemaArtifacts:
-        """Artifacts for a derived (Section-4 extended) schema."""
-        return self.cache.artifacts(schema, limits=self.limits)
+    def _classify(self, component: SchemaComponent) -> None:
+        """First touch of a component's base artifacts: acquire the cache
+        entry and record whether it arrived warm (``components_reused``)
+        or must be built (``components_rebuilt``)."""
+        if component.fingerprint in self._classified:
+            return
+        self._classified.add(component.fingerprint)
+        entry = self._artifacts(component.schema, component.fingerprint)
+        stats = self.cache.stats
+        stats.bump("components_total")
+        self.components_total += 1
+        if entry.warm:
+            stats.bump("components_reused")
+            self.components_reused += 1
+        else:
+            stats.bump("components_rebuilt")
+            self.components_rebuilt += 1
+
+    def classify_all(self) -> None:
+        """Classify every component eagerly (the ``repro diff`` path)."""
+        for component in self.decomposition.components:
+            self._classify(component)
+
+    def _routed(self, classes: Iterable[str]) -> tuple[CRSchema, str]:
+        """The schema and fingerprint deciding a query over ``classes``:
+        the owning component when they share one, else the merged
+        sub-schema of the components they touch."""
+        components = self.decomposition.components_of(classes)
+        if len(components) == 1:
+            (component,) = components
+            self._classify(component)
+            return component.schema, component.fingerprint
+        indices = frozenset(component.index for component in components)
+        merged = self._merged.get(indices)
+        if merged is None:
+            with stage(STAGE_COMBINE):
+                merged = self.decomposition.merged_schema(indices)
+            self._merged[indices] = merged
+        return merged, self.decomposition.merged_fingerprint(indices)
 
     @property
     def warm(self) -> bool:
-        """Whether this schema's artifacts are fully built."""
-        entry = self._peek()
-        return entry is not None and entry.warm
-
-    def _peek(self) -> SchemaArtifacts | None:
-        if self.fingerprint not in self.cache:
-            return None
+        """Whether every component's artifacts are fully built."""
         # artifacts() would count a hit; peek through the private map to
         # keep `warm` observation-free.
-        return self.cache._entries.get(self.fingerprint)
+        entries = self.cache._entries
+        for component in self.decomposition.components:
+            entry = entries.get(component.fingerprint)
+            if entry is None or not entry.warm:
+                return False
+        return True
 
     @property
     def stats(self) -> SessionStats:
@@ -257,11 +341,11 @@ class ReasoningSession:
     def for_schema(self, schema: CRSchema) -> ReasoningSession:
         """A sibling session for an edited schema, sharing this cache.
 
-        The new schema's fingerprint keys its own cache entry, so the
-        sibling is cold exactly when the edit changed something
-        semantically relevant — renaming the schema label, reordering
-        unordered statements, or re-adding duplicates keeps the entry
-        warm.
+        Components untouched by the edit keep their fingerprints, so the
+        sibling re-acquires their artifacts warm and only the edited
+        island goes cold — the incremental contract ``repro diff``
+        reports on.  Renaming the schema label, reordering unordered
+        statements, or re-adding duplicates keeps every island warm.
         """
         return ReasoningSession(
             schema,
@@ -276,20 +360,23 @@ class ReasoningSession:
     def is_class_satisfiable(
         self, cls: str, budget: Budget | None = None
     ) -> SatisfiabilityResult:
-        """Theorem-3.3 satisfiability of ``cls``, from cached state.
+        """Theorem-3.3 satisfiability of ``cls``, decided on its island.
 
-        Cold cost is one expansion + system build + fixpoint; warm cost
-        is a support lookup.  The result's witness is the cached
-        full-support solution (positive on every satisfiable class at
-        once), so :func:`repro.cr.construction.construct_model_for_result`
-        works on it unchanged.
+        Cold cost is one expansion + system build + fixpoint of the
+        island; warm cost is a support lookup.  The result's witness is
+        the island's cached full-support solution (positive on every
+        satisfiable class of the island at once), so
+        :func:`repro.cr.construction.construct_model_for_result` works
+        on it unchanged.
         """
         self.schema.require_class(cls)
         self.queries += 1
+        component = self.decomposition.component_of(cls)
+        self._classify(component)
         effective = budget if budget is not None else self.budget
 
         def compute() -> SatisfiabilityResult:
-            artifacts = self._artifacts()
+            artifacts = self._artifacts(component.schema, component.fingerprint)
             diagnostic = artifacts.ensure_analysis().unsat_witness(cls)
             if diagnostic is not None:
                 # The witness proves `cls` empty in every model, so the
@@ -345,26 +432,47 @@ class ReasoningSession:
     def satisfiable_classes(
         self, budget: Budget | None = None
     ) -> dict[str, bool | Verdict]:
-        """Satisfiability of every class; one fixpoint cold, lookups warm."""
+        """Satisfiability of every class: one fixpoint per island cold,
+        lookups warm, verdict maps folded in declaration order under
+        ``combine``.
+
+        The sweep always runs the fixpoint, even with a zero-set walk
+        pinned: one fixpoint decides every class of an island, where a
+        walk would pay one exponential search per class.
+        """
         self.queries += 1
         effective = budget if budget is not None else self.budget
+        components = self.decomposition.components
+        verdicts: dict[str, bool | Verdict] = {}
+        for component in components:
+            self._classify(component)
+            verdicts.update(self._island_verdicts(component, effective))
+        if len(components) == 1:
+            return verdicts
+        with stage(STAGE_COMBINE):
+            return {cls: verdicts[cls] for cls in self.schema.classes}
+
+    def _island_verdicts(
+        self, component: SchemaComponent, budget: Budget | None
+    ) -> dict[str, bool | Verdict]:
+        classes = component.schema.classes
 
         def compute() -> dict[str, bool | Verdict]:
-            artifacts = self._artifacts()
+            artifacts = self._artifacts(component.schema, component.fingerprint)
             report = artifacts.ensure_analysis()
-            if set(self.schema.classes) <= report.unsat_classes:
+            if set(classes) <= report.unsat_classes:
                 # Every class is statically settled; skip the expansion.
                 self.cache.stats.bump("analysis_short_circuits")
                 with stage(STAGE_VERDICT, phase="session:lookup"):
-                    return {cls: False for cls in self.schema.classes}
+                    return {cls: False for cls in classes}
             artifacts.ensure_support()
             assert artifacts.class_verdicts is not None
             return dict(artifacts.class_verdicts)
 
         return self._governed(
-            effective,
+            budget,
             compute,
-            lambda error: {cls: Verdict.UNKNOWN for cls in self.schema.classes},
+            lambda error: {cls: Verdict.UNKNOWN for cls in classes},
         )
 
     def is_schema_fully_satisfiable(self, budget: Budget | None = None) -> bool:
@@ -378,9 +486,10 @@ class ReasoningSession:
     ) -> ImplicationResult:
         """Decide ``S ⊨ K`` from cached state (Section 4).
 
-        ISA and disjointness statements are support lookups against
-        this schema's entry; cardinality statements reason over the
-        Section-4 extended schema, cached under its own fingerprint.
+        ISA and disjointness statements are support lookups against the
+        entry of the island (or merged islands) their classes live in;
+        cardinality statements reason over the owning island's Section-4
+        extended schema, cached under its own fingerprint.
         """
         if isinstance(query, IsaStatement):
             return self._implies_isa(query, budget)
@@ -397,7 +506,7 @@ class ReasoningSession:
         queries: Iterable[ImplicationQuery],
         budget: Budget | None = None,
     ) -> list[ImplicationResult]:
-        """Batch form of :meth:`implies` over one warm cache entry.
+        """Batch form of :meth:`implies` over shared cache entries.
 
         All queries share the session's artifacts (and ``budget``, when
         given: the counters accumulate across the batch, so exhaustion
@@ -434,10 +543,11 @@ class ReasoningSession:
         self.schema.require_class(query.sub)
         self.schema.require_class(query.sup)
         self.queries += 1
+        schema, fingerprint = self._routed((query.sub, query.sup))
         effective = budget if budget is not None else self.budget
 
         def compute() -> ImplicationResult:
-            artifacts = self._artifacts()
+            artifacts = self._artifacts(schema, fingerprint)
             support = artifacts.ensure_support()
             cr_system = artifacts.ensure_system()
             expansion = artifacts.expansion
@@ -470,10 +580,11 @@ class ReasoningSession:
         for cls in class_list:
             self.schema.require_class(cls)
         self.queries += 1
+        schema, fingerprint = self._routed(class_list)
         effective = budget if budget is not None else self.budget
 
         def compute() -> ImplicationResult:
-            artifacts = self._artifacts()
+            artifacts = self._artifacts(schema, fingerprint)
             support = artifacts.ensure_support()
             cr_system = artifacts.ensure_system()
             expansion = artifacts.expansion
@@ -501,14 +612,21 @@ class ReasoningSession:
         exceptional_card: Card,
         budget: Budget | None,
     ) -> ImplicationResult:
-        extended, exc = exceptional_schema(
+        # Validate (and fail) against the whole schema before counting;
+        # a *legal* query's class, relationship and primary class all
+        # share one island, so extending the owner cannot fail.
+        exceptional_schema(
             self.schema, query.cls, query.rel, query.role, exceptional_card
         )
         self.queries += 1
+        component = self.decomposition.component_of(query.cls)
+        extended, exc = exceptional_schema(
+            component.schema, query.cls, query.rel, query.role, exceptional_card
+        )
         effective = budget if budget is not None else self.budget
 
         def compute() -> ImplicationResult:
-            artifacts = self._artifacts_for(extended)
+            artifacts = self.cache.artifacts(extended, limits=self.limits)
             support = artifacts.ensure_support()
             with stage(STAGE_VERDICT, phase="session:lookup"):
                 targets = class_targets(artifacts.cr_system, exc)
@@ -545,7 +663,8 @@ class ReasoningSession:
     def __repr__(self) -> str:
         state = "warm" if self.warm else "cold"
         return (
-            f"ReasoningSession({self.schema.name!r}, {state}, "
+            f"ReasoningSession({self.schema.name!r}, "
+            f"{len(self.decomposition.components)} component(s), {state}, "
             f"fingerprint={self.fingerprint[:12]}…, "
             f"{self.queries} queries, {self.cache!r})"
         )
@@ -556,4 +675,5 @@ __all__ = [
     "SESSION_STATS_KEYS",
     "ReasoningSession",
     "SessionStats",
+    "schema_fingerprint",
 ]

@@ -81,7 +81,7 @@ class TestCheck:
 
     def test_naive_engine(self, meeting_file, capsys):
         assert main(
-            ["check", meeting_file, "--class", "Talk", "--engine", "naive"]
+            ["check", meeting_file, "--class", "Talk", "--backend", "naive"]
         ) == 0
 
     def test_missing_file(self, capsys):
@@ -202,6 +202,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"unknown solver backend {removed!r}" in err
         assert "fixpoint, naive, pruned" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--class", "Talk"],
+            ["implies", "Talk isa Speaker"],
+            ["model", "--class", "Talk"],
+        ],
+        ids=["check", "implies", "model"],
+    )
+    def test_engine_flag_is_refused(self, meeting_file, capsys, argv):
+        # --backend is the one engine flag; argparse exits 2 on --engine.
+        command, *rest = argv
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, meeting_file, *rest, "--engine", "naive"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
     def test_parse_error_is_two_with_position(self, tmp_path, capsys):
         path = tmp_path / "broken.cr"

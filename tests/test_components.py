@@ -5,11 +5,12 @@ Three layers of pinning:
 * **properties** — on random multi-island schemas (namespaced unions
   from :func:`tests.strategies.multi_component_schemas`), the
   decomposition finds exactly the constraint-graph components an
-  independent union-find oracle finds, and
-  :class:`~repro.components.DecomposedSession` answers every batch
-  record byte-identically to the monolithic
-  :class:`~repro.session.ReasoningSession` — same verdicts, same
-  ``unknown_reason`` strings, same error behaviour, same query counts;
+  independent union-find oracle finds, and a
+  :class:`~repro.session.ReasoningSession` answers every batch record
+  byte-identically to one over
+  :func:`~repro.components.monolithic_decomposition` (the whole schema
+  as one island) — same verdicts, same ``unknown_reason`` strings, same
+  error behaviour, same query counts;
 * **counters** — component classification (``components_reused`` vs
   ``components_rebuilt``) against memory and store tiers, through the
   :meth:`~repro.session.cache.CacheStats.bump` funnel;
@@ -34,9 +35,9 @@ from hypothesis import strategies as st
 from repro.cli import main as cli_main
 from repro.cli import parse_batch_query
 from repro.components import (
-    DecomposedSession,
     compute_delta,
     decompose_schema,
+    monolithic_decomposition,
 )
 from repro.cr.constraints import (
     IsaStatement,
@@ -87,6 +88,13 @@ def _two_island_schema(max_card: int = 3, name: str = "Fixture") -> CRSchema:
     )
 
 
+def _monolithic(schema: CRSchema) -> ReasoningSession:
+    """The whole-schema reference: a session over one island."""
+    return ReasoningSession(
+        schema, decomposition=monolithic_decomposition(schema)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Properties: decomposition structure and session parity
 # ---------------------------------------------------------------------------
@@ -115,8 +123,8 @@ def test_decomposed_session_matches_monolithic_records(data):
     — is identical whether the schema is reasoned whole or by island."""
     schema, _count = data.draw(multi_component_schemas())
     queries = data.draw(query_mixes(schema))
-    monolithic = ReasoningSession(schema)
-    decomposed = DecomposedSession(schema)
+    monolithic = _monolithic(schema)
+    decomposed = ReasoningSession(schema)
     for kind, query in queries:
         expected = answer_query(monolithic, kind, query)
         actual = answer_query(decomposed, kind, query)
@@ -132,8 +140,8 @@ def test_decomposed_session_matches_monolithic_errors(data):
     """Validation failures — unknown names, illegal cardinality triples
     — raise the same exception type with the same message."""
     schema, _count = data.draw(multi_component_schemas())
-    monolithic = ReasoningSession(schema)
-    decomposed = DecomposedSession(schema)
+    monolithic = _monolithic(schema)
+    decomposed = ReasoningSession(schema)
     probes = [
         lambda s: s.is_class_satisfiable("NoSuchClass"),
         lambda s: s.implies(IsaStatement("NoSuchClass", schema.classes[0])),
@@ -212,7 +220,7 @@ class RecordingStats(CacheStats):
 class TestReuseCounters:
     def test_cold_run_rebuilds_every_component(self, tmp_path):
         cache = SessionCache(store=ArtifactStore(str(tmp_path)))
-        session = DecomposedSession(_two_island_schema(), cache=cache)
+        session = ReasoningSession(_two_island_schema(), cache=cache)
         session.satisfiable_classes()
         assert session.components_total == 2
         assert session.components_reused == 0
@@ -223,13 +231,13 @@ class TestReuseCounters:
 
     def test_store_warm_run_reuses_every_component(self, tmp_path):
         store_dir = str(tmp_path)
-        first = DecomposedSession(
+        first = ReasoningSession(
             _two_island_schema(),
             cache=SessionCache(store=ArtifactStore(store_dir)),
         )
         first.satisfiable_classes()
         # A fresh process: new memory tier, same persistent store.
-        second = DecomposedSession(
+        second = ReasoningSession(
             _two_island_schema(),
             cache=SessionCache(store=ArtifactStore(store_dir)),
         )
@@ -240,12 +248,12 @@ class TestReuseCounters:
 
     def test_edit_rebuilds_only_the_touched_island(self, tmp_path):
         store_dir = str(tmp_path)
-        old = DecomposedSession(
+        old = ReasoningSession(
             _two_island_schema(max_card=3),
             cache=SessionCache(store=ArtifactStore(store_dir)),
         )
         old.satisfiable_classes()
-        new = DecomposedSession(
+        new = ReasoningSession(
             _two_island_schema(max_card=4),
             cache=SessionCache(store=ArtifactStore(store_dir)),
         )
@@ -257,13 +265,13 @@ class TestReuseCounters:
         """Cardinality implications reason over the Section-4 extended
         schema — their artifacts live under its fingerprint, so no base
         component gets (mis)counted."""
-        session = DecomposedSession(_two_island_schema())
+        session = ReasoningSession(_two_island_schema())
         session.implies(MinCardinalityStatement("A", "R", "x", 2))
         assert session.components_total == 0
 
     def test_counters_flow_through_the_bump_funnel(self):
         stats = RecordingStats()
-        session = DecomposedSession(
+        session = ReasoningSession(
             _two_island_schema(), cache=SessionCache(stats=stats)
         )
         session.classify_all()
@@ -391,7 +399,7 @@ class TestCliDiff:
             chunk = worker.run_batch_chunk((None, tuple(partition)))["result"]
             for key, value in chunk["session_stats"].items():
                 summed[key] = summed.get(key, 0) + value
-        serial = DecomposedSession(schema)
+        serial = ReasoningSession(schema)
         for kind, query in queries:
             answer_query(serial, kind, query)
         expected = serial.stats.as_dict()
@@ -460,20 +468,20 @@ class TestStages:
     def test_construction_times_the_decompose_stage(self):
         run = PipelineRun()
         with activate_run(run):
-            DecomposedSession(_two_island_schema())
+            ReasoningSession(_two_island_schema())
         assert run.as_dict()["decompose"]["runs"] == 1
 
     def test_cross_component_query_enters_the_combine_stage(self):
         run = PipelineRun()
         with activate_run(run):
-            session = DecomposedSession(_two_island_schema())
+            session = ReasoningSession(_two_island_schema())
             session.implies(IsaStatement("A", "C"))
         assert run.as_dict()["combine"]["runs"] == 1
 
     def test_same_component_queries_never_combine(self):
         run = PipelineRun()
         with activate_run(run):
-            session = DecomposedSession(_two_island_schema())
+            session = ReasoningSession(_two_island_schema())
             session.implies(IsaStatement("A", "B"))
             session.is_class_satisfiable("C")
         assert "combine" not in run.as_dict()

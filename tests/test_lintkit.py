@@ -439,8 +439,15 @@ class TestR7NoWholeSchemaExpansion:
     def test_rule_scoped_to_the_component_package(self):
         source = "expansion = Expansion(schema)\n"
         assert not findings_for("R7", ("repro/cli.py", source))
-        (f,) = findings_for("R7", ("repro/components/session.py", source))
+        (f,) = findings_for("R7", ("repro/components/diff.py", source))
         assert f.rule == "R7"
+
+    def test_rule_covers_the_session_routing(self):
+        # The session routes queries to islands; only its cache builds.
+        source = "expansion = Expansion(schema)\n"
+        (f,) = findings_for("R7", ("repro/session/session.py", source))
+        assert f.rule == "R7"
+        assert not findings_for("R7", ("repro/session/cache.py", source))
 
 
 class TestR8LockDiscipline:
@@ -691,6 +698,12 @@ class TestR11DeterminismTaint:
         )
         assert f.line == 4
         assert ".append(...)" in f.message
+
+    def test_rule_covers_the_session_routing(self):
+        _path, source = self.BAD
+        (f,) = findings_for("R11", ("repro/session/session.py", source))
+        assert (f.rule, f.line) == ("R11", 4)
+        assert not findings_for("R11", ("repro/session/cache.py", source))
 
     def test_reassigned_nonset_name_untainted(self):
         good = (

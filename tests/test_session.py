@@ -6,6 +6,8 @@ must build the expansion zero times once warm."""
 from __future__ import annotations
 
 import itertools
+from contextlib import ExitStack
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 import repro.session.cache as cache_module
 import repro.session.session as session_module
-from repro.components import DecomposedSession
+from repro.components import decompose_schema, monolithic_decomposition
 from repro.cr.builder import SchemaBuilder
 from repro.cr.checker import check_model
 from repro.cr.constraints import (
@@ -180,6 +182,54 @@ def test_for_schema_sibling_is_warm_after_pure_relabel(meeting):
     assert Expansion.build_count == builds_before
 
 
+@settings(
+    max_examples=max(5, property_max_examples() // 10),
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(data=st.data())
+def test_islands_are_keyed_by_the_decompositions_fingerprints(data):
+    """A session over a prebuilt decomposition computes no fingerprint
+    of its own: satisfiability, same-island and cross-island ISA and
+    disjointness are keyed by the fingerprints the decomposition holds,
+    so neither the session nor its cache calls ``schema_fingerprint``."""
+    schema, _count = data.draw(multi_component_schemas())
+    decomposition = decompose_schema(schema)
+    first, second = decomposition.components[:2]
+    a, b = min(first.classes), min(second.classes)
+    queries = [
+        IsaStatement(a, max(first.classes)),
+        IsaStatement(a, b),
+        DisjointnessStatement(frozenset({a, b})),
+    ]
+    if len(first.classes) > 1:
+        queries.append(DisjointnessStatement(first.classes))
+    calls = []
+
+    def counted(original):
+        def fingerprint(target):
+            calls.append(target.name)
+            return original(target)
+
+        return fingerprint
+
+    with ExitStack() as stack:
+        for module in (session_module, cache_module):
+            stack.enter_context(
+                mock.patch.object(
+                    module,
+                    "schema_fingerprint",
+                    counted(module.schema_fingerprint),
+                )
+            )
+        session = ReasoningSession(schema, decomposition=decomposition)
+        for cls in schema.classes:
+            session.is_class_satisfiable(cls)
+        session.implies_all(queries)
+        session.satisfiable_classes()
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # budgets: degrade to UNKNOWN, then resume under a fresh budget
 # ---------------------------------------------------------------------------
@@ -241,7 +291,18 @@ def test_lru_eviction_and_invalidation(meeting, figure1):
 # countermodels: built on first read, from a witness checked at birth
 # ---------------------------------------------------------------------------
 
-SESSION_KINDS = (ReasoningSession, DecomposedSession)
+def _monolithic(schema: CRSchema) -> ReasoningSession:
+    """A session over the whole schema as one island."""
+    return ReasoningSession(
+        schema, decomposition=monolithic_decomposition(schema)
+    )
+
+
+SESSION_KINDS = (_monolithic, ReasoningSession)
+SESSION_KIND_IDS = ("ReasoningSession", "DecomposedSession")
+"""Whole-schema and per-island sessions.  The ids are the names of the
+two session classes these cases first ran on, kept so the ids stay
+stable."""
 
 
 def _loose_schema() -> CRSchema:
@@ -281,7 +342,9 @@ def _assert_refuting_model(schema: CRSchema, result) -> None:
     assert not statement_holds(model, result.query)
 
 
-@pytest.mark.parametrize("session_kind", SESSION_KINDS)
+@pytest.mark.parametrize(
+    "session_kind", SESSION_KINDS, ids=SESSION_KIND_IDS
+)
 @pytest.mark.parametrize(("which", "query"), NOT_IMPLIED)
 def test_session_countermodels_refute_the_query(
     meeting, session_kind, which, query
@@ -293,7 +356,9 @@ def test_session_countermodels_refute_the_query(
     _assert_refuting_model(schema, session.implies(query))
 
 
-@pytest.mark.parametrize("session_kind", SESSION_KINDS)
+@pytest.mark.parametrize(
+    "session_kind", SESSION_KINDS, ids=SESSION_KIND_IDS
+)
 def test_implied_answers_carry_no_countermodel(meeting, session_kind):
     session = session_kind(meeting)
     for query in (
@@ -322,7 +387,9 @@ def test_session_countermodels_on_multi_component_schemas(data):
             assert result.countermodel is None
 
 
-@pytest.mark.parametrize("session_kind", SESSION_KINDS)
+@pytest.mark.parametrize(
+    "session_kind", SESSION_KINDS, ids=SESSION_KIND_IDS
+)
 def test_no_model_is_built_until_the_countermodel_is_read(
     meeting, session_kind, monkeypatch
 ):
