@@ -29,6 +29,14 @@ and the serial pruned run must solve exactly one LP per tested
 candidate (``pruned_lp_calls == pruned_enumerated``: each nogood is
 learned from the certificate of the solve that refuted it).
 
+Session reuse: one pinned-pruned ``ReasoningSession`` asks every class
+of each workload twice, and the report records the LPs of each round
+(``session_reuse``).  The session memoizes each walk's answer and
+keeps one nogood ledger per island, so the validator fails if round 2
+solves any LP, if round 1 solves more LPs than a fresh session per
+class does, or if any verdict or witness differs from the naive
+walk's.
+
 Standalone runner (what CI's bench-smoke invokes)::
 
     PYTHONPATH=src python benchmarks/bench_prune.py --quick \
@@ -51,7 +59,8 @@ from repro.cr.expansion import Expansion
 from repro.cr.satisfiability import class_targets, decision_problem
 from repro.cr.system import build_system
 from repro.runtime.budget import Budget, activate
-from repro.solver.registry import decide_acceptable
+from repro.session import ReasoningSession
+from repro.solver.registry import decide_acceptable, pin_backend
 from repro.solver.stats import SearchCounters, search_stats_sink
 
 REPEATS = 3
@@ -122,6 +131,62 @@ def _run_engine(problem, engine: str, jobs: int = 1):
     return result, counters, budget.solver_calls, best
 
 
+def _workload_schema(siblings: int, root_side: bool, satisfiable: bool):
+    return sibling_schema(
+        siblings,
+        root_umax=3 if satisfiable else 2,
+        root_side=root_side,
+        disjoint=siblings >= 3,
+    )
+
+
+def _ask(session: ReasoningSession, cls: str):
+    """One class through ``session``: its answer and the LPs it cost."""
+    budget = Budget()
+    result = session.is_class_satisfiable(cls, budget=budget)
+    answer = (result.satisfiable, result.solution, result.support)
+    return answer, budget.solver_calls
+
+
+def run_session_reuse(
+    workload: str,
+    siblings: int,
+    root_side: bool = False,
+    satisfiable: bool = False,
+) -> dict:
+    """Every class asked twice through one pinned-pruned session, against
+    a fresh session per class and the naive walk's answers."""
+    schema = _workload_schema(siblings, root_side, satisfiable)
+    cr_system = build_system(Expansion(schema), mode="pruned")
+    naive = {}
+    for cls in schema.classes:
+        problem = decision_problem(cr_system, class_targets(cr_system, cls))
+        naive[cls] = decide_acceptable(problem, "naive")
+    round_lps: list[int] = []
+    verdicts_agree = witnesses_identical = True
+    fresh_lps = 0
+    with pin_backend("pruned"):
+        session = ReasoningSession(schema)
+        for _round in range(2):
+            lps = 0
+            for cls in schema.classes:
+                answer, cost = _ask(session, cls)
+                lps += cost
+                verdicts_agree &= answer[0] == naive[cls][0]
+                witnesses_identical &= repr(answer) == repr(naive[cls])
+            round_lps.append(lps)
+        for cls in schema.classes:
+            fresh_lps += _ask(ReasoningSession(schema), cls)[1]
+    return {
+        "workload": workload,
+        "classes": len(schema.classes),
+        "round_lps": round_lps,
+        "fresh_lps": fresh_lps,
+        "verdicts_agree": verdicts_agree,
+        "witnesses_identical": witnesses_identical,
+    }
+
+
 def run_workload(
     workload: str,
     kind: str,
@@ -130,12 +195,7 @@ def run_workload(
     satisfiable: bool = False,
     check_jobs: bool = False,
 ) -> dict:
-    schema = sibling_schema(
-        siblings,
-        root_umax=3 if satisfiable else 2,
-        root_side=root_side,
-        disjoint=siblings >= 3,
-    )
+    schema = _workload_schema(siblings, root_side, satisfiable)
     problem = _problem(schema)
     naive_result, naive_counters, _, naive_s = _run_engine(problem, "naive")
     pruned_result, pruned_counters, pruned_lp_calls, pruned_s = _run_engine(
@@ -178,8 +238,14 @@ def run_benchmarks(quick: bool = False) -> dict:
         run_workload("rootside-2", "unsat-conflict", 2, root_side=True),
         run_workload("benign-2", "sat-parity", 2, satisfiable=True),
     ]
+    session_reuse = [
+        run_session_reuse("conflict-2", 2),
+        run_session_reuse("rootside-2", 2, root_side=True),
+        run_session_reuse("benign-2", 2, satisfiable=True),
+    ]
     if not quick:
         entries.append(run_workload("conflict-3", "unsat-conflict", 3))
+        session_reuse.append(run_session_reuse("conflict-3", 3))
     gated = [e for e in entries if e["kind"] == "unsat-conflict"]
     return {
         "benchmark": "prune",
@@ -188,6 +254,7 @@ def run_benchmarks(quick: bool = False) -> dict:
         "reduction_bar": REDUCTION_BAR,
         "speedup_bar": SPEEDUP_BAR,
         "entries": entries,
+        "session_reuse": session_reuse,
         "summary": {
             "workloads": len(entries),
             "min_reduction": min(e["enumeration_reduction"] for e in gated),
@@ -216,6 +283,53 @@ _ENTRY_KEYS = {
     "pruned_by_nogood": int,
     "orbits_found": int,
 }
+
+_REUSE_KEYS = {
+    "workload": str,
+    "classes": int,
+    "round_lps": list,
+    "fresh_lps": int,
+    "verdicts_agree": bool,
+    "witnesses_identical": bool,
+}
+
+
+def validate_session_reuse(report: dict) -> None:
+    """Raise ``ValueError`` unless every session-reuse record shows a
+    free second round, a first round no dearer than fresh sessions,
+    and the naive walk's answers."""
+    records = report.get("session_reuse")
+    if not isinstance(records, list) or not records:
+        raise ValueError("report['session_reuse'] must be a non-empty list")
+    for record in records:
+        check_entry_fields(record, _REUSE_KEYS)
+        label = record["workload"]
+        rounds = record["round_lps"]
+        if len(rounds) != 2 or not all(
+            isinstance(lps, int) and not isinstance(lps, bool)
+            for lps in rounds
+        ):
+            raise ValueError(
+                f"session reuse {label!r}: round_lps must be two LP counts"
+            )
+        for claim in ("verdicts_agree", "witnesses_identical"):
+            if not record[claim]:
+                raise ValueError(
+                    f"session reuse {label!r}: an answer differs from the "
+                    f"naive walk's ({claim} is false)"
+                )
+        if rounds[1] != 0:
+            raise ValueError(
+                f"session reuse {label!r}: the second round solved "
+                f"{rounds[1]} LP(s); a repeated class must be answered "
+                "from the walk memo"
+            )
+        if rounds[0] > record["fresh_lps"]:
+            raise ValueError(
+                f"session reuse {label!r}: the first round solved "
+                f"{rounds[0]} LPs, more than the {record['fresh_lps']} of "
+                "a fresh session per class"
+            )
 
 
 def validate_report(report: dict) -> dict:
@@ -259,6 +373,7 @@ def validate_report(report: dict) -> dict:
                     f"entry {label!r}: pruned engine lost wall-clock "
                     f"({entry['speedup']:.2f}x vs the naive walk)"
                 )
+    validate_session_reuse(report)
     summary = check_summary(report)
     for key in ("min_reduction", "min_speedup"):
         if not isinstance(summary.get(key), float):
@@ -322,7 +437,13 @@ def main(argv: list[str] | None = None) -> int:
             f"{report['summary']['min_reduction']:.1f}x "
             f"(bar: {REDUCTION_BAR:.0f}x), wall-clock >= "
             f"{report['summary']['min_speedup']:.2f}x "
-            f"(bar: {SPEEDUP_BAR:.1f}x)"
+            f"(bar: {SPEEDUP_BAR:.1f}x); session reuse, LPs per round "
+            "(fresh sessions): "
+            + ", ".join(
+                f"{r['workload']} {r['round_lps'][0]}/{r['round_lps'][1]}"
+                f" ({r['fresh_lps']})"
+                for r in report["session_reuse"]
+            )
         ),
     )
 

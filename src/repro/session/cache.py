@@ -8,7 +8,13 @@ reasoning state that is expensive to build and endlessly reusable:
 * the consistent **expansion** ``S̄`` (the exponential step),
 * the derived disequation system **Ψ_S** in pruned mode,
 * the maximal acceptable **support** of ``Ψ_S`` with an integer
-  full-support **witness** (one fixpoint run, polynomially many LPs).
+  full-support **witness** (one fixpoint run, polynomially many LPs);
+* with a zero-set walk pinned (``--backend pruned``/``naive``), a
+  **walk memo** of each walk's own answer, keyed by engine and target
+  set, and one **ledger** for the pruned walk: the island's nogood
+  store plus the integer witness of each feasible ``Ψ_Z`` already
+  solved, shared by every target because ``Ψ_Z`` does not depend on
+  the target (:meth:`SchemaArtifacts.walk`).
 
 The support settles *every* satisfiability question about the schema
 (Theorem 3.3: a class is satisfiable iff its target unknowns meet the
@@ -36,6 +42,11 @@ The store's absent-or-valid contract means this tier can only ever
 return artifacts byte-equivalent to a fresh build or nothing at all;
 persistence failures (contention, full disk, corruption) degrade to
 counted no-ops and the reasoning path proceeds from source.
+
+The walk memo and the ledger are never persisted: they are not in
+:data:`_BUNDLE_FIELDS`, so neither the bundle nor
+:data:`repro.store.ARTIFACT_VERSION` changes, and an entry restored
+from the store (or rebuilt after eviction) starts both empty.
 """
 
 from __future__ import annotations
@@ -48,7 +59,11 @@ from repro.analysis.analyzer import analyze
 from repro.analysis.diagnostics import AnalysisReport
 from repro.cr.construction import witness_violation
 from repro.cr.expansion import Expansion, ExpansionLimits
-from repro.cr.satisfiability import acceptable_support, support_verdicts
+from repro.cr.satisfiability import (
+    acceptable_support,
+    decision_problem,
+    support_verdicts,
+)
 from repro.cr.schema import CRSchema
 from repro.cr.system import CRSystem, build_system
 from repro.errors import ReproError, SolverError
@@ -60,7 +75,12 @@ from repro.pipeline import (
 )
 from repro.session.fingerprint import schema_fingerprint
 from repro.solver.homogeneous import integerize
+from repro.solver.pruned import NogoodStore
+from repro.solver.registry import decide_acceptable
 from repro.store.store import ArtifactStore
+
+WalkAnswer = tuple[bool, dict[str, int] | None, frozenset[str]]
+"""A zero-set walk's ``(found, integer_witness, support)``."""
 
 _BUNDLE_FIELDS = (
     "analysis",
@@ -141,6 +161,11 @@ class SchemaArtifacts:
     ``support`` is the maximal acceptable support of ``Ψ_S`` and
     ``witness`` an integer acceptable solution positive on exactly that
     support; both are ``None`` until the fixpoint stage has run.
+
+    ``walks`` memoizes each pinned zero-set walk's own answer, keyed by
+    engine and target set, and ``ledger`` is the nogood store every
+    pruned walk on this entry starts from (:meth:`walk`).  Both live in
+    memory only.
     """
 
     fingerprint: str
@@ -154,6 +179,10 @@ class SchemaArtifacts:
     support: frozenset[str] | None = None
     witness: dict[str, int] | None = None
     class_verdicts: dict[str, bool] | None = field(default=None, repr=False)
+    walks: dict[tuple[str, frozenset[str]], WalkAnswer] = field(
+        default_factory=dict, repr=False
+    )
+    ledger: NogoodStore = field(default_factory=NogoodStore, repr=False)
 
     # -- staged construction ------------------------------------------------
 
@@ -206,6 +235,32 @@ class SchemaArtifacts:
             self.support = support
             self._persist()
         return self.support
+
+    def walk(self, engine: str, targets: frozenset[str]) -> WalkAnswer:
+        """The pinned Theorem-3.4 walk's own answer for ``targets``,
+        memoized per ``(engine, targets)``.
+
+        A ``pruned`` walk starts from a copy of :attr:`ledger` and, when
+        it returns, publishes that copy back with one assignment.  The
+        ledger holds only facts about ``Ψ_Z``, which no target changes,
+        so it is shared by every target; two concurrent walks never
+        write the same object, and the one that publishes last drops
+        the other's new facts, which costs a later walk an LP, never a
+        wrong answer.  A walk that raises (a solver fault, an exhausted
+        budget) memoizes and publishes nothing.  Each call returns a
+        fresh witness dict.
+        """
+        key = (engine, targets)
+        answer = self.walks.get(key)
+        if answer is None:
+            problem = decision_problem(self.ensure_system(), targets)
+            ledger = self.ledger.copy() if engine == "pruned" else None
+            answer = decide_acceptable(problem, engine, store=ledger)
+            if ledger is not None:
+                self.ledger = ledger
+            self.walks[key] = answer
+        found, witness, support = answer
+        return found, None if witness is None else dict(witness), support
 
     @property
     def warm(self) -> bool:
@@ -332,4 +387,4 @@ class SessionCache:
         )
 
 
-__all__ = ["CacheStats", "SchemaArtifacts", "SessionCache"]
+__all__ = ["CacheStats", "SchemaArtifacts", "SessionCache", "WalkAnswer"]

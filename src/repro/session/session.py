@@ -77,13 +77,18 @@ from repro.cr.implication import (
 from repro.cr.interpretation import Interpretation
 from repro.cr.satisfiability import (
     SatisfiabilityResult,
+    _fixpoint_with_positive,
     _unknown_result,
-    acceptable_with_positive,
     class_targets,
     diagnostic_result,
 )
 from repro.cr.schema import Card, CRSchema, UNBOUNDED
-from repro.errors import BudgetExceededError, ReproError, SchemaError
+from repro.errors import (
+    BudgetExceededError,
+    ReproError,
+    SchemaError,
+    SolverError,
+)
 from repro.pipeline import (
     STAGE_COMBINE,
     STAGE_DECOMPOSE,
@@ -94,7 +99,7 @@ from repro.pipeline import (
 from repro.runtime.budget import Budget, run_governed
 from repro.runtime.fallback import DEFAULT_FALLBACK, FallbackPolicy
 from repro.runtime.outcome import Verdict
-from repro.session.cache import SchemaArtifacts, SessionCache
+from repro.session.cache import SchemaArtifacts, SessionCache, WalkAnswer
 # ``schema_fingerprint`` is re-exported: perfbench's traced run wraps it
 # under this module's name (``perfbench/tracing.py``, ``CALL_SITES``).
 from repro.session.fingerprint import schema_fingerprint
@@ -368,6 +373,17 @@ class ReasoningSession:
         satisfiable class of the island at once), so
         :func:`repro.cr.construction.construct_model_for_result` works
         on it unchanged.
+
+        With a zero-set walk pinned (``--backend pruned``/``naive``)
+        the class is decided by that walk instead, and the result
+        carries the walk's own witness and support.  The island's entry
+        memoizes each walk's answer by engine and target set, so a
+        repeated class costs no LP, and every pruned walk on the island
+        starts from the island's shared nogood ledger
+        (:meth:`~repro.session.cache.SchemaArtifacts.walk`).  A walk
+        that faults is answered by the fixpoint (unless ``fallback`` is
+        ``None``) and one that exhausts its budget answers UNKNOWN;
+        neither answer is memoized, so the next ask walks again.
         """
         self.schema.require_class(cls)
         self.queries += 1
@@ -393,13 +409,8 @@ class ReasoningSession:
                 cr_system = artifacts.ensure_system()
                 with stage(STAGE_SOLVE, phase=f"decide:{engine}"):
                     targets = class_targets(cr_system, cls)
-                    satisfiable, solution, support = (
-                        acceptable_with_positive(
-                            cr_system,
-                            targets,
-                            engine,
-                            fallback=self.fallback,
-                        )
+                    satisfiable, solution, support = self._walk(
+                        artifacts, engine, targets
                     )
                 return SatisfiabilityResult(
                     cls=cls,
@@ -428,6 +439,20 @@ class ReasoningSession:
         return self._governed(
             effective, compute, lambda error: _unknown_result(cls, ENGINE, error)
         )
+
+    def _walk(
+        self, artifacts: SchemaArtifacts, engine: str, targets: frozenset[str]
+    ) -> WalkAnswer:
+        """The island's memoized walk answer; a walk that faults is
+        answered by the fixpoint unless the session has no fallback
+        (as :func:`~repro.cr.satisfiability.acceptable_with_positive`
+        does), and that answer is not memoized."""
+        try:
+            return artifacts.walk(engine, targets)
+        except SolverError:
+            if self.fallback is None:
+                raise
+        return _fixpoint_with_positive(artifacts.ensure_system(), targets)
 
     def satisfiable_classes(
         self, budget: Budget | None = None

@@ -50,6 +50,14 @@ semantics and the witness are untouched.  The store saturates as the
 walk proceeds — each learned fact prunes all later cousins — and
 subsumed (strictly less general) nogoods are dropped on install.
 
+**Reuse across walks.**  ``Ψ_Z`` does not depend on the targets: they
+only decide which ``Z`` a walk skips and how the orbit search is
+coloured.  So a learned nogood, and the integer witness of a feasible
+candidate, hold for every walk over the same system, and the store
+also records each solved witness.  A caller may hand one store to
+successive walks (the session keeps one per island, DESIGN §15); a
+walk that meets a recorded witness answers from it without an LP.
+
 Counters flow through the ambient sink of :mod:`repro.solver.stats`:
 ``zero_sets_enumerated`` (LP-tested candidates), ``pruned_by_orbit``,
 ``pruned_by_nogood``, and ``orbits_found`` (non-trivial orbits of the
@@ -117,6 +125,20 @@ class _Profile:
             f"{int(col in class_set)}:{int(col in target_cols)}"
             for col in range(self.size)
         ]
+        # Each row's coefficient strings never change between rounds,
+        # so they are rendered once here: ``(relation, const, cells)``
+        # with one ``(col, str(coeff), entry prefix)`` cell per entry.
+        self.row_cells = [
+            (
+                row.relation.value,
+                str(row.const),
+                tuple(
+                    (col, str(coeff), f"('r', {str(coeff)!r}, ")
+                    for col, coeff in row.items()
+                ),
+            )
+            for row in self.rows
+        ]
 
     def refine(self, seeds: Mapping[int, str] | None = None) -> list[int]:
         """Stable colouring of the columns, optionally individualised.
@@ -124,6 +146,13 @@ class _Profile:
         Colour identifiers are assigned by sorted signature, so two
         refinement runs over signature-isomorphic seedings produce
         directly comparable colour ids.
+
+        A column's key is the ``repr`` of ``(colour, sorted entries)``,
+        each entry an ``('r', coeff, row signature)``, ``('d', colours)``
+        or ``('D', colour)`` tuple sorted by its ``repr``.  The key is
+        assembled from strings: each row's signature is rendered once
+        per round, not once per column it touches, and the keys are
+        byte-identical to ``repr`` of those tuples.
         """
         keys = list(self.initial)
         if seeds:
@@ -136,27 +165,29 @@ class _Profile:
             # most `size` times; the check keeps wall-clock caps honest.
             if budget is not None:
                 budget.check()
-            sigs: list[list[object]] = [[] for _ in range(self.size)]
-            for row in self.rows:
-                items = tuple(row.items())
-                row_sig = (
-                    row.relation.value,
-                    str(row.const),
-                    tuple(
-                        sorted((str(coeff), colors[col]) for col, coeff in items)
-                    ),
+            sigs: list[list[str]] = [[] for _ in range(self.size)]
+            for relation, const, cells in self.row_cells:
+                row_sig = repr(
+                    (
+                        relation,
+                        const,
+                        tuple(
+                            sorted((coeff, colors[col]) for col, coeff, _ in cells)
+                        ),
+                    )
                 )
-                for col, coeff in items:
-                    sigs[col].append(("r", str(coeff), row_sig))
+                for col, _coeff, prefix in cells:
+                    sigs[col].append(f"{prefix}{row_sig})")
             for rel_col, dep_cols in self.dep_of.items():
                 sigs[rel_col].append(
-                    ("d", tuple(sorted(colors[col] for col in dep_cols)))
+                    repr(("d", tuple(sorted(colors[col] for col in dep_cols))))
                 )
+                dep_sig = f"('D', {colors[rel_col]})"
                 for col in dep_cols:
-                    sigs[col].append(("D", colors[rel_col]))
+                    sigs[col].append(dep_sig)
             refined = _canonical_colors(
                 [
-                    repr((colors[col], sorted(sigs[col], key=repr)))
+                    f"({colors[col]}, [{', '.join(sorted(sigs[col]))}])"
                     for col in range(self.size)
                 ]
             )
@@ -379,17 +410,33 @@ class Nogood:
 
 
 class NogoodStore:
-    """Saturating worklist of learned nogoods.
+    """Saturating worklist of learned nogoods, plus the integer witness
+    of every feasible candidate already solved.
 
     Matching scans in learn order (deterministic); installing drops
     strictly-less-general entries.  Hit counts and first victims are
     tracked per nogood for ``repro explain --nogoods``.
+
+    Neither kind of fact depends on the walk's targets (``Ψ_Z`` does
+    not), so one store can serve every walk over the same problem
+    system: a session keeps one per island (:meth:`copy` is what a walk
+    works on before publishing it back).
     """
 
     def __init__(self) -> None:
         self.nogoods: list[Nogood] = []
         self.hits: list[int] = []
         self.first_victims: list[tuple[str, ...] | None] = []
+        self.witnesses: dict[frozenset[str], dict[str, int]] = {}
+
+    def copy(self) -> NogoodStore:
+        """An independent store holding the same facts and tallies."""
+        clone = NogoodStore()
+        clone.nogoods = list(self.nogoods)
+        clone.hits = list(self.hits)
+        clone.first_victims = list(self.first_victims)
+        clone.witnesses = dict(self.witnesses)
+        return clone
 
     def match(self, zero_set: frozenset[str]) -> int | None:
         """Index of the first nogood covering ``zero_set``, if any."""
@@ -536,7 +583,10 @@ def pruned_zero_set_search(
     :func:`~repro.solver.registry.naive_zero_set_search` — see the
     module docstring for why pruning cannot change the first hit.
     ``store`` may be supplied to observe the learned nogoods
-    (``repro explain``).  Ungated: :func:`repro.solver.registry.decide_acceptable`
+    (``repro explain``), or to start from the facts of earlier walks
+    over the same system: a candidate whose witness the store already
+    holds is answered from it without an LP (the same ``Ψ_Z`` solves
+    to the same witness).  Ungated: :func:`repro.solver.registry.decide_acceptable`
     applies ``naive_limit`` and the ``jobs`` fan-out.
     """
     names = list(problem.class_unknowns)
@@ -562,19 +612,21 @@ def pruned_zero_set_search(
                 store.record_hit(matched, zero_tuple)
                 bump_search_stat("pruned_by_nogood")
                 continue
-            bump_search_stat("zero_sets_enumerated")
-            witness, learned = check_candidate(problem, zero_set)
-            if witness.feasible:
+            integral = store.witnesses.get(zero_set)
+            if integral is None:
+                bump_search_stat("zero_sets_enumerated")
+                witness, learned = check_candidate(problem, zero_set)
+                if not witness.feasible:
+                    if learned is not None:
+                        store.install(learned)
+                    continue
                 assert witness.integral is not None
-                support = frozenset(
-                    name
-                    for name, value in witness.integral.items()
-                    if value > 0
-                )
-                assert universe - zero_set <= support
-                return True, witness.integral, support
-            if learned is not None:
-                store.install(learned)
+                integral = store.witnesses[zero_set] = witness.integral
+            support = frozenset(
+                name for name, value in integral.items() if value > 0
+            )
+            assert universe - zero_set <= support
+            return True, dict(integral), support
     return False, None, frozenset()
 
 

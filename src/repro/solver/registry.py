@@ -35,7 +35,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import LimitExceededError, ReproError
 from repro.runtime.budget import current_budget
@@ -49,6 +49,9 @@ from repro.solver.core import (
 from repro.solver.homogeneous import HomogeneousWitness, integerize
 from repro.solver.linear import Relation
 from repro.solver.stats import bump_search_stat
+
+if TYPE_CHECKING:
+    from repro.solver.pruned import NogoodStore
 
 ENGINES = ("fixpoint", "naive", "pruned")
 """The values of ``--backend``, ``REPRO_BACKEND`` and
@@ -212,6 +215,7 @@ def decide_acceptable(
     engine: str = "fixpoint",
     naive_limit: int = DEFAULT_NAIVE_LIMIT,
     jobs: int = 1,
+    store: NogoodStore | None = None,
 ) -> tuple[bool, dict[str, int] | None, frozenset[str]]:
     """Is some acceptable solution positive on a target unknown?
 
@@ -220,7 +224,9 @@ def decide_acceptable(
     class unknowns and fan out over ``jobs`` worker processes; the
     fixpoint ignores ``jobs``, because its witness comes out of one
     shadow LP and keeping that witness bit-identical means keeping the
-    serial path.
+    serial path.  ``store`` is handed to the serial pruned walk
+    (:func:`~repro.solver.pruned.pruned_zero_set_search`), which starts
+    from its facts and adds what it learns; the other paths ignore it.
     """
     _require_engine(engine)
     if engine == "fixpoint":
@@ -255,7 +261,7 @@ def decide_acceptable(
         return parallel_pruned_zero_set_search(problem, jobs)
     from repro.solver.pruned import pruned_zero_set_search
 
-    return pruned_zero_set_search(problem)
+    return pruned_zero_set_search(problem, store)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ isolation — automorphism discovery over the symmetric sibling family,
 the canonicity test, nogood learning/subsumption — plus the
 ``naive_limit`` size gate, exact parity with the naive oracle
 (verdict, witness, support, *and* a ≥5x reduction in LPs solved on the
-symmetric family), and the pinned human-readable
+symmetric family), the session's reuse of pinned walks (memoized
+answers, one nogood ledger per island), and the pinned human-readable
 rendering behind ``repro explain --nogoods``.
 """
 
@@ -18,7 +19,11 @@ from repro.cr.expansion import Expansion
 from repro.cr.satisfiability import class_targets, decision_problem
 from repro.cr.system import build_system
 from repro.errors import LimitExceededError
+from repro.paper import meeting_schema
 from repro.runtime.budget import Budget, activate
+from repro.runtime.faults import inject_faults
+from repro.runtime.outcome import Verdict
+from repro.session import ReasoningSession
 from repro.solver.core import InternedSystem, VariableTable
 from repro.solver.pruned import (
     Nogood,
@@ -33,6 +38,7 @@ from repro.solver.registry import (
     DEFAULT_NAIVE_LIMIT,
     AcceptabilityProblem,
     decide_acceptable,
+    pin_backend,
 )
 from repro.solver.stats import SearchCounters, search_stats_sink
 
@@ -235,6 +241,154 @@ class TestSessionFunnel:
             "# pruning: 11 zero-set(s) enumerated, 54 orbit-pruned, "
             "55 nogood-pruned, 2 orbit(s)" in out
         )
+
+
+def ask(session: ReasoningSession, cls: str):
+    """``session.is_class_satisfiable(cls)`` and the LPs it solved."""
+    budget = Budget()
+    result = session.is_class_satisfiable(cls, budget=budget)
+    return result, budget.solver_calls
+
+
+def answer_of(result):
+    return (result.verdict, result.solution, result.support, result.engine)
+
+
+class TestWalkReuse:
+    """A pinned walk's answer is memoized on its island's cache entry;
+    a faulted or budget-cut walk leaves nothing behind."""
+
+    @pytest.mark.parametrize(
+        ("engine", "schema", "cls", "lps"),
+        [
+            ("pruned", symmetric_conflict_schema(), "T", 11),
+            ("pruned", meeting_schema(), "Speaker", 4),
+            ("naive", symmetric_conflict_schema(), "T", 120),
+            ("naive", meeting_schema(), "Speaker", 9),
+        ],
+        ids=["pruned-unsat", "pruned-sat", "naive-unsat", "naive-sat"],
+    )
+    def test_a_repeated_class_costs_no_lp(self, engine, schema, cls, lps):
+        with pin_backend(engine):
+            session = ReasoningSession(schema)
+            first, first_lps = ask(session, cls)
+            second, second_lps = ask(session, cls)
+        assert (first_lps, second_lps) == (lps, 0)
+        assert answer_of(second) == answer_of(first)
+        assert first.engine == engine
+        # Each answer carries its own copy of a witness.
+        assert second.solution is None or second.solution is not first.solution
+
+    def test_a_faulted_walk_is_answered_by_the_fixpoint_and_not_kept(self):
+        schema = symmetric_conflict_schema()
+        with pin_backend("pruned"):
+            session = ReasoningSession(schema)
+            with inject_faults(simplex_failures={1}) as plan:
+                faulted, _ = ask(session, "T")
+            assert plan.injected == [("simplex", 1)]
+            retried, retried_lps = ask(session, "T")
+            _, third_lps = ask(session, "T")
+        assert faulted.verdict is Verdict.UNSAT
+        assert faulted.engine == "pruned"
+        # The walk runs again, from an empty ledger, and only then is
+        # its answer kept.
+        assert (retried_lps, third_lps) == (11, 0)
+        assert answer_of(retried) == answer_of(faulted)
+
+    def test_a_walk_cut_short_by_its_budget_keeps_nothing(self):
+        schema = symmetric_conflict_schema()
+        with pin_backend("pruned"):
+            session = ReasoningSession(schema)
+            cut = session.is_class_satisfiable(
+                "T", budget=Budget(max_solver_calls=3)
+            )
+            entry = session.cache.artifacts(schema, session.fingerprint)
+            assert entry.walks == {}
+            assert entry.ledger.nogoods == []
+            retried, retried_lps = ask(session, "T")
+            fresh, fresh_lps = ask(ReasoningSession(schema), "T")
+        assert cut.verdict is Verdict.UNKNOWN
+        assert answer_of(retried) == answer_of(fresh)
+        assert retried_lps == fresh_lps == 11
+
+    def test_a_walk_works_on_a_copy_of_the_published_ledger(self):
+        # Copy-on-write: the second class's walk reads the first one's
+        # nogoods, then publishes a new store; the one it started from
+        # is never written, so a concurrent reader of it is safe.
+        schema = symmetric_conflict_schema()
+        with pin_backend("pruned"):
+            session = ReasoningSession(schema)
+            ask(session, "T")
+            entry = session.cache.artifacts(schema, session.fingerprint)
+            published = entry.ledger
+            before = (
+                list(published.nogoods),
+                list(published.hits),
+                list(published.first_victims),
+                dict(published.witnesses),
+            )
+            _, lps = ask(session, "A1")
+            _, fresh_lps = ask(ReasoningSession(schema), "A1")
+        assert lps < fresh_lps
+        assert entry.ledger is not published
+        assert sum(entry.ledger.hits) > sum(published.hits)
+        assert (
+            published.nogoods,
+            published.hits,
+            published.first_victims,
+            published.witnesses,
+        ) == before
+
+    def test_batch_stats_count_a_repeated_query_once(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.dsl import serialize_schema
+
+        path = tmp_path / "conflict.cr"
+        path.write_text(serialize_schema(symmetric_conflict_schema()))
+        code = main(
+            ["batch", str(path), "--query", "sat T", "--query", "sat T",
+             "--backend", "pruned", "--stats"]
+        )
+        assert code == 1
+        out = capsys.readouterr().out
+        assert out.count("sat T: UNSATISFIABLE") == 2
+        assert (
+            "# pruning: 11 zero-set(s) enumerated, 54 orbit-pruned, "
+            "55 nogood-pruned, 2 orbit(s)" in out
+        )
+
+
+class TestSessionReuseGate:
+    """bench_prune's session-reuse validator refuses each broken claim."""
+
+    RECORD = {
+        "workload": "conflict-2",
+        "classes": 3,
+        "round_lps": [18, 0],
+        "fresh_lps": 47,
+        "verdicts_agree": True,
+        "witnesses_identical": True,
+    }
+
+    def test_a_sound_record_passes(self):
+        from benchmarks.bench_prune import validate_session_reuse
+
+        validate_session_reuse({"session_reuse": [dict(self.RECORD)]})
+
+    @pytest.mark.parametrize(
+        ("change", "message"),
+        [
+            ({"round_lps": [18, 1]}, "second round solved 1 LP"),
+            ({"round_lps": [48, 0]}, "more than the 47"),
+            ({"verdicts_agree": False}, "differs from the naive"),
+            ({"witnesses_identical": False}, "differs from the naive"),
+        ],
+    )
+    def test_a_broken_claim_fails(self, change, message):
+        from benchmarks.bench_prune import validate_session_reuse
+
+        with pytest.raises(ValueError, match=message):
+            validate_session_reuse({"session_reuse": [{**self.RECORD, **change}]})
 
 
 PINNED_RENDERING = """\

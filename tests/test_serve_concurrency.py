@@ -20,6 +20,11 @@ shared-state ones:
 * **solver faults mid-request** — a scripted kernel fault inside a
   served zero-set walk is answered by the fixpoint, with the unfaulted
   verdict;
+* **a shared walk ledger** — two schemas that share an island but not a
+  fingerprint lock walk that island concurrently; its nogood ledger is
+  published copy-on-write, so a lost update may cost an LP, but every
+  answer must stay the serial one and every fact in the ledger must
+  still verify;
 * **saturation** — past ``max_inflight`` the daemon answers 503 +
   ``Retry-After`` immediately instead of queueing unboundedly, and the
   in-flight gauge returns to zero afterwards.
@@ -31,6 +36,7 @@ served requests actually hit.
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -38,12 +44,18 @@ from pathlib import Path
 import pytest
 
 from repro.cli import parse_batch_query
+from repro.components import decompose_schema
+from repro.cr.construction import witness_violation
+from repro.cr.satisfiability import decision_problem
 from repro.dsl import parse_schema, serialize_schema
 from repro.paper import refined_meeting_schema
 from repro.parallel.worker import answer_query
 from repro.runtime.faults import inject_faults
 from repro.serve import ServeClient, ServeConfig, running_server
 from repro.session import ReasoningSession
+from repro.solver.pruned import nogood_source_system
+from repro.solver.registry import pin_backend
+from tests.test_session import PLANTED_STYLE
 
 CLIENTS = 8
 ROUNDS = 3
@@ -243,6 +255,73 @@ def test_solver_fault_in_a_served_walk_is_answered_by_the_fixpoint():
     assert status == 200, payload
     assert [record["verdict"] for record in payload["results"]] == ["unsat"]
     assert plan.injected == [("simplex", 1)]
+
+
+def test_schemas_sharing_an_island_share_its_walk_ledger_safely():
+    """Two whole schemas share one island but hold different fingerprint
+    locks, so their pinned-pruned ``/check`` requests walk that island
+    at the same time, each from its own copy of the island's ledger.
+    Every answer must equal the serial one, and every nogood and
+    witness the published ledger holds must still verify."""
+    texts = {
+        "island": PLANTED_STYLE,
+        "island+lone": PLANTED_STYLE.replace(
+            "class TS isa T;", "class TS isa T;\n  class Lone;"
+        ),
+    }
+    schemas = {name: parse_schema(text) for name, text in texts.items()}
+    island = decompose_schema(schemas["island"]).component_of("T")
+    assert decompose_schema(schemas["island+lone"]).component_of(
+        "T"
+    ).fingerprint == island.fingerprint
+    classes = island.schema.classes
+    with pin_backend("pruned"):
+        serial = {
+            (name, cls): ReasoningSession(schema)
+            .is_class_satisfiable(cls)
+            .verdict.value
+            for name, schema in schemas.items()
+            for cls in classes
+        }
+    asks = sorted(serial)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with running_server(
+            ServeConfig(backend="pruned", max_inflight=CLIENTS)
+        ) as server:
+            def storm(client_index: int) -> list[tuple[tuple[str, str], int, list]]:
+                client = ServeClient(server.base_url)
+                start = client_index % len(asks)
+                out = []
+                for name, cls in asks[start:] + asks[:start]:
+                    status, payload = client.check(texts[name], cls)
+                    out.append(((name, cls), status, payload["results"]))
+                return out
+
+            with ThreadPoolExecutor(max_workers=CLIENTS) as pool:
+                answers = [
+                    answer
+                    for future in [pool.submit(storm, i) for i in range(CLIENTS)]
+                    for answer in future.result(timeout=300)
+                ]
+            entry = server.engine.cache.artifacts(island.schema, island.fingerprint)
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert len(answers) == CLIENTS * len(asks)
+    for key, status, results in answers:
+        assert status == 200
+        assert [record["verdict"] for record in results] == [serial[key]], key
+    cr_system = entry.cr_system
+    problem = decision_problem(cr_system, frozenset())
+    assert entry.ledger.nogoods and entry.ledger.witnesses
+    for nogood in entry.ledger.nogoods:
+        assert nogood.certificate.verify(nogood_source_system(problem, nogood))
+    for zero_set, witness in entry.ledger.witnesses.items():
+        assert witness_violation(cr_system, witness) is None
+        assert {c for c in problem.class_unknowns if witness[c] == 0} == zero_set
 
 
 def test_corrupted_store_entry_quarantined_on_restart(tmp_path, expected):

@@ -1,7 +1,8 @@
 """The session layer: cache reuse, pruned enumeration, fingerprints,
-budget degradation, countermodels built on first read, and the
-acceptance scenario of a 50-query batch on a Figure-5-sized schema that
-must build the expansion zero times once warm."""
+budget degradation, countermodels built on first read, reuse of pinned
+zero-set walks across classes, and the acceptance scenario of a
+50-query batch on a Figure-5-sized schema that must build the expansion
+zero times once warm."""
 
 from __future__ import annotations
 
@@ -26,11 +27,14 @@ from repro.cr.constraints import (
 )
 from repro.cr.expansion import Expansion
 from repro.cr.implication import statement_holds
+from repro.cr.satisfiability import is_class_satisfiable
 from repro.cr.schema import CRSchema
+from repro.dsl import parse_schema
 from repro.errors import SolverError
 from repro.runtime.budget import Budget
 from repro.runtime.outcome import ImplicationVerdict, Verdict
 from repro.session import ReasoningSession, SessionCache, schema_fingerprint
+from repro.solver.registry import pin_backend
 from repro.store import ArtifactStore
 from tests.strategies import (
     implication_queries_for,
@@ -251,6 +255,79 @@ def test_budget_exhaustion_degrades_then_resumes(meeting):
     verdicts = session.satisfiable_classes()
     assert verdicts == {cls: True for cls in meeting.classes}
     assert session.warm
+
+
+# ---------------------------------------------------------------------------
+# pinned zero-set walks: one memo and one nogood ledger per island
+# ---------------------------------------------------------------------------
+
+PLANTED_STYLE = """schema Planted {
+  class P0;
+  class P1;
+  class P2 isa P0;
+  class T;
+  class TS isa T;
+  relationship R0(R0a: P0, R0b: P1);
+  relationship R1(R1a: P1, R1b: P0);
+  relationship RT(RTu: T, RTv: T);
+  relationship RL(RLa: P2, RLt: T);
+  cardinality P0 in R0.R0a: (1, 2);
+  cardinality P2 in R0.R0a: (1, 1);
+  cardinality P1 in R0.R0b: (1, 2);
+  cardinality P1 in R1.R1a: (0, 2);
+  cardinality P0 in R1.R1b: (1, 1);
+  cardinality P2 in R1.R1b: (1, 1);
+  cardinality T in RT.RTu: (2, 2);
+  cardinality T in RT.RTv: (1, 1);
+  cardinality P2 in RL.RLa: (0, 3);
+  disjoint P0, P1;
+  disjoint P0, T;
+  disjoint P1, T;
+}
+"""
+"""Satisfiable classes ``P0``-``P2`` tied to a root ``T`` that the
+``2|T| <= |R| = |T|`` conflict empties, in one island."""
+
+
+def _ask_pruned(session: ReasoningSession, cls: str):
+    budget = Budget()
+    result = session.is_class_satisfiable(cls, budget=budget)
+    return result, budget.solver_calls
+
+
+def test_pinned_pruned_walks_share_one_ledger_per_island(
+    meeting, refined_meeting, figure1
+):
+    """Every class of five schemas, asked through one pinned-pruned
+    session per schema on one cache: each answer is the fresh naive
+    walk's, and walks that start from their island's ledger solve fewer
+    LPs in total than a fresh session per class does."""
+    from tests.test_pruned import symmetric_conflict_schema
+
+    schemas = [
+        symmetric_conflict_schema(),
+        meeting,
+        refined_meeting,
+        figure1,
+        parse_schema(PLANTED_STYLE),
+    ]
+    cache = SessionCache()
+    shared_lps = fresh_lps = 0
+    for schema in schemas:
+        session = ReasoningSession(schema, cache=cache)
+        for cls in schema.classes:
+            naive = is_class_satisfiable(schema, cls, engine="naive")
+            with pin_backend("pruned"):
+                result, lps = _ask_pruned(session, cls)
+                _, alone_lps = _ask_pruned(ReasoningSession(schema), cls)
+            assert (result.verdict, result.solution, result.support) == (
+                naive.verdict,
+                naive.solution,
+                naive.support,
+            ), (schema.name, cls)
+            shared_lps += lps
+            fresh_lps += alone_lps
+    assert shared_lps < fresh_lps
 
 
 # ---------------------------------------------------------------------------
