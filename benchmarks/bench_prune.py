@@ -23,11 +23,10 @@ Acceptance bars (hard-checked by :func:`validate_report`, re-run by
 CI's bench-smoke against the emitted artifact): on every unsatisfiable
 symmetric workload the pruned engine must enumerate at least
 :data:`REDUCTION_BAR` times fewer zero-sets than the naive walk *and*
-win wall-clock; every workload must agree on verdict and witness, the
-two-worker pool must reproduce the serial pruned answer byte-for-byte,
-and the serial pruned run must solve exactly one LP per tested
-candidate (``pruned_lp_calls == pruned_enumerated``: each nogood is
-learned from the certificate of the solve that refuted it).
+win wall-clock; every workload must agree on verdict and witness, and
+the pruned run must solve exactly one LP per tested candidate
+(``pruned_lp_calls == pruned_enumerated``: each nogood is learned from
+the certificate of the solve that refuted it).
 
 Session reuse: one pinned-pruned ``ReasoningSession`` asks every class
 of each workload twice, and the report records the LPs of each round
@@ -115,18 +114,18 @@ def _problem(schema):
     return decision_problem(cr_system, class_targets(cr_system, "T"))
 
 
-def _run_engine(problem, engine: str, jobs: int = 1):
+def _run_engine(problem, engine: str):
     """One counted run plus ``REPEATS`` timed ones; returns the result
     tuple, the fold of the counted run's search stats, its LP count
     (:attr:`Budget.solver_calls`), and the best wall-clock."""
     counters = SearchCounters()
     budget = Budget()
     with activate(budget), search_stats_sink(counters):
-        result = decide_acceptable(problem, engine, jobs=jobs)
+        result = decide_acceptable(problem, engine)
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
-        decide_acceptable(problem, engine, jobs=jobs)
+        decide_acceptable(problem, engine)
         best = min(best, time.perf_counter() - start)
     return result, counters, budget.solver_calls, best
 
@@ -193,7 +192,6 @@ def run_workload(
     siblings: int,
     root_side: bool = False,
     satisfiable: bool = False,
-    check_jobs: bool = False,
 ) -> dict:
     schema = _workload_schema(siblings, root_side, satisfiable)
     problem = _problem(schema)
@@ -201,10 +199,6 @@ def run_workload(
     pruned_result, pruned_counters, pruned_lp_calls, pruned_s = _run_engine(
         problem, "pruned"
     )
-    jobs_identical = True
-    if check_jobs:
-        pooled_result, _, _, _ = _run_engine(problem, "pruned", jobs=2)
-        jobs_identical = repr(pooled_result) == repr(pruned_result)
     pruned_enumerated = pruned_counters.zero_sets_enumerated
     return {
         "workload": workload,
@@ -217,7 +211,6 @@ def run_workload(
         "speedup": naive_s / pruned_s if pruned_s > 0 else 0.0,
         "verdicts_agree": bool(naive_result[0] == pruned_result[0]),
         "witnesses_identical": repr(naive_result) == repr(pruned_result),
-        "jobs_identical": jobs_identical,
         "naive_enumerated": naive_counters.zero_sets_enumerated,
         "pruned_enumerated": pruned_enumerated,
         "pruned_lp_calls": pruned_lp_calls,
@@ -234,7 +227,7 @@ def run_workload(
 
 def run_benchmarks(quick: bool = False) -> dict:
     entries = [
-        run_workload("conflict-2", "unsat-conflict", 2, check_jobs=True),
+        run_workload("conflict-2", "unsat-conflict", 2),
         run_workload("rootside-2", "unsat-conflict", 2, root_side=True),
         run_workload("benign-2", "sat-parity", 2, satisfiable=True),
     ]
@@ -274,7 +267,6 @@ _ENTRY_KEYS = {
     "speedup": float,
     "verdicts_agree": bool,
     "witnesses_identical": bool,
-    "jobs_identical": bool,
     "naive_enumerated": int,
     "pruned_enumerated": int,
     "pruned_lp_calls": int,
@@ -339,8 +331,7 @@ def validate_report(report: dict) -> dict:
     for entry in entries:
         check_entry_fields(entry, _ENTRY_KEYS)
         label = entry.get("workload")
-        for claim in ("verdicts_agree", "witnesses_identical",
-                      "jobs_identical"):
+        for claim in ("verdicts_agree", "witnesses_identical"):
             if not entry[claim]:
                 raise ValueError(
                     f"entry {label!r}: parity violated ({claim} is false)"

@@ -8,7 +8,7 @@ first request pays the cold pipeline, every later request — from any
 client — rides the process-wide warm cache, so request latency drops to
 transport + lookup.  The report records the cold/warm split, the
 differential parity bit (served records versus the serial
-:func:`~repro.parallel.worker.answer_query` oracle), and sustained
+:func:`~repro.cli.answer_query` oracle), and sustained
 req/s with p50/p99 latency at 1, 8, and 32 concurrent clients.
 
 ``validate_report`` keeps structural bars (parity must hold, the warm
@@ -35,10 +35,9 @@ from benchmarks._emit import (
     check_summary,
     run_emit_main,
 )
-from repro.cli import parse_batch_query
+from repro.cli import answer_query, parse_batch_query
 from repro.dsl import serialize_schema
 from repro.paper import meeting_schema, refined_meeting_schema
-from repro.parallel.worker import answer_query
 from repro.serve import ServeClient, ServeConfig, running_server
 from repro.session import ReasoningSession
 

@@ -12,8 +12,8 @@ lint      the polynomial-time static analyzer alone: structured
           diagnostics (errors / warnings / infos) with machine-checked
           witnesses, ``--json`` for tooling, ``--strict`` to fail on
           warnings; ``--repo`` turns the lens inward and runs the
-          :mod:`repro.lintkit` rules (R1–R12) over the repo's own
-          source against the checked-in baseline
+          :mod:`repro.lintkit` rules (R1–R3, R6–R11) over the repo's
+          own source against the checked-in baseline
           (``tools/lint_baseline.json``)
 implies   decide ``S ⊨ K`` for a statement like ``"A isa B"`` or
           ``"maxc(Speaker, Holds, U1) = 1"``
@@ -22,7 +22,7 @@ batch     answer many queries (``sat <Class>`` lines and implication
           exponential expansion is built once per constraint-graph
           component for the whole batch; ``--cache-dir`` (or
           ``REPRO_CACHE_DIR``) adds the crash-safe persistent artifact
-          store so later runs — and ``--jobs`` pool workers — start warm
+          store so later runs start warm
 diff      component-level delta between two schemas: report which
           constraint-graph islands changed, reuse warm artifacts for
           the untouched ones (``--cache-dir``), and answer queries
@@ -55,6 +55,7 @@ import sys
 import time
 from contextlib import ExitStack
 from pathlib import Path
+from typing import Any
 
 from repro.analysis import analyze
 from repro.cr.constraints import (
@@ -72,7 +73,6 @@ from repro.cr.system import build_system
 from repro.cr.unrestricted import unrestricted_satisfiable_classes
 from repro.dsl import parse_schema, serialize_schema
 from repro.errors import BudgetExceededError, LimitExceededError, ReproError
-from repro.parallel import resolve_jobs
 from repro.pipeline import STAGE_NORMALIZE, PipelineRun, activate_run, stage
 from repro.runtime.budget import Budget, activate
 from repro.solver.registry import ENGINES, active_backend_name, pin_backend
@@ -159,10 +159,9 @@ def _verdict_word(value) -> str:
 def _cmd_check(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
     budget = _budget_from(args)
-    jobs = resolve_jobs(getattr(args, "jobs", None))
     if args.cls:
         result = is_class_satisfiable(
-            schema, args.cls, budget=budget, precheck=True, jobs=jobs
+            schema, args.cls, budget=budget, precheck=True
         )
         if result.verdict is Verdict.UNKNOWN:
             print(f"{args.cls}: UNKNOWN ({result.unknown_reason})")
@@ -172,9 +171,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if result.diagnostic is not None:
             print(f"  {result.diagnostic.pretty()}")
         return 0 if result.satisfiable else 1
-    verdicts = satisfiable_classes(
-        schema, budget=budget, precheck=True, jobs=jobs
-    )
+    verdicts = satisfiable_classes(schema, budget=budget, precheck=True)
     unrestricted = (
         unrestricted_satisfiable_classes(schema) if args.unrestricted else None
     )
@@ -276,6 +273,42 @@ def parse_batch_query(text: str):
     return ("implies", parse_statement(stripped))
 
 
+def answer_query(
+    session: Any, kind: str, query: Any
+) -> tuple[dict[str, Any], str, bool, bool]:
+    """Answer one batch query: ``(record, text, positive, unknown)``.
+
+    The single formatting path for batch output: ``batch``, ``diff``
+    and the serve daemon all call it, so a served record is the
+    ``batch --json`` record by construction.
+    """
+    if kind == "sat":
+        result = session.is_class_satisfiable(query)
+        verdict = result.verdict
+        positive = bool(result.satisfiable)
+        unknown = verdict is Verdict.UNKNOWN
+        word = (
+            "UNKNOWN"
+            if unknown
+            else ("satisfiable" if positive else "UNSATISFIABLE")
+        )
+        record = {
+            "query": f"sat {query}",
+            "verdict": verdict.value,
+            "unknown_reason": result.unknown_reason,
+        }
+        return record, f"sat {query}: {word}", positive, unknown
+    result = session.implies(query)
+    positive = bool(result.implied)
+    unknown = result.verdict is ImplicationVerdict.UNKNOWN
+    record = {
+        "query": query.pretty(),
+        "verdict": result.verdict.value,
+        "unknown_reason": result.unknown_reason,
+    }
+    return record, result.pretty(), positive, unknown
+
+
 def _collect_queries(args: argparse.Namespace) -> list:
     """Queries from ``--query`` flags plus the query file (``-`` = stdin).
 
@@ -311,10 +344,9 @@ def _read_batch_queries(args: argparse.Namespace) -> list:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    from repro.parallel.worker import answer_query
+    from repro.session import ReasoningSession, SessionCache
     from repro.store import resolve_cache_dir
 
-    jobs = resolve_jobs(getattr(args, "jobs", None))
     cache_dir = resolve_cache_dir(
         getattr(args, "cache_dir", None), getattr(args, "no_cache", False)
     )
@@ -324,53 +356,25 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         schema = _load_schema(args.schema)
         queries = _read_batch_queries(args)
         budget = _budget_from(args)
-        if jobs > 1 and len(queries) > 1:
-            # Fan out across worker processes.  Stage timings under this
-            # branch come from the workers' own PipelineRuns (merged by
-            # the pool as chunks land) — the parent's wait time belongs
-            # to no stage, so ``run`` never double-counts it.
-            from repro.parallel.fanout import run_parallel_batch
-            from repro.session.fingerprint import schema_fingerprint
+        cache = None
+        if cache_dir is not None:
+            from repro.store import ArtifactStore
 
-            outcome = run_parallel_batch(
-                schema,
-                queries,
-                jobs,
-                backend=getattr(args, "backend", None),
-                budget=budget,
-                cache_dir=cache_dir,
+            cache = SessionCache(store=ArtifactStore(cache_dir))
+        session = ReasoningSession(schema, cache=cache, budget=budget)
+        records = []
+        any_unknown = False
+        all_positive = True
+        for kind, payload in queries:
+            record, text, positive, unknown = answer_query(
+                session, kind, payload
             )
-            records = outcome.records
-            any_unknown = outcome.any_unknown
-            all_positive = outcome.all_positive
-            stats_dict = outcome.session_stats
-            fingerprint = schema_fingerprint(schema)
+            records.append(record)
+            any_unknown = any_unknown or unknown
+            all_positive = all_positive and positive
             if not args.json:
-                for text in outcome.texts:
-                    print(text)
-        else:
-            from repro.session import ReasoningSession, SessionCache
-
-            cache = None
-            if cache_dir is not None:
-                from repro.store import ArtifactStore
-
-                cache = SessionCache(store=ArtifactStore(cache_dir))
-            session = ReasoningSession(schema, cache=cache, budget=budget)
-            records = []
-            any_unknown = False
-            all_positive = True
-            for kind, payload in queries:
-                record, text, positive, unknown = answer_query(
-                    session, kind, payload
-                )
-                records.append(record)
-                any_unknown = any_unknown or unknown
-                all_positive = all_positive and positive
-                if not args.json:
-                    print(text)
-            stats_dict = session.stats.as_dict()
-            fingerprint = session.fingerprint
+                print(text)
+        stats_dict = session.stats.as_dict()
     wall_seconds = time.perf_counter() - wall_start
     if args.json:
         import json
@@ -379,8 +383,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             json.dumps(
                 {
                     "schema": schema.name,
-                    "fingerprint": fingerprint,
-                    "jobs": jobs,
+                    "fingerprint": session.fingerprint,
                     "results": records,
                     "stats": stats_dict,
                     "stages": run.as_dict(),
@@ -390,7 +393,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             )
         )
     elif args.stats:
-        _print_batch_stats(stats_dict, cache_dir, run, wall_seconds, jobs)
+        _print_batch_stats(stats_dict, cache_dir, run, wall_seconds)
     if any_unknown:
         return 3
     return 0 if all_positive else 1
@@ -401,7 +404,6 @@ def _print_batch_stats(
     cache_dir: str | None,
     run: PipelineRun,
     wall_seconds: float,
-    jobs: int,
 ) -> None:
     """The ``--stats`` footer shared by ``batch`` and ``diff``."""
     print(
@@ -439,9 +441,7 @@ def _print_batch_stats(
             f"# stage {name}: {timing['runs']} run(s), "
             f"{timing['seconds'] * 1000.0:.1f}ms"
         )
-    print(
-        f"# wall-clock: {wall_seconds * 1000.0:.1f}ms ({jobs} job(s))"
-    )
+    print(f"# wall-clock: {wall_seconds * 1000.0:.1f}ms")
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
@@ -456,7 +456,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     and exits 0; with queries the exit semantics match ``batch``.
     """
     from repro.components import compute_delta, decompose_schema
-    from repro.parallel.worker import answer_query
     from repro.pipeline import STAGE_DECOMPOSE
     from repro.store import resolve_cache_dir
 
@@ -537,7 +536,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
             )
         )
     elif args.stats:
-        _print_batch_stats(stats_dict, cache_dir, run, wall_seconds, jobs=1)
+        _print_batch_stats(stats_dict, cache_dir, run, wall_seconds)
     if queries:
         if any_unknown:
             return 3
@@ -670,12 +669,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 def _cmd_implies(args: argparse.Namespace) -> int:
     schema = _load_schema(args.schema)
     statement = parse_statement(args.statement)
-    result = implies(
-        schema,
-        statement,
-        budget=_budget_from(args),
-        jobs=resolve_jobs(getattr(args, "jobs", None)),
-    )
+    result = implies(schema, statement, budget=_budget_from(args))
     print(result.pretty())
     if result.verdict is ImplicationVerdict.UNKNOWN:
         return 3
@@ -782,17 +776,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: REPRO_BACKEND env var, else fixpoint)",
         )
 
-    def add_jobs(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--jobs",
-            type=int,
-            default=None,
-            metavar="N",
-            help="worker processes for parallelisable work "
-            "(default: the REPRO_JOBS env var, else 1 = serial; "
-            "results are identical at any job count)",
-        )
-
     def add_budget(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
             "--timeout",
@@ -826,7 +809,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_backend(check)
     add_budget(check)
-    add_jobs(check)
     check.set_defaults(run=_cmd_check)
 
     lint = subparsers.add_parser(
@@ -846,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--repo",
         action="store_true",
         help="lint the repo's own source with the lintkit rules "
-        "(R1-R12) against the checked-in baseline instead of "
+        "(R1-R3, R6-R11) against the checked-in baseline instead of "
         "linting a schema",
     )
     lint.add_argument(
@@ -902,8 +884,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         default=None,
         metavar="DIR",
-        help="persistent artifact store shared across runs and --jobs "
-        "workers (default: the REPRO_CACHE_DIR env var, else no "
+        help="persistent artifact store shared across runs "
+        "(default: the REPRO_CACHE_DIR env var, else no "
         "persistence; output is byte-identical either way)",
     )
     batch.add_argument(
@@ -913,7 +895,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_backend(batch)
     add_budget(batch)
-    add_jobs(batch)
     batch.set_defaults(run=_cmd_batch)
 
     diff = subparsers.add_parser(
@@ -1094,7 +1075,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_backend(imp)
     add_budget(imp)
-    add_jobs(imp)
     imp.set_defaults(run=_cmd_implies)
 
     model = subparsers.add_parser("model", help="construct a witness state")

@@ -31,7 +31,6 @@ from repro.components.decompose import (
     SchemaComponent,
     decompose_schema,
     monolithic_decomposition,
-    query_partition_key,
     sub_schema,
 )
 from repro.components.diff import SchemaDelta, compute_delta
@@ -46,6 +45,5 @@ __all__ = [
     "constraint_edges",
     "decompose_schema",
     "monolithic_decomposition",
-    "query_partition_key",
     "sub_schema",
 ]

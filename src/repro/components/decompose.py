@@ -13,8 +13,7 @@ artifacts are bit-identical to the monolithic path.
 for cross-component queries (an ISA or disjointness question whose
 classes span islands is decided on the union of just those islands —
 equivalent to the whole schema by the model-composition argument of
-DESIGN §13), and :func:`query_partition_key` gives the deterministic
-routing key the parallel fan-out groups queries by.
+DESIGN §13).
 """
 
 from __future__ import annotations
@@ -23,15 +22,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.components.graph import connected_class_sets
-from repro.cr.constraints import (
-    DisjointnessStatement,
-    IsaStatement,
-    MaxCardinalityStatement,
-    MinCardinalityStatement,
-)
-from repro.cr.implication import ImplicationQuery, exceptional_schema
-from repro.cr.schema import Card, CRSchema, UNBOUNDED
-from repro.errors import ReproError
+from repro.cr.schema import CRSchema
 from repro.session.fingerprint import schema_fingerprint
 
 
@@ -225,68 +216,10 @@ def decompose_schema(
     return ComponentDecomposition(schema, tuple(components), fingerprint)
 
 
-def query_partition_key(
-    decomposition: ComponentDecomposition,
-    kind: str,
-    query: str | ImplicationQuery,
-) -> str:
-    """The fingerprint a batch query's answer is keyed by.
-
-    Queries sharing a key share the cache entries they touch, so the
-    parallel fan-out groups by this key: satisfiability and same-island
-    implication route to the owning component, cross-island ISA and
-    disjointness to the merged sub-schema, and cardinality queries to
-    the Section-4 extended schema of the owning component.  Ill-formed
-    queries fall back to the whole-schema key — they fail identically
-    on whichever worker answers them.
-    """
-    try:
-        if kind == "sat":
-            return decomposition.component_of(query).fingerprint
-        if isinstance(query, IsaStatement):
-            components = decomposition.components_of((query.sub, query.sup))
-            return decomposition.merged_fingerprint(
-                frozenset(component.index for component in components)
-            )
-        if isinstance(query, DisjointnessStatement):
-            class_list = sorted(query.classes)
-            if len(class_list) < 2:
-                return decomposition.whole_fingerprint
-            components = decomposition.components_of(class_list)
-            return decomposition.merged_fingerprint(
-                frozenset(component.index for component in components)
-            )
-        if isinstance(query, MinCardinalityStatement) and query.value == 0:
-            return decomposition.whole_fingerprint
-        if isinstance(
-            query, (MinCardinalityStatement, MaxCardinalityStatement)
-        ):
-            if isinstance(query, MinCardinalityStatement):
-                card = Card(0, query.value - 1)
-            else:
-                card = Card(query.value + 1, UNBOUNDED)
-            if len(decomposition.components) > 1:
-                # Validate against the whole schema first so an illegal
-                # triple keys (and fails) the same way it would have
-                # monolithically.
-                exceptional_schema(
-                    decomposition.schema, query.cls, query.rel, query.role, card
-                )
-            component = decomposition.component_of(query.cls)
-            extended, _exc = exceptional_schema(
-                component.schema, query.cls, query.rel, query.role, card
-            )
-            return schema_fingerprint(extended)
-        return decomposition.whole_fingerprint
-    except ReproError:
-        return decomposition.whole_fingerprint
-
-
 __all__ = [
     "ComponentDecomposition",
     "SchemaComponent",
     "decompose_schema",
     "monolithic_decomposition",
-    "query_partition_key",
     "sub_schema",
 ]

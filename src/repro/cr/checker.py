@@ -97,8 +97,9 @@ def _check_cardinalities(
     """
     violations: list[Violation] = []
     for (cls, rel, role), card in sorted(schema.declared_cards.items()):
+        counts = interpretation.participation_counts(rel, role)
         for individual in sorted(interpretation.instances_of(cls), key=repr):
-            count = interpretation.participation_count(rel, role, individual)
+            count = counts[individual]
             if not card.admits(count):
                 violations.append(
                     Violation(
@@ -211,6 +212,7 @@ def check_expansion_model(
     # compound classes.
     for rel in schema.relationships:
         for role, primary in rel.signature:
+            counts = interpretation.participation_counts(rel.name, role)
             for compound in expansion.consistent_compound_classes():
                 if primary not in compound.members:
                     continue
@@ -219,9 +221,7 @@ def check_expansion_model(
                     compound.members, classes
                 )
                 for individual in sorted(extension, key=repr):
-                    count = interpretation.participation_count(
-                        rel.name, role, individual
-                    )
+                    count = counts[individual]
                     if not card.admits(count):
                         violations.append(
                             Violation(

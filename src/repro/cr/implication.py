@@ -134,37 +134,33 @@ def implies(
     budget: Budget | None = None,
     naive_limit: int = DEFAULT_NAIVE_LIMIT,
     fallback: FallbackPolicy | None = DEFAULT_FALLBACK,
-    jobs: int = 1,
 ) -> ImplicationResult:
     """Dispatch an implication query to the matching decision routine.
 
     ``budget`` governs the whole check and degrades it to an UNKNOWN
     verdict on exhaustion; ``naive_limit`` and ``fallback`` configure
     the solver degradation chain (see
-    :func:`repro.cr.satisfiability.acceptable_with_positive`), and
-    ``jobs`` its parallelism (only the naive engine fans out — the
-    fixpoint path stays serial so countermodels remain bit-identical).
+    :func:`repro.cr.satisfiability.acceptable_with_positive`).
     """
     if isinstance(query, IsaStatement):
         return implies_isa(
             schema, query.sub, query.sup, engine, limits, budget,
-            naive_limit, fallback, jobs,
+            naive_limit, fallback,
         )
     if isinstance(query, MinCardinalityStatement):
         return implies_min_cardinality(
             schema, query.cls, query.rel, query.role, query.value, engine,
-            limits, budget, naive_limit, fallback, jobs,
+            limits, budget, naive_limit, fallback,
         )
     if isinstance(query, MaxCardinalityStatement):
         return implies_max_cardinality(
             schema, query.cls, query.rel, query.role, query.value, engine,
-            limits, budget, naive_limit, fallback, jobs,
+            limits, budget, naive_limit, fallback,
         )
     if isinstance(query, DisjointnessStatement):
         classes = sorted(query.classes)
         return implies_disjointness(
             schema, classes, engine, limits, budget, naive_limit, fallback,
-            jobs,
         )
     raise ReproError(f"unsupported implication query {query!r}")
 
@@ -178,7 +174,6 @@ def implies_isa(
     budget: Budget | None = None,
     naive_limit: int = DEFAULT_NAIVE_LIMIT,
     fallback: FallbackPolicy | None = DEFAULT_FALLBACK,
-    jobs: int = 1,
 ) -> ImplicationResult:
     """Decide ``S ⊨ sub ≼ sup``."""
     schema.require_class(sub)
@@ -197,7 +192,7 @@ def implies_isa(
             )
         with stage(STAGE_SOLVE, phase=f"decide:{engine}"):
             found, solution, _support = acceptable_with_positive(
-                cr_system, targets, engine, naive_limit, fallback, jobs
+                cr_system, targets, engine, naive_limit, fallback
             )
         with stage(STAGE_VERDICT):
             if not found:
@@ -289,7 +284,6 @@ def _cardinality_implication(
     budget: Budget | None = None,
     naive_limit: int = DEFAULT_NAIVE_LIMIT,
     fallback: FallbackPolicy | None = DEFAULT_FALLBACK,
-    jobs: int = 1,
 ) -> ImplicationResult:
     extended, exc = exceptional_schema(
         schema, query.cls, query.rel, query.role, exceptional_card
@@ -306,7 +300,7 @@ def _cardinality_implication(
             )
         with stage(STAGE_SOLVE, phase=f"decide:{engine}"):
             found, solution, _support = acceptable_with_positive(
-                cr_system, targets, engine, naive_limit, fallback, jobs
+                cr_system, targets, engine, naive_limit, fallback
             )
         with stage(STAGE_VERDICT):
             if not found:
@@ -335,7 +329,6 @@ def implies_min_cardinality(
     budget: Budget | None = None,
     naive_limit: int = DEFAULT_NAIVE_LIMIT,
     fallback: FallbackPolicy | None = DEFAULT_FALLBACK,
-    jobs: int = 1,
 ) -> ImplicationResult:
     """Decide ``S ⊨ minc(cls, rel, role) = value``.
 
@@ -348,7 +341,7 @@ def implies_min_cardinality(
         return ImplicationResult(query, True, engine, None)
     return _cardinality_implication(
         schema, query, Card(0, value - 1), engine, limits, budget,
-        naive_limit, fallback, jobs,
+        naive_limit, fallback,
     )
 
 
@@ -363,7 +356,6 @@ def implies_max_cardinality(
     budget: Budget | None = None,
     naive_limit: int = DEFAULT_NAIVE_LIMIT,
     fallback: FallbackPolicy | None = DEFAULT_FALLBACK,
-    jobs: int = 1,
 ) -> ImplicationResult:
     """Decide ``S ⊨ maxc(cls, rel, role) = value``.
 
@@ -373,7 +365,7 @@ def implies_max_cardinality(
     query = MaxCardinalityStatement(cls, rel, role, value)
     return _cardinality_implication(
         schema, query, Card(value + 1, UNBOUNDED), engine, limits, budget,
-        naive_limit, fallback, jobs,
+        naive_limit, fallback,
     )
 
 
@@ -385,7 +377,6 @@ def implies_disjointness(
     budget: Budget | None = None,
     naive_limit: int = DEFAULT_NAIVE_LIMIT,
     fallback: FallbackPolicy | None = DEFAULT_FALLBACK,
-    jobs: int = 1,
 ) -> ImplicationResult:
     """Decide whether the given classes are pairwise disjoint in all models.
 
@@ -415,8 +406,7 @@ def implies_disjointness(
                             targets.add(cr_system.class_var[compound])
         with stage(STAGE_SOLVE, phase=f"decide:{engine}"):
             found, solution, _support = acceptable_with_positive(
-                cr_system, frozenset(targets), engine, naive_limit, fallback,
-                jobs,
+                cr_system, frozenset(targets), engine, naive_limit, fallback
             )
         with stage(STAGE_VERDICT):
             if not found:
@@ -446,19 +436,19 @@ def statement_holds(
             statement.sub
         ) <= interpretation.instances_of(statement.sup)
     if isinstance(statement, MinCardinalityStatement):
+        counts = interpretation.participation_counts(
+            statement.rel, statement.role
+        )
         return all(
-            interpretation.participation_count(
-                statement.rel, statement.role, individual
-            )
-            >= statement.value
+            counts[individual] >= statement.value
             for individual in interpretation.instances_of(statement.cls)
         )
     if isinstance(statement, MaxCardinalityStatement):
+        counts = interpretation.participation_counts(
+            statement.rel, statement.role
+        )
         return all(
-            interpretation.participation_count(
-                statement.rel, statement.role, individual
-            )
-            <= statement.value
+            counts[individual] <= statement.value
             for individual in interpretation.instances_of(statement.cls)
         )
     if isinstance(statement, DisjointnessStatement):

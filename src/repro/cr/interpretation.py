@@ -10,6 +10,7 @@ and the derived *compound* extensions of Section 3.1.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Hashable, Iterable, Mapping
 from dataclasses import dataclass, field
 
@@ -130,15 +131,18 @@ class Interpretation:
         """Extension of a relationship (empty if not mentioned)."""
         return self.relationship_extensions.get(rel, frozenset())
 
+    def participation_counts(
+        self, rel: str, role: str
+    ) -> Counter[Individual]:
+        """Every individual's ``participation_count`` in one pass over
+        the tuples of ``rel``; an individual in no tuple counts 0."""
+        return Counter(labelled.get(role) for labelled in self.tuples_of(rel))
+
     def participation_count(
         self, rel: str, role: str, individual: Individual
     ) -> int:
         """``|{r in rel : r[role] == individual}|`` (Definition 2.2 (C))."""
-        return sum(
-            1
-            for labelled in self.tuples_of(rel)
-            if labelled.get(role) == individual
-        )
+        return self.participation_counts(rel, role)[individual]
 
     def compound_extension(
         self, members: frozenset[str], all_classes: Iterable[str]

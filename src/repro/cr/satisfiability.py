@@ -308,7 +308,6 @@ def acceptable_with_positive(
     engine: str = "fixpoint",
     naive_limit: int = DEFAULT_NAIVE_LIMIT,
     fallback: FallbackPolicy | None = DEFAULT_FALLBACK,
-    jobs: int = 1,
 ) -> tuple[bool, dict[str, int] | None, frozenset[str]]:
     """Is there an acceptable solution making some ``targets`` unknown positive?
 
@@ -324,14 +323,6 @@ def acceptable_with_positive(
     propagates.  Symmetrically, a faulted ``naive`` or ``pruned`` walk
     is answered by the fixpoint.  Budget exhaustion is never absorbed
     by a fallback.
-
-    ``jobs > 1`` parallelises the naive engine's zero-set enumeration
-    (bit-identical results including the witness, see
-    :mod:`repro.parallel.fanout`).  The fixpoint path ignores ``jobs``:
-    its witness comes out of one shadow LP, and the parallel probe
-    union — while provably the same *support* — would be a different
-    (equally valid) solution, so the witness-returning path stays
-    serial to remain the oracle.
     """
     engine = _resolve_engine(engine)
     if engine == "fixpoint":
@@ -346,11 +337,11 @@ def acceptable_with_positive(
                 or len(cr_system.consistent_class_unknowns()) > naive_limit
             ):
                 raise
-            return _naive_with_positive(cr_system, targets, naive_limit, jobs)
+            return _naive_with_positive(cr_system, targets, naive_limit)
     if engine in ("naive", "pruned"):
         try:
             return _naive_with_positive(
-                cr_system, targets, naive_limit, jobs, engine=engine
+                cr_system, targets, naive_limit, engine=engine
             )
         except BudgetExceededError:
             raise
@@ -381,12 +372,11 @@ def _naive_with_positive(
     cr_system: CRSystem,
     targets: frozenset[str],
     naive_limit: int = DEFAULT_NAIVE_LIMIT,
-    jobs: int = 1,
     engine: str = "naive",
 ) -> tuple[bool, dict[str, int] | None, frozenset[str]]:
     """Run a Theorem-3.4 zero-set walk (``naive`` or ``pruned``)."""
     return decide_acceptable(
-        _naive_problem(cr_system, targets), engine, naive_limit, jobs
+        _naive_problem(cr_system, targets), engine, naive_limit
     )
 
 
@@ -405,7 +395,6 @@ def is_class_satisfiable(
     naive_limit: int = DEFAULT_NAIVE_LIMIT,
     fallback: FallbackPolicy | None = DEFAULT_FALLBACK,
     precheck: bool = False,
-    jobs: int = 1,
 ) -> SatisfiabilityResult:
     """Decide whether ``cls`` can be populated in some finite model.
 
@@ -443,11 +432,6 @@ def is_class_satisfiable(
         empty — skipping the exponential expansion entirely.  Off by
         default so this function remains the analyzer-free oracle the
         differential soundness suite compares against.
-    jobs:
-        Worker processes for the naive engine's zero-set enumeration
-        (:mod:`repro.parallel`); 1 (the default) stays serial, and the
-        fixpoint engine always does — see
-        :func:`acceptable_with_positive`.
     """
     schema.require_class(cls)
     engine = _resolve_engine(engine)
@@ -467,7 +451,7 @@ def is_class_satisfiable(
             targets = class_targets(cr_system, cls)
         with stage(STAGE_SOLVE, phase=f"decide:{engine}"):
             satisfiable, solution, support = acceptable_with_positive(
-                cr_system, targets, engine, naive_limit, fallback, jobs
+                cr_system, targets, engine, naive_limit, fallback
             )
         with stage(STAGE_VERDICT):
             return SatisfiabilityResult(
@@ -492,7 +476,6 @@ def satisfiable_classes(
     naive_limit: int = DEFAULT_NAIVE_LIMIT,
     fallback: FallbackPolicy | None = DEFAULT_FALLBACK,
     precheck: bool = False,
-    jobs: int = 1,
 ) -> dict[str, bool | Verdict]:
     """Satisfiability of every class with a single fixpoint run.
 
@@ -515,12 +498,6 @@ def satisfiable_classes(
     diagnostics and the expansion is skipped (a partial precheck cannot
     skip the expansion — the remaining classes need it — and by
     soundness the full run agrees on the statically-settled ones).
-
-    ``jobs > 1`` fans each fixpoint iteration's per-class strict probes
-    across worker processes (:mod:`repro.parallel`).  This sweep only
-    reports verdicts — never a witness solution — so the probe-union
-    support is observably identical to the serial shadow-LP support,
-    and the verdict map is bit-identical at any job count.
     """
 
     def compute() -> dict[str, bool | Verdict]:
@@ -536,16 +513,8 @@ def satisfiable_classes(
         with stage(STAGE_BUILD_SYSTEM, phase="system"):
             cr_system = build_system(local_expansion, mode="pruned")
         try:
-            if jobs > 1:
-                from repro.parallel.fanout import parallel_fixpoint_support
-
-                with stage(STAGE_SOLVE, phase="decide:fixpoint"):
-                    support = parallel_fixpoint_support(
-                        _fixpoint_problem(cr_system), jobs
-                    )
-            else:
-                with stage(STAGE_SOLVE, phase="decide:fixpoint"):
-                    support, _solution = acceptable_support(cr_system)
+            with stage(STAGE_SOLVE, phase="decide:fixpoint"):
+                support, _solution = acceptable_support(cr_system)
         except BudgetExceededError:
             raise
         except SolverError:
@@ -558,10 +527,7 @@ def satisfiable_classes(
             with stage(STAGE_SOLVE, phase="decide:naive"):
                 return {
                     cls: _naive_with_positive(
-                        cr_system,
-                        class_targets(cr_system, cls),
-                        naive_limit,
-                        jobs,
+                        cr_system, class_targets(cr_system, cls), naive_limit
                     )[0]
                     for cls in schema.classes
                 }

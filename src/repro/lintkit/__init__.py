@@ -1,7 +1,7 @@
 """repro.lintkit — dataflow-aware static analysis of the repo itself.
 
 The package turns the repo's hand-enforced contracts (exact rational
-arithmetic, budget-governed termination, deterministic fan-out,
+arithmetic, budget-governed termination, deterministic iteration,
 crash-safe persistence, lock-disciplined serving) into machine-checked
 rules over a shared analysis core:
 
@@ -10,7 +10,7 @@ rules over a shared analysis core:
 * :mod:`repro.lintkit.loader` — project discovery, order-independent;
 * :mod:`repro.lintkit.callgraph` — call graph + worklist-fixpoint
   function summaries and deterministic witness chains;
-* :mod:`repro.lintkit.rules` — the rule registry (R1–R12);
+* :mod:`repro.lintkit.rules` — the rule registry (R1–R3, R6–R11);
 * :mod:`repro.lintkit.astrules` / :mod:`repro.lintkit.dataflow` — the
   single-module pattern rules and the dataflow detectors;
 * :mod:`repro.lintkit.baseline` / :mod:`repro.lintkit.runner` — the

@@ -1,4 +1,4 @@
-"""R1 and R3–R7: single-module AST rules.
+"""R1, R3, R6 and R7: single-module AST rules.
 
 These are the pattern rules of the repo's first invariant walker,
 rehoused on the lintkit registry next to the dataflow rules; each
@@ -33,9 +33,6 @@ fraction-free tableau's row normalisation needs."""
 KERNEL_MODULES = ("repro/solver/",)
 """Scope of R2 (budgeted loops) and R3 (popitem ban)."""
 
-PARALLEL_MODULES = ("repro/parallel/",)
-"""Scope of R4 (spawn-only start method) and R5 (deadlined waits)."""
-
 STORE_MODULES = ("repro/store/",)
 """Scope of R6 (atomic writes only)."""
 
@@ -49,8 +46,6 @@ STORE_WRITE_HELPER = "repro/store/atomic.py"
 _EXPANSION_CALLS = ("Expansion", "build_system")
 _WRITE_MODE_CHARS = frozenset("wax+")
 _WRITE_METHODS = ("write_text", "write_bytes")
-_START_METHOD_CALLS = ("get_context", "set_start_method")
-_WAIT_CALLS = ("result", "wait", "as_completed", "map")
 
 
 def _call_name(node: ast.Call) -> str | None:
@@ -162,56 +157,6 @@ def check_popitem(module: ModuleModel) -> list[Finding]:
     return findings
 
 
-def check_start_method(module: ModuleModel) -> list[Finding]:
-    findings = []
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        if _call_name(node) not in _START_METHOD_CALLS:
-            continue
-        method: ast.expr | None = node.args[0] if node.args else None
-        if method is None:
-            for keyword in node.keywords:
-                if keyword.arg == "method":
-                    method = keyword.value
-        if isinstance(method, ast.Constant) and method.value == "spawn":
-            continue
-        findings.append(
-            _finding(
-                module,
-                node.lineno,
-                "R4",
-                "multiprocessing start method must be the literal "
-                "'spawn'; fork copies ambient budgets, contextvars, "
-                "and locks into workers",
-            )
-        )
-    return findings
-
-
-def check_undeadlined_waits(module: ModuleModel) -> list[Finding]:
-    findings = []
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = _call_name(node)
-        if name not in _WAIT_CALLS:
-            continue
-        if any(keyword.arg == "timeout" for keyword in node.keywords):
-            continue
-        findings.append(
-            _finding(
-                module,
-                node.lineno,
-                "R5",
-                f"{name}() without timeout= in repro.parallel; every "
-                "pool wait must carry a deadline so a stuck worker "
-                "cannot hang the parent",
-            )
-        )
-    return findings
-
-
 def _open_mode(node: ast.Call) -> ast.expr | None:
     if len(node.args) >= 2:
         return node.args[1]
@@ -307,30 +252,6 @@ register(
         contract="no popitem in kernel modules",
         scope=KERNEL_MODULES,
         check_module=check_popitem,
-    )
-)
-register(
-    Rule(
-        rule_id="R4",
-        title="spawn-only multiprocessing",
-        contract=(
-            "get_context()/set_start_method() must pass the literal "
-            "'spawn'"
-        ),
-        scope=PARALLEL_MODULES,
-        check_module=check_start_method,
-    )
-)
-register(
-    Rule(
-        rule_id="R5",
-        title="deadlined pool waits",
-        contract=(
-            "result()/wait()/as_completed()/map() must pass timeout= "
-            "in repro.parallel"
-        ),
-        scope=PARALLEL_MODULES,
-        check_module=check_undeadlined_waits,
     )
 )
 register(

@@ -1,4 +1,4 @@
-"""R2 and R8–R12: dataflow rules powered by the call graph.
+"""R2 and R8–R11: dataflow rules powered by the call graph.
 
 These are the detectors single-node AST matching cannot express.  Each
 rule states the contract it protects, computes a may-analysis over the
@@ -27,13 +27,10 @@ R10  event-loop hygiene: blocking calls (file I/O, ``subprocess``,
      ``async def`` body except through the executor.
 R11  determinism taint: iteration over a ``set``/``frozenset`` must
      not flow into ordered output (list/tuple/join accumulation)
-     without an intervening ``sorted()`` in the solver, parallel, and
-     component layers and the session's query routing.  (``dict``
-     iteration is insertion-ordered in the kernels and therefore
-     deterministic by construction.)
-R12  spawn-payload pickle-safety: values flowing into the worker
-     payload must be module-level picklable — no lambdas, no nested
-     functions, no locks.
+     without an intervening ``sorted()`` in the solver and component
+     layers and the session's query routing.  (``dict`` iteration is
+     insertion-ordered in the kernels and therefore deterministic by
+     construction.)
 """
 
 from __future__ import annotations
@@ -57,11 +54,9 @@ SESSION_MODULES = ("repro/session/",)
 DEADLINE_MODULES = SERVE_MODULES + SESSION_MODULES
 DETERMINISM_MODULES = (
     "repro/solver/",
-    "repro/parallel/",
     "repro/components/",
     "repro/session/session.py",
 )
-PARALLEL_MODULES = ("repro/parallel/",)
 
 _WAIT_ATTRS = frozenset({"acquire", "wait", "join", "result"})
 
@@ -85,9 +80,6 @@ _SET_LAUNDER_CALLS = frozenset(
     {"sorted", "set", "frozenset", "sum", "min", "max", "any", "all", "len"}
 )
 _ORDERED_CONSUMERS = frozenset({"list", "tuple"})
-_UNPICKLABLE_FACTORIES = frozenset(
-    {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore", "Event"}
-)
 
 
 def _walk_scope(scope: ast.AST):
@@ -625,137 +617,6 @@ def check_determinism_taint(project: Project) -> list[Finding]:
     return findings
 
 
-# ---------------------------------------------------------------- R12
-
-
-def _nested_def_names(scope: ast.AST) -> frozenset[str]:
-    names = set()
-    for node in ast.walk(scope):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if node is not scope:
-                names.add(node.name)
-    return frozenset(names)
-
-
-def _unpicklable(
-    node: ast.expr, nested: frozenset[str]
-) -> str | None:
-    for child in ast.walk(node):
-        if isinstance(child, ast.Lambda):
-            return "a lambda"
-        if isinstance(child, ast.Name) and child.id in nested:
-            return f"nested function {child.id}()"
-        if isinstance(child, ast.Call):
-            func = child.func
-            factory = None
-            if isinstance(func, ast.Name):
-                factory = func.id
-            elif isinstance(func, ast.Attribute):
-                factory = func.attr
-            if factory in _UNPICKLABLE_FACTORIES:
-                return f"{factory}() (a synchronization primitive)"
-    return None
-
-
-class _PayloadVisitor(ast.NodeVisitor):
-    def __init__(self, module: ModuleModel) -> None:
-        self.module = module
-        self.findings: list[Finding] = []
-
-    def run(self) -> list[Finding]:
-        scopes: list[ast.AST] = [self.module.tree]
-        scopes.extend(
-            node
-            for node in ast.walk(self.module.tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        )
-        for scope in scopes:
-            self._scan_scope(scope)
-        return self.findings
-
-    def _scan_scope(self, scope: ast.AST) -> None:
-        nested = _nested_def_names(scope)
-        dict_bindings: dict[str, ast.Dict] = {}
-        for node in _walk_scope(scope):
-            if isinstance(node, ast.Assign) and isinstance(
-                node.value, ast.Dict
-            ):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        dict_bindings[target.id] = node.value
-        for node in _walk_scope(scope):
-            if isinstance(node, ast.Call):
-                self._check_call(node, nested, dict_bindings)
-
-    def _payload_exprs(
-        self, node: ast.Call, dict_bindings: dict[str, ast.Dict]
-    ) -> list[ast.expr]:
-        exprs: list[ast.expr] = []
-        for keyword in node.keywords:
-            if keyword.arg == "payload":
-                exprs.append(keyword.value)
-        func = node.func
-        name = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
-        if name == "WorkerPool" and node.args:
-            exprs.append(node.args[0])
-        resolved: list[ast.expr] = []
-        for expr in exprs:
-            if isinstance(expr, ast.Name) and expr.id in dict_bindings:
-                resolved.append(dict_bindings[expr.id])
-            else:
-                resolved.append(expr)
-        return resolved
-
-    def _check_call(
-        self,
-        node: ast.Call,
-        nested: frozenset[str],
-        dict_bindings: dict[str, ast.Dict],
-    ) -> None:
-        for expr in self._payload_exprs(node, dict_bindings):
-            values: list[ast.expr]
-            if isinstance(expr, ast.Dict):
-                values = [v for v in expr.values if v is not None]
-            else:
-                values = [expr]
-            for value in values:
-                reason = _unpicklable(value, nested)
-                if reason is None:
-                    continue
-                self.findings.append(
-                    Finding(
-                        rule="R12",
-                        path=self.module.path,
-                        line=node.lineno,
-                        message=(
-                            "non-picklable value flows into the spawn "
-                            f"worker payload: {reason}; spawn workers "
-                            "rebuild state from module-level callables "
-                            "and plain data"
-                        ),
-                        scope=self.module.scope_at(node.lineno),
-                        witness=(
-                            f"payload constructed at "
-                            f"{self.module.path}:{node.lineno}",
-                            f"offending value at "
-                            f"{self.module.path}:{value.lineno}: "
-                            f"{reason}",
-                        ),
-                    )
-                )
-
-
-def check_pickle_safety(project: Project) -> list[Finding]:
-    findings = []
-    for module in project.modules_in_scope(PARALLEL_MODULES):
-        findings.extend(_PayloadVisitor(module).run())
-    return findings
-
-
 # --------------------------------------------------------- registry
 
 
@@ -817,16 +678,5 @@ register(
         ),
         scope=DETERMINISM_MODULES,
         check_project=check_determinism_taint,
-    )
-)
-register(
-    Rule(
-        rule_id="R12",
-        title="spawn-payload pickle-safety",
-        contract=(
-            "worker payloads carry only module-level picklable values"
-        ),
-        scope=PARALLEL_MODULES,
-        check_project=check_pickle_safety,
     )
 )

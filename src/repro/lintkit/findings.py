@@ -1,7 +1,7 @@
 """Diagnostics emitted by the repo contract checker.
 
 A :class:`Finding` is one contract breach: a stable rule id (``R1`` …
-``R12``, see DESIGN §14 for the catalogue), the repo-relative file and
+``R11``, see DESIGN §14 for the catalogue), the repo-relative file and
 line, the enclosing definition (``scope``), a human-readable message,
 and — for the dataflow rules — a *witness chain*: the call path or
 taint path that proves the finding, rendered innermost-first so a

@@ -1,11 +1,11 @@
 """Rule registry for the repo contract checker.
 
-A :class:`Rule` couples a stable id (``R1`` … ``R12``) with the scope
+A :class:`Rule` couples a stable id (``R1`` … ``R11``) with the scope
 it patrols and a check callable.  Two kinds exist:
 
 * **module rules** (``check_module(module) -> findings``) — pure AST
   pattern rules; the registry applies the scope filter and exemptions
-  before calling them.  R1 and R3–R7 are module rules.
+  before calling them.  R1, R3, R6 and R7 are module rules.
 * **project rules** (``check_project(project) -> findings``) — the
   dataflow detectors that need the call graph; they receive the whole
   :class:`~repro.lintkit.loader.Project` and self-scope, because one

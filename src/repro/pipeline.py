@@ -119,23 +119,6 @@ class PipelineRun:
     def total_seconds(self) -> float:
         return sum(timing.seconds for timing in self.stages.values())
 
-    def merge(self, stages: dict[str, dict[str, float | int]]) -> None:
-        """Fold another run's :meth:`as_dict` export into this one.
-
-        The parallel execution layer runs stages inside worker
-        processes, each under its own :class:`PipelineRun`; the parent
-        merges the workers' exported timings here so ``batch --stats``
-        reports the work actually performed rather than the parent's
-        time spent *waiting* on the pool (which belongs to no stage and
-        would double-count every overlapping worker).
-        """
-        for name, timing in stages.items():
-            entry = self.stages.get(name)
-            if entry is None:
-                entry = self.stages[name] = StageTiming(name)
-            entry.runs += int(timing.get("runs", 0))
-            entry.seconds += float(timing.get("seconds", 0.0))
-
     def _ordered(self) -> list[StageTiming]:
         canonical = [
             self.stages[name]

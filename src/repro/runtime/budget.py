@@ -154,12 +154,6 @@ class Budget:
             return 0.0
         return self._clock() - self._started
 
-    def remaining_time(self) -> float | None:
-        """Seconds left before the timeout, or ``None`` if unlimited."""
-        if self.timeout is None:
-            return None
-        return max(0.0, self.timeout - self.elapsed())
-
     def enter_phase(self, name: str) -> None:
         """Record the pipeline stage (for snapshots) and run a full check."""
         self.phase = name
@@ -210,64 +204,6 @@ class Budget:
         if (self._ticks & _TICK_MASK) == 0:
             if self.timeout is not None and self.elapsed() >= self.timeout:
                 self._exhaust("timeout")
-
-    def merge_charges(
-        self,
-        expansion_nodes: int = 0,
-        solver_calls: int = 0,
-        pivots: int = 0,
-    ) -> None:
-        """Fold the charges of a completed child computation into this
-        account.
-
-        The parallel execution layer (:mod:`repro.parallel`) runs work
-        in worker processes, each under its own :class:`Budget`; the
-        parent absorbs the workers' counters here so the aggregate
-        account stays honest.  The usual cap semantics apply — if the
-        merged totals cross a cap, the merge raises
-        :class:`~repro.errors.BudgetExceededError` exactly like a local
-        charge would, which is what cancels sibling workers.
-        """
-        if expansion_nodes:
-            self.charge_expansion(expansion_nodes)
-        if solver_calls:
-            self.solver_calls += solver_calls
-            if (
-                self.max_solver_calls is not None
-                and self.solver_calls > self.max_solver_calls
-            ):
-                self._exhaust("solver-calls")
-        if pivots:
-            self.charge_pivots(pivots)
-        self.check()
-
-    def remaining_caps(self) -> dict[str, float | int]:
-        """Constructor keyword arguments for a child :class:`Budget`
-        covering whatever this account has left.
-
-        A worker process cannot share the parent's (unpicklable, clock-
-        anchored) budget object, so the parent hands each dispatched
-        chunk a fresh budget built from the *remaining* headroom at
-        dispatch time.  Unlimited resources are omitted.  This
-        intentionally does not split caps across siblings: any single
-        worker may spend up to the whole remainder, and the parent's
-        :meth:`merge_charges` is what detects aggregate overdraft.
-        """
-        caps: dict[str, float | int] = {}
-        remaining = self.remaining_time()
-        if remaining is not None:
-            caps["timeout"] = remaining
-        if self.max_expansion_nodes is not None:
-            caps["max_expansion_nodes"] = max(
-                0, self.max_expansion_nodes - self.expansion_nodes
-            )
-        if self.max_solver_calls is not None:
-            caps["max_solver_calls"] = max(
-                0, self.max_solver_calls - self.solver_calls
-            )
-        if self.max_pivots is not None:
-            caps["max_pivots"] = max(0, self.max_pivots - self.pivots)
-        return caps
 
     # -- reporting ---------------------------------------------------------
 

@@ -13,10 +13,10 @@ sharing an unchanged island share its artifacts.
 surface-syntax parsers the CLI uses (:func:`repro.cli.parse_batch_query`),
 governed by the same :class:`~repro.runtime.Budget` the CLI flags build
 (:func:`~repro.runtime.budget.budget_from_caps`), and answered through
-the same :func:`~repro.parallel.worker.answer_query` formatter that
-makes ``--jobs N`` byte-identical to serial — so a served record is
-byte-identical to the ``repro batch --json`` record for the same
-schema and query, which the differential suite asserts wholesale.
+the same :func:`repro.cli.answer_query` formatter ``repro batch`` uses —
+so a served record is byte-identical to the ``repro batch --json``
+record for the same schema and query, which the differential suite
+asserts wholesale.
 
 **Concurrency model**: requests for the same *whole-schema*
 fingerprint are serialized on a per-fingerprint lock (so a cold entry
@@ -55,7 +55,7 @@ from collections.abc import Iterator
 from contextlib import ExitStack, contextmanager
 from typing import Any
 
-from repro.cli import parse_batch_query, parse_statement
+from repro.cli import answer_query, parse_batch_query, parse_statement
 from repro.components import (
     ComponentDecomposition,
     compute_delta,
@@ -63,7 +63,6 @@ from repro.components import (
 )
 from repro.dsl import parse_schema
 from repro.errors import LimitExceededError, ReproError
-from repro.parallel.worker import answer_query
 from repro.pipeline import STAGE_DECOMPOSE, PipelineRun, activate_run, stage
 from repro.runtime.budget import Budget, budget_from_caps
 from repro.serve.metrics import ServeMetrics

@@ -25,7 +25,6 @@ from repro.session.cache import CacheStats, SchemaArtifacts, SessionCache
 from repro.session.fingerprint import canonical_form, schema_fingerprint
 from repro.session.session import (
     ENGINE,
-    SESSION_STATS_KEYS,
     ReasoningSession,
     SessionStats,
 )
@@ -33,7 +32,6 @@ from repro.session.session import (
 __all__ = [
     "CacheStats",
     "ENGINE",
-    "SESSION_STATS_KEYS",
     "ReasoningSession",
     "SchemaArtifacts",
     "SessionCache",

@@ -33,8 +33,8 @@ stage.  Eviction is LRU with a configurable entry cap, sized for a
 service juggling many schemas.
 
 The cache optionally fronts a **persistent second tier** — a
-:class:`~repro.store.ArtifactStore` shared across processes and
-``--jobs`` pool workers.  A memory miss consults the store before
+:class:`~repro.store.ArtifactStore` shared across processes.  A
+memory miss consults the store before
 building: a valid persisted bundle restores the entry fully warm
 (``store_hits``), and an entry that completes its fixpoint stage
 writes through (``store_writes``) so the *next* process starts warm.

@@ -121,32 +121,6 @@ def _pinned_walk_engine() -> str | None:
     name = active_backend_name()
     return None if name == "fixpoint" else name
 
-SESSION_STATS_KEYS: tuple[str, ...] = (
-    "queries",
-    "hits",
-    "misses",
-    "evictions",
-    "analysis_runs",
-    "analysis_short_circuits",
-    "expansion_builds",
-    "system_builds",
-    "fixpoint_runs",
-    "store_hits",
-    "store_misses",
-    "store_writes",
-    "store_write_failures",
-    "components_total",
-    "components_reused",
-    "components_rebuilt",
-    "zero_sets_enumerated",
-    "pruned_by_orbit",
-    "pruned_by_nogood",
-    "orbits_found",
-)
-"""The :class:`SessionStats` field names, in ``as_dict`` order.  The
-parallel fan-out and the serve daemon sum per-worker / per-request stats
-dicts over exactly these keys."""
-
 
 @dataclass(frozen=True)
 class SessionStats:
@@ -270,7 +244,9 @@ class ReasoningSession:
     def _classify(self, component: SchemaComponent) -> None:
         """First touch of a component's base artifacts: acquire the cache
         entry and record whether it arrived warm (``components_reused``)
-        or must be built (``components_rebuilt``)."""
+        or must be built (``components_rebuilt``).  An entry holding a
+        pinned walk's memoized answer counts as warm: a pinned walk
+        never builds the fixpoint support that ``warm`` tracks."""
         if component.fingerprint in self._classified:
             return
         self._classified.add(component.fingerprint)
@@ -278,7 +254,7 @@ class ReasoningSession:
         stats = self.cache.stats
         stats.bump("components_total")
         self.components_total += 1
-        if entry.warm:
+        if entry.warm or entry.walks:
             stats.bump("components_reused")
             self.components_reused += 1
         else:
@@ -697,7 +673,6 @@ class ReasoningSession:
 
 __all__ = [
     "ENGINE",
-    "SESSION_STATS_KEYS",
     "ReasoningSession",
     "SessionStats",
     "schema_fingerprint",

@@ -70,6 +70,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from repro.runtime.budget import current_budget
@@ -139,6 +140,13 @@ class _Profile:
             )
             for row in self.rows
         ]
+
+    @cached_property
+    def row_multiset(self) -> Counter:
+        """The row multiset (labels excluded), built once per problem
+        for :func:`_verify_automorphism` to compare each candidate's
+        image against."""
+        return Counter(_row_key(row) for row in self.rows)
 
     def refine(self, seeds: Mapping[int, str] | None = None) -> list[int]:
         """Stable colouring of the columns, optionally individualised.
@@ -226,6 +234,17 @@ def _match_colorings(ca: Sequence[int], cb: Sequence[int]) -> list[int] | None:
     return sigma
 
 
+def _row_key(row, perm: Sequence[int] | None = None):
+    """A row's identity up to its label, its columns renamed by
+    ``perm`` when given."""
+    items = (
+        row.items()
+        if perm is None
+        else ((perm[col], coeff) for col, coeff in row.items())
+    )
+    return (row.relation, row.const, tuple(sorted(items)))
+
+
 def _verify_automorphism(
     problem: AcceptabilityProblem, profile: _Profile, sigma: Sequence[int]
 ) -> bool:
@@ -252,17 +271,8 @@ def _verify_automorphism(
             return False
         if {sigma[col] for col in dep_cols} != set(image_deps):
             return False
-
-    def row_key(row, perm=None):
-        items = (
-            row.items()
-            if perm is None
-            else ((perm[col], coeff) for col, coeff in row.items())
-        )
-        return (row.relation, row.const, tuple(sorted(items)))
-
-    return Counter(row_key(row) for row in profile.rows) == Counter(
-        row_key(row, sigma) for row in profile.rows
+    return profile.row_multiset == Counter(
+        _row_key(row, sigma) for row in profile.rows
     )
 
 
@@ -476,10 +486,6 @@ class NogoodStore:
         self.first_victims.append(None)
         return True
 
-    def install_all(self, nogoods: Sequence[Nogood]) -> None:
-        for nogood in nogoods:
-            self.install(nogood)
-
 
 def candidate_system(
     problem: AcceptabilityProblem, zero_set: frozenset[str]
@@ -555,9 +561,6 @@ def check_candidate(
 ) -> tuple[HomogeneousWitness, Nogood | None]:
     """Test one candidate: solve ``Ψ_Z`` once, and learn the nogood of a
     refuted one from the certificate of that same solve.
-
-    The single step shared by the serial walk and the pool's
-    :func:`~repro.parallel.worker.run_pruned_chunk`.
     """
     candidate = candidate_system(problem, zero_set)
     witness = positive_witness(candidate)
@@ -587,7 +590,7 @@ def pruned_zero_set_search(
     over the same system: a candidate whose witness the store already
     holds is answered from it without an LP (the same ``Ψ_Z`` solves
     to the same witness).  Ungated: :func:`repro.solver.registry.decide_acceptable`
-    applies ``naive_limit`` and the ``jobs`` fan-out.
+    applies ``naive_limit``.
     """
     names = list(problem.class_unknowns)
     if store is None:

@@ -214,17 +214,13 @@ def decide_acceptable(
     problem: AcceptabilityProblem,
     engine: str = "fixpoint",
     naive_limit: int = DEFAULT_NAIVE_LIMIT,
-    jobs: int = 1,
     store: NogoodStore | None = None,
 ) -> tuple[bool, dict[str, int] | None, frozenset[str]]:
     """Is some acceptable solution positive on a target unknown?
 
     Returns ``(found, integer_witness, support)``, decided by
     ``engine``.  The two zero-set walks are gated by ``naive_limit``
-    class unknowns and fan out over ``jobs`` worker processes; the
-    fixpoint ignores ``jobs``, because its witness comes out of one
-    shadow LP and keeping that witness bit-identical means keeping the
-    serial path.  ``store`` is handed to the serial pruned walk
+    class unknowns.  ``store`` is handed to the pruned walk
     (:func:`~repro.solver.pruned.pruned_zero_set_search`), which starts
     from its facts and adds what it learns; the other paths ignore it.
     """
@@ -246,19 +242,9 @@ def decide_acceptable(
             f"configured naive_limit of {naive_limit}; use "
             "engine='fixpoint' for schemas of this size or raise the limit"
         )
-    # Deferred imports: repro.parallel sits above the solver layer (its
-    # workers answer whole queries), and repro.solver.pruned imports
-    # this module.
     if engine == "naive":
-        if jobs > 1:
-            from repro.parallel.fanout import parallel_zero_set_search
-
-            return parallel_zero_set_search(problem, jobs)
         return naive_zero_set_search(problem)
-    if jobs > 1:
-        from repro.parallel.fanout import parallel_pruned_zero_set_search
-
-        return parallel_pruned_zero_set_search(problem, jobs)
+    # Deferred import: repro.solver.pruned imports this module.
     from repro.solver.pruned import pruned_zero_set_search
 
     return pruned_zero_set_search(problem, store)

@@ -19,9 +19,7 @@ daemon's lock-guarded subclass, or the lightweight
 :class:`SearchCounters` below (used by benchmarks and unit tests).
 
 A :class:`~contextvars.ContextVar` carries the sink so concurrent serve
-requests on one event loop and worker subprocesses each see their own
-activation (workers re-activate around their chunk bodies; counters are
-folded into the parent's sink when results merge).
+requests each see their own activation.
 """
 
 from __future__ import annotations
@@ -30,20 +28,12 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, fields
-from typing import Any, Protocol
+from typing import Protocol
 
 
 class StatsSink(Protocol):
     def bump(self, counter: str, amount: int = 1) -> None: ...
 
-
-#: Counters the zero-set search engines report, in render order.
-SEARCH_STAT_KEYS: tuple[str, ...] = (
-    "zero_sets_enumerated",
-    "pruned_by_orbit",
-    "pruned_by_nogood",
-    "orbits_found",
-)
 
 _SINK: ContextVar[StatsSink | None] = ContextVar("search_stats_sink", default=None)
 
@@ -86,21 +76,9 @@ class SearchCounters:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def fold_search_stats(stats: dict[str, Any] | None) -> None:
-    """Fold a worker-returned counter dict into the ambient sink."""
-    if not stats:
-        return
-    for key in SEARCH_STAT_KEYS:
-        amount = int(stats.get(key, 0))
-        if amount:
-            bump_search_stat(key, amount)
-
-
 __all__ = [
-    "SEARCH_STAT_KEYS",
     "SearchCounters",
     "StatsSink",
     "bump_search_stat",
-    "fold_search_stats",
     "search_stats_sink",
 ]

@@ -26,7 +26,7 @@ Quickstart::
 
 :class:`~repro.session.SessionCache` accepts a store as its persistent
 second tier (``SessionCache(store=...)``), which is how ``repro batch
---cache-dir`` and the ``--jobs`` pool workers share warm artifacts
+--cache-dir`` runs and ``repro serve`` daemons share warm artifacts
 across processes; the ``repro cache`` CLI fronts the maintenance
 surface (``stats`` / ``verify`` / ``clear`` / ``quarantine list``).
 """

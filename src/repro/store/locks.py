@@ -2,7 +2,7 @@
 
 Readers never lock: the atomic rename protocol guarantees a reader
 always sees a complete entry (old or new), so locks exist only to
-serialise *writers* on the same entry (two pool workers warming the
+serialise *writers* on the same entry (two processes warming the
 same fingerprint, or a writer racing the quarantine of a corrupt
 entry).
 

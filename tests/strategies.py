@@ -361,7 +361,7 @@ def query_mixes(
     ``("sat", class_name)`` and ``("implies", statement)`` in random
     interleaving — the exact shape :func:`repro.cli.parse_batch_query`
     produces from a batch file, which makes one generator serve every
-    suite that drives batches: the parallel parity properties, the
+    suite that drives batches: the component parity properties, the
     session metamorphic tests, and the serve differential harness
     (which renders the pairs back to batch-line syntax).
     """

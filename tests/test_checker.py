@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from repro.cr.builder import SchemaBuilder
@@ -106,6 +108,26 @@ class TestConditionC:
         # The paper: "every schema is satisfied by any interpretation that
         # assigns an empty set of instances to every class".
         assert is_model(schema, Interpretation.empty())
+
+    def test_relationship_scans_do_not_grow_with_the_instances(self, schema):
+        # One relationship scan per declared bound, not per instance,
+        # keeps the check linear in the size of the model.
+        def scans(size: int) -> int:
+            names = [f"a{index}" for index in range(size)]
+            interp = Interpretation.build(
+                {"A": names, "B": names},
+                {"R": [{"U1": name, "U2": name} for name in names]},
+            )
+            with mock.patch.object(
+                Interpretation,
+                "tuples_of",
+                autospec=True,
+                side_effect=Interpretation.tuples_of,
+            ) as spy:
+                assert is_model(schema, interp)
+            return spy.call_count
+
+        assert scans(40) == scans(20)
 
 
 class TestExtensions:

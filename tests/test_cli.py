@@ -220,6 +220,23 @@ class TestExitCodes:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--class", "Talk"],
+            ["batch", "--query", "sat Talk"],
+            ["implies", "Talk isa Speaker"],
+        ],
+        ids=["check", "batch", "implies"],
+    )
+    def test_jobs_flag_is_refused(self, meeting_file, capsys, argv):
+        # Every command runs serially; argparse exits 2 on --jobs.
+        command, *rest = argv
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, meeting_file, *rest, "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
     def test_parse_error_is_two_with_position(self, tmp_path, capsys):
         path = tmp_path / "broken.cr"
         path.write_text("schema Bad {\n  class A;\n  garbage !!\n}\n")

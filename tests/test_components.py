@@ -24,7 +24,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import pickle
 import tempfile
 from pathlib import Path
 
@@ -32,8 +31,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cli import answer_query
 from repro.cli import main as cli_main
-from repro.cli import parse_batch_query
 from repro.components import (
     compute_delta,
     decompose_schema,
@@ -46,9 +45,6 @@ from repro.cr.constraints import (
 from repro.cr.schema import Card, CRSchema, Relationship
 from repro.dsl import serialize_schema
 from repro.errors import SchemaError, UnknownSymbolError
-from repro.parallel import worker
-from repro.parallel.fanout import partition_queries
-from repro.parallel.worker import answer_query
 from repro.pipeline import PipelineRun, activate_run
 from repro.session import ReasoningSession, SessionCache
 from repro.session.cache import CacheStats
@@ -283,7 +279,7 @@ class TestReuseCounters:
 
 
 # ---------------------------------------------------------------------------
-# CLI: repro diff end to end, serial == --jobs 2
+# CLI: repro diff end to end
 # ---------------------------------------------------------------------------
 
 
@@ -353,59 +349,6 @@ class TestCliDiff:
             )
             assert code == 0
             assert "1 unchanged, 1 changed, 1 removed" in text
-
-    def test_serial_and_jobs_two_reports_are_identical(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            old_path, _new, queries_path = self._write_inputs(Path(tmp))
-            serial_text, serial_code = _run_cli(
-                ["batch", str(old_path), str(queries_path), "--json", "--no-cache"]
-            )
-            jobs_text, jobs_code = _run_cli(
-                [
-                    "batch",
-                    str(old_path),
-                    str(queries_path),
-                    "--json",
-                    "--no-cache",
-                    "--jobs",
-                    "2",
-                ]
-            )
-            serial = json.loads(serial_text)
-            jobs = json.loads(jobs_text)
-            for volatile in ("wall_seconds", "jobs", "stages"):
-                serial.pop(volatile, None)
-                jobs.pop(volatile, None)
-            assert jobs == serial
-
-    def test_a_worker_taking_both_partitions_counts_each_query_once(
-        self, monkeypatch
-    ):
-        # A pool worker keeps its session across chunks.  Run both
-        # partitions' chunks in this process, as a worker that takes
-        # both would: the summed per-chunk stats must equal a serial
-        # session's, not count the first chunk twice.
-        monkeypatch.setattr(worker, "_PAYLOAD", None)
-        monkeypatch.setattr(worker, "_STATE", {})
-        schema = _two_island_schema(max_card=3)
-        queries = [parse_batch_query(text) for text in self.QUERIES]
-        partitions = partition_queries(schema, queries, jobs=2)
-        assert len(partitions) == 2
-        worker.bootstrap(
-            pickle.dumps({"schema": schema, "backend": None, "cache_dir": None})
-        )
-        summed: dict[str, int] = {}
-        for partition in partitions:
-            chunk = worker.run_batch_chunk((None, tuple(partition)))["result"]
-            for key, value in chunk["session_stats"].items():
-                summed[key] = summed.get(key, 0) + value
-        serial = ReasoningSession(schema)
-        for kind, query in queries:
-            answer_query(serial, kind, query)
-        expected = serial.stats.as_dict()
-        assert (expected["queries"], expected["misses"]) == (4, 2)
-        assert expected["components_rebuilt"] == 2
-        assert summed == expected
 
 
 # ---------------------------------------------------------------------------

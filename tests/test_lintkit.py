@@ -3,9 +3,9 @@ checker behind ``repro lint --repo``.
 
 Three layers:
 
-* a **fixture corpus** of known-bad snippets, one per rule R1–R12,
-  each asserting the expected rule id, line anchor, and (for the
-  dataflow rules) the witness chain — plus the matching known-good
+* a **fixture corpus** of known-bad snippets, one per rule (R1–R3,
+  R6–R11), each asserting the expected rule id, line anchor, and (for
+  the dataflow rules) the witness chain — plus the matching known-good
   twin that must stay silent;
 * the **clean-repo gate**: the real repo, linted against the
   checked-in baseline, reports zero new findings;
@@ -47,8 +47,12 @@ def findings_for(rule_id: str, *mods: tuple[str, str]):
 
 
 class TestRegistry:
-    def test_all_twelve_rules_registered(self):
-        assert all_rule_ids() == tuple(f"R{i}" for i in range(1, 13))
+    def test_the_live_rules_are_registered(self):
+        # R4, R5 and R12 are retired ids, never reused, so baselines
+        # and docs that cite a rule by id keep their meaning.
+        assert all_rule_ids() == (
+            "R1", "R2", "R3", "R6", "R7", "R8", "R9", "R10", "R11",
+        )
 
     def test_every_rule_states_its_contract(self):
         run_rules(project_of(), ())  # force registry population
@@ -253,89 +257,6 @@ class TestR3Popitem:
         assert not findings_for(
             "R3",
             ("repro/session/cache.py", "cache.popitem(last=False)\n"),
-        )
-
-
-class TestR4SpawnOnly:
-    def test_fork_context_flagged(self):
-        (f,) = findings_for(
-            "R4",
-            (
-                "repro/parallel/pool.py",
-                "import multiprocessing\n"
-                'ctx = multiprocessing.get_context("fork")\n',
-            ),
-        )
-        assert (f.rule, f.line) == ("R4", 2)
-
-    def test_spawn_context_clean(self):
-        assert not findings_for(
-            "R4",
-            (
-                "repro/parallel/pool.py",
-                "import multiprocessing\n"
-                'ctx = multiprocessing.get_context("spawn")\n',
-            ),
-        )
-
-    @pytest.mark.parametrize(
-        "source",
-        [
-            'multiprocessing.set_start_method("forkserver")\n',
-            # A bare get_context() inherits the platform default, which
-            # is fork on Linux — the start method must be spelled out.
-            "ctx = multiprocessing.get_context()\n",
-            'multiprocessing.set_start_method(method="fork")\n',
-        ],
-        ids=["forkserver", "default-context", "method-keyword"],
-    )
-    def test_other_non_spawn_start_methods_flagged(self, source):
-        (f,) = findings_for("R4", ("repro/parallel/pool.py", source))
-        assert (f.rule, f.line) == ("R4", 1)
-
-    def test_rule_scoped_to_the_parallel_package(self):
-        source = 'ctx = multiprocessing.get_context("fork")\n'
-        assert not findings_for("R4", ("repro/cli.py", source))
-
-
-class TestR5DeadlinedWaits:
-    def test_bare_result_flagged(self):
-        (f,) = findings_for(
-            "R5",
-            ("repro/parallel/pool.py", "def f(fut):\n    fut.result()\n"),
-        )
-        assert (f.rule, f.line) == ("R5", 2)
-        assert "result() without timeout=" in f.message
-
-    @pytest.mark.parametrize(
-        "source",
-        [
-            "done, pending = wait(futures)\n",
-            "for future in as_completed(futures):\n    pass\n",
-            "results = pool.map(task, items)\n",
-        ],
-        ids=["wait", "as-completed", "pool-map"],
-    )
-    def test_other_bare_waits_flagged(self, source):
-        (f,) = findings_for("R5", ("repro/parallel/pool.py", source))
-        assert (f.rule, f.line) == ("R5", 1)
-
-    @pytest.mark.parametrize(
-        "source",
-        [
-            "value = future.result(timeout=0.05)\n"
-            "done, pending = wait(futures, timeout=0.05)\n",
-            # shutdown's wait= keyword is not a wait call.
-            "executor.shutdown(wait=True, cancel_futures=True)\n",
-        ],
-        ids=["timeout-keyword", "shutdown-wait-keyword"],
-    )
-    def test_deadlined_waits_clean(self, source):
-        assert not findings_for("R5", ("repro/parallel/pool.py", source))
-
-    def test_rule_scoped_to_the_parallel_package(self):
-        assert not findings_for(
-            "R5", ("repro/cli.py", "value = future.result()\n")
         )
 
 
@@ -686,7 +607,7 @@ class TestR11DeterminismTaint:
         (f,) = findings_for(
             "R11",
             (
-                "repro/parallel/fan.py",
+                "repro/components/fan.py",
                 """
                 def f(items):
                     out = []
@@ -716,66 +637,6 @@ class TestR11DeterminismTaint:
             """,
         )
         assert not findings_for("R11", good)
-
-
-class TestR12PickleSafety:
-    BAD = (
-        "repro/parallel/fan.py",
-        """
-        def launch(pool):
-            payload = {"fn": lambda x: x}
-            pool.submit_task(payload=payload)
-        """,
-    )
-
-    def test_lambda_in_payload_flagged(self):
-        (f,) = findings_for("R12", self.BAD)
-        assert (f.rule, f.line, f.scope) == ("R12", 4, "launch")
-        assert "a lambda" in f.message
-        assert f.witness == (
-            "payload constructed at repro/parallel/fan.py:4",
-            "offending value at repro/parallel/fan.py:3: a lambda",
-        )
-
-    def test_nested_function_in_payload_flagged(self):
-        (f,) = findings_for(
-            "R12",
-            (
-                "repro/parallel/fan.py",
-                """
-                def launch(pool):
-                    def helper(x):
-                        return x
-                    pool.submit_task(payload={"fn": helper})
-                """,
-            ),
-        )
-        assert "nested function helper()" in f.message
-
-    def test_lock_in_worker_pool_payload_flagged(self):
-        (f,) = findings_for(
-            "R12",
-            (
-                "repro/parallel/fan.py",
-                """
-                import threading
-
-                def launch():
-                    return WorkerPool({"ev": threading.Event()})
-                """,
-            ),
-        )
-        assert "Event() (a synchronization primitive)" in f.message
-
-    def test_plain_data_payload_clean(self):
-        good = (
-            "repro/parallel/fan.py",
-            """
-            def launch(pool, work):
-                pool.submit_task(payload={"items": list(work)})
-            """,
-        )
-        assert not findings_for("R12", good)
 
 
 class TestBaselineGate:
@@ -839,7 +700,6 @@ FIXTURE_MODULES = [
     TestR8LockDiscipline.BAD,
     TestR10AsyncBlocking.BAD,
     TestR11DeterminismTaint.BAD,
-    TestR12PickleSafety.BAD,
     ("repro/solver/core.py", "X = 0.5\n"),
     ("repro/store/index.py", 'def f(p):\n    open(p, "w")\n'),
 ]

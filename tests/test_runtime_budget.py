@@ -129,16 +129,6 @@ class TestBudgetUnit:
         budget.start()  # must not re-anchor
         assert budget.elapsed() == 7.0
 
-    def test_remaining_time(self):
-        clock = FakeClock()
-        budget = Budget(timeout=10.0, clock=clock)
-        budget.start()
-        clock.now = 4.0
-        assert budget.remaining_time() == 6.0
-        clock.now = 40.0
-        assert budget.remaining_time() == 0.0
-        assert Budget().remaining_time() is None
-
     def test_negative_caps_rejected(self):
         with pytest.raises(ReproError):
             Budget(timeout=-1)

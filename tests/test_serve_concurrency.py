@@ -43,13 +43,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import parse_batch_query
+from repro.cli import answer_query, parse_batch_query
 from repro.components import decompose_schema
 from repro.cr.construction import witness_violation
 from repro.cr.satisfiability import decision_problem
 from repro.dsl import parse_schema, serialize_schema
 from repro.paper import refined_meeting_schema
-from repro.parallel.worker import answer_query
 from repro.runtime.faults import inject_faults
 from repro.serve import ServeClient, ServeConfig, running_server
 from repro.session import ReasoningSession

@@ -6,11 +6,11 @@ over HTTP are byte-identical to the records ``repro batch --json``
 prints for the same inputs — same verdicts, same ``unknown_reason``
 strings, same ordering, same exit-code semantics (carried as
 ``exit_code`` in the response body).  Both paths share one formatter
-(:func:`repro.parallel.worker.answer_query`), and these properties
+(:func:`repro.cli.answer_query`), and these properties
 pin that sharing down from the outside:
 
 * random schemas and mixed query batches (from the same
-  :func:`tests.strategies.query_mixes` generator the parallel parity
+  :func:`tests.strategies.query_mixes` generator the component parity
   suite uses) through a live in-process server and through the CLI;
 * budget-capped requests whose queries exhaust mid-pipeline and
   degrade to UNKNOWN records with ``exit_code`` 3 — compared cold

@@ -330,6 +330,21 @@ def test_pinned_pruned_walks_share_one_ledger_per_island(
     assert shared_lps < fresh_lps
 
 
+def test_an_island_a_pinned_walk_answered_is_reused(meeting):
+    """A second session asking what a pinned walk already answered on
+    the same cache reads the island's walk memo: the island counts as
+    reused, and no LP runs."""
+    cache = SessionCache()
+    with pin_backend("pruned"):
+        first = ReasoningSession(meeting, cache=cache)
+        _ask_pruned(first, "Speaker")
+        second = ReasoningSession(meeting, cache=cache)
+        _, lps = _ask_pruned(second, "Speaker")
+    assert (first.components_rebuilt, first.components_reused) == (1, 0)
+    assert (second.components_rebuilt, second.components_reused) == (0, 1)
+    assert lps == 0
+
+
 # ---------------------------------------------------------------------------
 # shared caches
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The persistent tier end to end: two-tier :class:`SessionCache`,
-``repro batch --cache-dir`` warm-equals-cold byte identity (serial and
-``--jobs 2``), and the ``repro cache`` maintenance subcommand."""
+``repro batch --cache-dir`` warm-equals-cold byte identity, and the
+``repro cache`` maintenance subcommand."""
 
 from __future__ import annotations
 
@@ -158,19 +158,6 @@ class TestBatchCachePersistence:
         uncached_code, uncached = batch(meeting_file, capsys, "--no-cache")
         assert cold_code == warm_code == uncached_code == 0
         assert warm == cold == uncached
-
-    def test_parallel_warm_run_is_byte_identical(
-        self, meeting_file, cache_dir, capsys
-    ):
-        cold_code, cold = batch(
-            meeting_file, capsys, "--cache-dir", cache_dir, "--jobs", "2"
-        )
-        warm_code, warm = batch(
-            meeting_file, capsys, "--cache-dir", cache_dir, "--jobs", "2"
-        )
-        serial_code, serial = batch(meeting_file, capsys, "--no-cache")
-        assert cold_code == warm_code == serial_code == 0
-        assert warm == cold == serial
 
     def test_stats_line_reports_store_traffic(
         self, meeting_file, cache_dir, capsys
