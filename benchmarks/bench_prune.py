@@ -58,9 +58,9 @@ from repro.cr.expansion import Expansion
 from repro.cr.satisfiability import class_targets, decision_problem
 from repro.cr.system import build_system
 from repro.runtime.budget import Budget, activate
+from repro.runtime.stats import SEARCH_COUNTERS, Counters, search_stats_sink
 from repro.session import ReasoningSession
 from repro.solver.registry import decide_acceptable, pin_backend
-from repro.solver.stats import SearchCounters, search_stats_sink
 
 REPEATS = 3
 """Timed repetitions per engine; the minimum is reported."""
@@ -118,7 +118,7 @@ def _run_engine(problem, engine: str):
     """One counted run plus ``REPEATS`` timed ones; returns the result
     tuple, the fold of the counted run's search stats, its LP count
     (:attr:`Budget.solver_calls`), and the best wall-clock."""
-    counters = SearchCounters()
+    counters = Counters(SEARCH_COUNTERS)
     budget = Budget()
     with activate(budget), search_stats_sink(counters):
         result = decide_acceptable(problem, engine)

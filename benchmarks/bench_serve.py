@@ -8,7 +8,7 @@ first request pays the cold pipeline, every later request — from any
 client — rides the process-wide warm cache, so request latency drops to
 transport + lookup.  The report records the cold/warm split, the
 differential parity bit (served records versus the serial
-:func:`~repro.cli.answer_query` oracle), and sustained
+:func:`~repro.cli.answer_all` oracle), and sustained
 req/s with p50/p99 latency at 1, 8, and 32 concurrent clients.
 
 ``validate_report`` keeps structural bars (parity must hold, the warm
@@ -35,7 +35,7 @@ from benchmarks._emit import (
     check_summary,
     run_emit_main,
 )
-from repro.cli import answer_query, parse_batch_query
+from repro.cli import answer_all, parse_batch_query
 from repro.dsl import serialize_schema
 from repro.paper import meeting_schema, refined_meeting_schema
 from repro.serve import ServeClient, ServeConfig, running_server
@@ -65,14 +65,11 @@ def _schema_texts() -> dict[str, str]:
 
 
 def _oracle_records(text: str) -> list[dict]:
-    """The serial formatter's records — the parity reference."""
+    """The serial batch loop's records — the parity reference."""
     from repro.dsl import parse_schema
 
     session = ReasoningSession(parse_schema(text))
-    return [
-        answer_query(session, kind, payload)[0]
-        for kind, payload in map(parse_batch_query, QUERY_LINES)
-    ]
+    return answer_all(session, list(map(parse_batch_query, QUERY_LINES)))[0]
 
 
 def _percentile(sorted_values: list[float], fraction: float) -> float:

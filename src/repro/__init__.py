@@ -107,7 +107,6 @@ from repro.oo import OOModel, oo_to_cr
 from repro.session import (
     ReasoningSession,
     SessionCache,
-    SessionStats,
     schema_fingerprint,
 )
 from repro.runtime import (
@@ -185,7 +184,6 @@ __all__ = [
     # sessions and caching
     "ReasoningSession",
     "SessionCache",
-    "SessionStats",
     "schema_fingerprint",
     # resource governance
     "Budget",

@@ -147,14 +147,6 @@ class AnalysisReport:
             if diagnostic.severity == severity
         )
 
-    def diagnostics_for(self, cls: str) -> tuple[Diagnostic, ...]:
-        """Diagnostics whose subject classes include ``cls``."""
-        return tuple(
-            diagnostic
-            for diagnostic in self.diagnostics
-            if cls in diagnostic.classes
-        )
-
     def unsat_witness(self, cls: str) -> Diagnostic | None:
         """The error diagnostic proving ``cls`` statically empty, if any."""
         for diagnostic in self.diagnostics:

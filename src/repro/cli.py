@@ -53,6 +53,7 @@ import argparse
 import re
 import sys
 import time
+from collections.abc import Callable
 from contextlib import ExitStack
 from pathlib import Path
 from typing import Any
@@ -278,9 +279,8 @@ def answer_query(
 ) -> tuple[dict[str, Any], str, bool, bool]:
     """Answer one batch query: ``(record, text, positive, unknown)``.
 
-    The single formatting path for batch output: ``batch``, ``diff``
-    and the serve daemon all call it, so a served record is the
-    ``batch --json`` record by construction.
+    The single formatting path for batch output, called by
+    :func:`answer_all`.
     """
     if kind == "sat":
         result = session.is_class_satisfiable(query)
@@ -307,6 +307,33 @@ def answer_query(
         "unknown_reason": result.unknown_reason,
     }
     return record, result.pretty(), positive, unknown
+
+
+def answer_all(
+    session: Any,
+    queries: list[tuple[str, Any]],
+    echo: Callable[[str], object] | None = None,
+) -> tuple[list[dict[str, Any]], int]:
+    """Answer ``queries`` in order: ``(records, exit_code)``.
+
+    The one batch loop: ``batch``, ``diff`` and the serve daemon all run
+    it, so a served record is the ``batch --json`` record by
+    construction.  ``echo`` receives each answer's text line as soon as
+    it is answered, so CLI output streams.  The exit code is 3 if any
+    answer is UNKNOWN, else 0 if every answer is positive (vacuously so
+    for no queries), else 1.
+    """
+    records = []
+    any_unknown = False
+    all_positive = True
+    for kind, query in queries:
+        record, text, positive, unknown = answer_query(session, kind, query)
+        records.append(record)
+        any_unknown = any_unknown or unknown
+        all_positive = all_positive and positive
+        if echo is not None:
+            echo(text)
+    return records, 3 if any_unknown else (0 if all_positive else 1)
 
 
 def _collect_queries(args: argparse.Namespace) -> list:
@@ -362,50 +389,48 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
             cache = SessionCache(store=ArtifactStore(cache_dir))
         session = ReasoningSession(schema, cache=cache, budget=budget)
-        records = []
-        any_unknown = False
-        all_positive = True
-        for kind, payload in queries:
-            record, text, positive, unknown = answer_query(
-                session, kind, payload
-            )
-            records.append(record)
-            any_unknown = any_unknown or unknown
-            all_positive = all_positive and positive
-            if not args.json:
-                print(text)
+        records, exit_code = answer_all(
+            session, queries, None if args.json else print
+        )
         stats_dict = session.stats.as_dict()
-    wall_seconds = time.perf_counter() - wall_start
+    _print_report(
+        args,
+        {"schema": schema.name, "fingerprint": session.fingerprint},
+        records,
+        stats_dict,
+        run,
+        time.perf_counter() - wall_start,
+        cache_dir,
+    )
+    return exit_code
+
+
+def _print_report(
+    args: argparse.Namespace,
+    head: dict[str, Any],
+    records: list[dict[str, Any]],
+    stats_dict: dict[str, int],
+    run: PipelineRun,
+    wall_seconds: float,
+    cache_dir: str | None,
+) -> None:
+    """The tail shared by ``batch`` and ``diff``: with ``--json`` the
+    report document (``head``'s keys first), with ``--stats`` the
+    footer, otherwise nothing."""
     if args.json:
         import json
 
-        print(
-            json.dumps(
-                {
-                    "schema": schema.name,
-                    "fingerprint": session.fingerprint,
-                    "results": records,
-                    "stats": stats_dict,
-                    "stages": run.as_dict(),
-                    "wall_seconds": wall_seconds,
-                },
-                indent=2,
-            )
-        )
-    elif args.stats:
-        _print_batch_stats(stats_dict, cache_dir, run, wall_seconds)
-    if any_unknown:
-        return 3
-    return 0 if all_positive else 1
-
-
-def _print_batch_stats(
-    stats_dict: dict,
-    cache_dir: str | None,
-    run: PipelineRun,
-    wall_seconds: float,
-) -> None:
-    """The ``--stats`` footer shared by ``batch`` and ``diff``."""
+        report = {
+            **head,
+            "results": records,
+            "stats": stats_dict,
+            "stages": run.as_dict(),
+            "wall_seconds": wall_seconds,
+        }
+        print(json.dumps(report, indent=2))
+        return
+    if not args.stats:
+        return
     print(
         f"# session: {stats_dict.get('queries', 0)} queries, "
         f"{stats_dict.get('expansion_builds', 0)} expansion build(s), "
@@ -502,46 +527,26 @@ def _cmd_diff(args: argparse.Namespace) -> int:
                         f"# {label} {component.fingerprint[:12]} "
                         f"[{classes}]"
                     )
-        records = []
-        any_unknown = False
-        all_positive = True
-        for kind, payload in queries:
-            record, text, positive, unknown = answer_query(
-                session, kind, payload
-            )
-            records.append(record)
-            any_unknown = any_unknown or unknown
-            all_positive = all_positive and positive
-            if not args.json:
-                print(text)
-        stats_dict = session.stats.as_dict()
-    wall_seconds = time.perf_counter() - wall_start
-    if args.json:
-        import json
-
-        print(
-            json.dumps(
-                {
-                    "old_schema": old_schema.name,
-                    "new_schema": new_schema.name,
-                    "old_fingerprint": old_decomposition.whole_fingerprint,
-                    "new_fingerprint": session.fingerprint,
-                    "components": delta_dict,
-                    "results": records,
-                    "stats": stats_dict,
-                    "stages": run.as_dict(),
-                    "wall_seconds": wall_seconds,
-                },
-                indent=2,
-            )
+        records, exit_code = answer_all(
+            session, queries, None if args.json else print
         )
-    elif args.stats:
-        _print_batch_stats(stats_dict, cache_dir, run, wall_seconds)
-    if queries:
-        if any_unknown:
-            return 3
-        return 0 if all_positive else 1
-    return 0
+        stats_dict = session.stats.as_dict()
+    _print_report(
+        args,
+        {
+            "old_schema": old_schema.name,
+            "new_schema": new_schema.name,
+            "old_fingerprint": old_decomposition.whole_fingerprint,
+            "new_fingerprint": session.fingerprint,
+            "components": delta_dict,
+        },
+        records,
+        stats_dict,
+        run,
+        time.perf_counter() - wall_start,
+        cache_dir,
+    )
+    return exit_code
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

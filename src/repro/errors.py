@@ -52,14 +52,6 @@ class SolverError(ReproError):
     """
 
 
-class UnboundedProblemError(SolverError):
-    """A linear program asked for optimisation has unbounded objective."""
-
-
-class InfeasibleProblemError(SolverError):
-    """A linear program required to be feasible is infeasible."""
-
-
 class LimitExceededError(ReproError):
     """A configured resource limit was exceeded.
 

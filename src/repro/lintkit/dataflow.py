@@ -12,10 +12,11 @@ R2   budget-charge reachability: every unbounded loop in a kernel
      charge/check either in its own body or *transitively through the
      functions it calls* — replacing the historical same-scope name
      heuristic, which it keeps as a fast path.
-R8   lock-discipline: fields of lock-owning serve-layer classes (and
-     the session base classes they extend) must not be written on a
-     path from a thread-pool entry point that holds no lock; mutate
-     under the owning lock or through the ``bump()`` funnel.
+R8   lock-discipline: fields of lock-owning classes in the serve,
+     session and store layers and the counters' module (and the base
+     classes they extend) must not be written on a path from a
+     serve-layer entry point that holds no lock; mutate under the
+     owning lock or through the ``bump()`` funnel.
 R9   deadline discipline in ``repro/serve/`` + ``repro/session/``:
      blocking waits (``acquire``/``wait``/``join``/``result``) must
      carry a timeout, and a ``with <lock>:`` acquisition that holds
@@ -52,6 +53,12 @@ from repro.lintkit.rules import Rule, register
 SERVE_MODULES = ("repro/serve/",)
 SESSION_MODULES = ("repro/session/",)
 DEADLINE_MODULES = SERVE_MODULES + SESSION_MODULES
+LOCK_OWNER_MODULES = DEADLINE_MODULES + (
+    "repro/store/",
+    "repro/runtime/stats.py",
+)
+"""Where R8 looks for lock-owning classes: the daemon, and the shared
+state it serves from (the session cache, the store, the counters)."""
 DETERMINISM_MODULES = (
     "repro/solver/",
     "repro/components/",
@@ -92,12 +99,6 @@ def _walk_scope(scope: ast.AST):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         yield from _walk_scope(child)
-
-
-def _in_scope(path: str, scope: tuple[str, ...]) -> bool:
-    return any(
-        path == entry or path.startswith(entry) for entry in scope
-    )
 
 
 def _scoped_functions(
@@ -160,10 +161,11 @@ def check_budget_reachability(project: Project) -> list[Finding]:
 
 
 def _protected_classes(project: Project) -> frozenset[str]:
-    """Lock-owning serve classes plus their in-project bases."""
+    """Lock-owning classes of :data:`LOCK_OWNER_MODULES` plus their
+    in-project bases."""
     graph = project.callgraph
     protected: set[str] = set()
-    for module in project.modules_in_scope(SERVE_MODULES):
+    for module in project.modules_in_scope(LOCK_OWNER_MODULES):
         for cls in module.classes.values():
             chain = graph.class_chain(cls)
             if any(member.owns_lock for member in chain):
@@ -637,10 +639,11 @@ register(
         rule_id="R8",
         title="lock-disciplined shared state",
         contract=(
-            "serve-layer shared fields are written under the owning "
-            "lock or through bump()"
+            "fields of lock-owning serve, session, store and counter "
+            "classes are written under the owning lock or through "
+            "bump()"
         ),
-        scope=SERVE_MODULES + SESSION_MODULES,
+        scope=LOCK_OWNER_MODULES,
         check_project=check_lock_discipline,
     )
 )

@@ -167,10 +167,6 @@ class FunctionInfo:
     has_while_true: bool = False
 
     @property
-    def is_public_method(self) -> bool:
-        return self.cls is not None and not self.name.startswith("_")
-
-    @property
     def is_contextmanager(self) -> bool:
         return any("contextmanager" in deco for deco in self.decorators)
 

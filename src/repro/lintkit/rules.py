@@ -42,10 +42,6 @@ class Rule:
     check_module: ModuleCheck | None = None
     check_project: ProjectCheck | None = None
 
-    @property
-    def is_project_rule(self) -> bool:
-        return self.check_project is not None
-
     def run(self, project: Project) -> list[Finding]:
         if self.check_project is not None:
             return self.check_project(project)

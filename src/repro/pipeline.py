@@ -187,9 +187,9 @@ def stage(name: str, phase: str | None = None) -> Iterator[None]:
     ``name`` is the canonical stage charged on the ambient
     :class:`PipelineRun`.  ``phase`` is the budget phase label recorded
     for the block on the ambient :class:`~repro.runtime.budget.Budget`
-    — entering runs a full budget check, exactly like
-    :func:`~repro.runtime.budget.scoped_phase`, and the previous label
-    is restored on exit.  ``phase=None`` means timing only (the stage
+    — entering runs a full budget check, like
+    :meth:`~repro.runtime.budget.Budget.enter_phase`, and the previous
+    label is restored on exit.  ``phase=None`` means timing only (the stage
     does no budget-visible work of its own, e.g. ``verdict``).
 
     Timing is charged even when the block raises (a stage that dies of

@@ -17,12 +17,17 @@ procedures:
 * **fault injection** (:mod:`repro.runtime.faults`) — one deterministic
   registry that fails the N-th solver call or the N-th firing of a disk
   fault point in the persistent artifact store's write protocol, so the
-  degradation paths are themselves under test.
+  degradation paths are themselves under test;
+* **counters** (:mod:`repro.runtime.stats`) — the one self-locking
+  :class:`~repro.runtime.stats.Counters` type that the session cache,
+  the artifact store and the zero-set walks count their work in, and
+  the ambient sink the walks report through.
 
 Only the budget and outcome modules are imported eagerly; ``fallback``
 and ``faults`` (the latter imports the solver layer) load lazily on
 first attribute access, letting the solver modules import
-:func:`current_budget` without a cycle.
+:func:`current_budget` without a cycle.  ``stats`` imports nothing of
+the project, so any layer may import it directly.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from repro.runtime.budget import (
     activate,
     current_budget,
     run_governed,
-    scoped_phase,
 )
 from repro.runtime.outcome import ImplicationVerdict, Verdict
 
@@ -67,7 +71,6 @@ __all__ = [
     "activate",
     "current_budget",
     "run_governed",
-    "scoped_phase",
     "FallbackPolicy",
     "DEFAULT_FALLBACK",
     "FaultPlan",

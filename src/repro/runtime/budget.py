@@ -331,28 +331,6 @@ def activate(budget: Budget | None) -> Iterator[Budget | None]:
         _ACTIVE.reset(token)
 
 
-@contextmanager
-def scoped_phase(name: str) -> Iterator[None]:
-    """Record a pipeline stage on the ambient budget for a block.
-
-    Like :meth:`Budget.enter_phase` (including its full check on entry)
-    but restores the previous phase on exit, so nested governed layers
-    — e.g. a cached session delegating to the core decision procedures
-    — leave the outer layer's phase label intact in snapshots.  A no-op
-    without an ambient budget.
-    """
-    budget = current_budget()
-    if budget is None:
-        yield
-        return
-    previous = budget.phase
-    budget.enter_phase(name)
-    try:
-        yield
-    finally:
-        budget.phase = previous
-
-
 def run_governed(
     budget: Budget | None,
     compute: Callable[[], _T],
@@ -384,5 +362,4 @@ __all__ = [
     "budget_from_caps",
     "current_budget",
     "run_governed",
-    "scoped_phase",
 ]

@@ -14,7 +14,7 @@ for tests (:func:`running_server`); speak to it with
 """
 
 from repro.serve.client import ServeClient
-from repro.serve.engine import ServeEngine, ThreadSafeSessionCache
+from repro.serve.engine import ServeEngine
 from repro.serve.metrics import ServeMetrics
 from repro.serve.server import ReasoningServer, ServeConfig, running_server
 
@@ -24,6 +24,5 @@ __all__ = [
     "ServeConfig",
     "ServeEngine",
     "ServeMetrics",
-    "ThreadSafeSessionCache",
     "running_server",
 ]

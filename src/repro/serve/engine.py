@@ -1,8 +1,8 @@
 """The reasoning engine behind the daemon's POST endpoints.
 
 One :class:`ServeEngine` owns the process's shared two-tier cache — a
-thread-safe :class:`~repro.session.SessionCache` front (memory LRU)
-over an optional :class:`~repro.store.ArtifactStore` (the crash-safe
+:class:`~repro.session.SessionCache` front (memory LRU) over an
+optional :class:`~repro.store.ArtifactStore` (the crash-safe
 persistent tier) — and answers ``check`` / ``implies`` / ``batch`` /
 ``diff`` requests on executor threads, off the event loop.  Requests
 reason through :class:`~repro.session.ReasoningSession`, so cache
@@ -13,8 +13,8 @@ sharing an unchanged island share its artifacts.
 surface-syntax parsers the CLI uses (:func:`repro.cli.parse_batch_query`),
 governed by the same :class:`~repro.runtime.Budget` the CLI flags build
 (:func:`~repro.runtime.budget.budget_from_caps`), and answered through
-the same :func:`repro.cli.answer_query` formatter ``repro batch`` uses —
-so a served record is byte-identical to the ``repro batch --json``
+the same :func:`repro.cli.answer_all` loop ``repro batch`` uses — so a
+served record is byte-identical to the ``repro batch --json``
 record for the same schema and query, which the differential suite
 asserts wholesale.
 
@@ -22,8 +22,7 @@ asserts wholesale.
 fingerprint are serialized on a per-fingerprint lock (so a cold entry
 is built exactly once and never observed half-built — no torn
 adoption), requests for different schemas run concurrently, and the
-shared cache's entry map and counters are protected by
-:class:`ThreadSafeSessionCache` / :class:`LockedCacheStats` so every
+shared cache and store lock their own entry map and counters, so every
 ``/metrics`` counter stays monotone.  Two *different* whole schemas
 sharing a constraint-graph island may race on that island's component
 entry; the race is benign — the staged builds are idempotent and each
@@ -55,7 +54,7 @@ from collections.abc import Iterator
 from contextlib import ExitStack, contextmanager
 from typing import Any
 
-from repro.cli import answer_query, parse_batch_query, parse_statement
+from repro.cli import answer_all, parse_batch_query, parse_statement
 from repro.components import (
     ComponentDecomposition,
     compute_delta,
@@ -67,11 +66,9 @@ from repro.pipeline import STAGE_DECOMPOSE, PipelineRun, activate_run, stage
 from repro.runtime.budget import Budget, budget_from_caps
 from repro.serve.metrics import ServeMetrics
 from repro.session import ReasoningSession, SessionCache
-from repro.session.cache import CacheStats
 from repro.session.fingerprint import schema_fingerprint
 from repro.solver.registry import pin_backend
 from repro.store import ArtifactStore
-from repro.store.store import StoreStats
 
 
 LOCK_ACQUIRE_SECONDS = 300.0
@@ -79,67 +76,6 @@ LOCK_ACQUIRE_SECONDS = 300.0
 the build ahead may legitimately be large — but bounded, so a wedged
 build degrades to a clean error instead of stacking executor threads
 (lintkit rule R9)."""
-
-
-class LockedCacheStats(CacheStats):
-    """Cache counters whose increments are atomic under a lock, so the
-    ``/metrics`` endpoint exports monotone values even while requests
-    for *different* fingerprints build concurrently."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._lock = threading.Lock()
-
-    def bump(self, counter: str, amount: int = 1) -> None:
-        with self._lock:
-            super().bump(counter, amount)
-
-
-class LockedStoreStats(StoreStats):
-    """Store counters with the same atomic-increment treatment."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._lock = threading.Lock()
-
-    def bump(self, counter: str, amount: int = 1) -> None:
-        with self._lock:
-            super().bump(counter, amount)
-
-
-class ThreadSafeSessionCache(SessionCache):
-    """A :class:`SessionCache` whose entry-map operations are serialized.
-
-    The base class is documented thread-compatible, not thread-safe;
-    this subclass adds the external locking the daemon needs.  The map
-    lock covers lookup/adopt/insert/evict (so LRU bookkeeping and store
-    adoption are atomic); the *expensive* ``ensure_*`` stages run
-    outside it, serialized instead by the engine's per-fingerprint
-    locks — concurrent requests for different schemas still build in
-    parallel.
-    """
-
-    def __init__(
-        self, max_entries: int = 64, store: ArtifactStore | None = None
-    ) -> None:
-        super().__init__(max_entries, store=store, stats=LockedCacheStats())
-        self._map_lock = threading.RLock()
-
-    def artifacts(self, *args: Any, **kwargs: Any) -> Any:
-        with self._map_lock:
-            return super().artifacts(*args, **kwargs)
-
-    def invalidate(self, fingerprint: str) -> bool:
-        with self._map_lock:
-            return super().invalidate(fingerprint)
-
-    def __len__(self) -> int:
-        with self._map_lock:
-            return super().__len__()
-
-    def __contains__(self, fingerprint: str) -> bool:
-        with self._map_lock:
-            return super().__contains__(fingerprint)
 
 
 class ServeEngine:
@@ -155,12 +91,8 @@ class ServeEngine:
         default_caps: dict[str, float | int] | None = None,
         metrics: ServeMetrics | None = None,
     ) -> None:
-        self.store = (
-            ArtifactStore(cache_dir, stats=LockedStoreStats())
-            if cache_dir
-            else None
-        )
-        self.cache = ThreadSafeSessionCache(memory_entries, store=self.store)
+        self.store = ArtifactStore(cache_dir) if cache_dir else None
+        self.cache = SessionCache(memory_entries, store=self.store)
         self.backend = backend
         self.default_caps = dict(default_caps or {})
         self.metrics = metrics
@@ -314,7 +246,7 @@ class ServeEngine:
         fingerprint = decomposition.whole_fingerprint
         with self.hold_fingerprint_lock(fingerprint):
             try:
-                records, any_unknown, all_positive = self._answer(
+                records, exit_code = self._answer(
                     decomposition, queries, budget, run
                 )
             except ReproError:
@@ -326,10 +258,9 @@ class ServeEngine:
                 # state is warm and consistent; rebuild-and-answer.
                 if self.metrics is not None:
                     self.metrics.count_retry()
-                records, any_unknown, all_positive = self._answer(
+                records, exit_code = self._answer(
                     decomposition, queries, budget, run
                 )
-        exit_code = 3 if any_unknown else (0 if all_positive else 1)
         return {
             "payload": {
                 "schema": decomposition.schema.name,
@@ -346,13 +277,9 @@ class ServeEngine:
         queries: list[tuple[str, Any]],
         budget: Budget | None,
         run: PipelineRun,
-    ) -> tuple[list[dict[str, Any]], bool, bool]:
-        """The CLI's serial batch loop, verbatim: one session over the
-        memoized decomposition, the shared :func:`answer_query`
-        formatter, the same exit-code folding."""
-        records: list[dict[str, Any]] = []
-        any_unknown = False
-        all_positive = True
+    ) -> tuple[list[dict[str, Any]], int]:
+        """The CLI's batch loop, :func:`answer_all`, over one session on
+        the memoized decomposition."""
         with ExitStack() as stack:
             stack.enter_context(activate_run(run))
             if self.backend:
@@ -366,14 +293,7 @@ class ServeEngine:
                 budget=budget,
                 decomposition=decomposition,
             )
-            for kind, query in queries:
-                record, _text, positive, unknown = answer_query(
-                    session, kind, query
-                )
-                records.append(record)
-                any_unknown = any_unknown or unknown
-                all_positive = all_positive and positive
-        return records, any_unknown, all_positive
+            return answer_all(session, queries)
 
     def _handle_diff(
         self, payload: dict[str, Any], run: PipelineRun
@@ -414,9 +334,6 @@ class ServeEngine:
         """The CLI's diff loop over both memoized decompositions: pair
         components by fingerprint, classify the new side, answer
         queries."""
-        records: list[dict[str, Any]] = []
-        any_unknown = False
-        all_positive = True
         with ExitStack() as stack:
             stack.enter_context(activate_run(run))
             if self.backend:
@@ -426,17 +343,7 @@ class ServeEngine:
             )
             delta = compute_delta(old, new)
             session.classify_all()
-            for kind, query in queries:
-                record, _text, positive, unknown = answer_query(
-                    session, kind, query
-                )
-                records.append(record)
-                any_unknown = any_unknown or unknown
-                all_positive = all_positive and positive
-        if queries:
-            exit_code = 3 if any_unknown else (0 if all_positive else 1)
-        else:
-            exit_code = 0
+            records, exit_code = answer_all(session, queries)
         return {
             "old_schema": old.schema.name,
             "new_schema": new.schema.name,
@@ -466,9 +373,4 @@ class ServeEngine:
         return self.store.stats.as_dict()
 
 
-__all__ = [
-    "LockedCacheStats",
-    "LockedStoreStats",
-    "ServeEngine",
-    "ThreadSafeSessionCache",
-]
+__all__ = ["ServeEngine"]

@@ -39,11 +39,6 @@ class ServeMetrics:
 
     # -- request lifecycle ---------------------------------------------------
 
-    def request_started(self, endpoint: str) -> None:
-        """Count a request in and raise the in-flight gauge."""
-        with self._lock:
-            self._start_locked(endpoint)
-
     def count_get(self, endpoint: str) -> None:
         """Count a GET observability request — totals only, no
         in-flight slot: the gauge tracks *reasoning* requests, and a
@@ -64,16 +59,13 @@ class ServeMetrics:
             if self.in_flight >= limit:
                 self.rejected_busy += 1
                 return False
-            self._start_locked(endpoint)
+            self.requests_total += 1
+            self.requests_by_endpoint[endpoint] = (
+                self.requests_by_endpoint.get(endpoint, 0) + 1
+            )
+            self.in_flight += 1
+            self.in_flight_peak = max(self.in_flight_peak, self.in_flight)
             return True
-
-    def _start_locked(self, endpoint: str) -> None:
-        self.requests_total += 1
-        self.requests_by_endpoint[endpoint] = (
-            self.requests_by_endpoint.get(endpoint, 0) + 1
-        )
-        self.in_flight += 1
-        self.in_flight_peak = max(self.in_flight_peak, self.in_flight)
 
     def request_finished(
         self,

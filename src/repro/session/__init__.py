@@ -21,21 +21,15 @@ Quickstart::
     session.stats.expansion_builds         # -> number of islands built
 """
 
-from repro.session.cache import CacheStats, SchemaArtifacts, SessionCache
+from repro.session.cache import SchemaArtifacts, SessionCache
 from repro.session.fingerprint import canonical_form, schema_fingerprint
-from repro.session.session import (
-    ENGINE,
-    ReasoningSession,
-    SessionStats,
-)
+from repro.session.session import ENGINE, ReasoningSession
 
 __all__ = [
-    "CacheStats",
     "ENGINE",
     "ReasoningSession",
     "SchemaArtifacts",
     "SessionCache",
-    "SessionStats",
     "canonical_form",
     "schema_fingerprint",
 ]

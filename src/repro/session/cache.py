@@ -51,6 +51,7 @@ from the store (or rebuilt after eviction) starts both empty.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any
@@ -73,6 +74,7 @@ from repro.pipeline import (
     STAGE_SOLVE,
     stage,
 )
+from repro.runtime.stats import SEARCH_COUNTERS, Counters
 from repro.session.fingerprint import schema_fingerprint
 from repro.solver.homogeneous import integerize
 from repro.solver.pruned import NogoodStore
@@ -96,62 +98,28 @@ of any field) is an artifact-codec change: bump
 :data:`repro.store.ARTIFACT_VERSION` alongside."""
 
 
-@dataclass
-class CacheStats:
-    """Observable counters for tests, benchmarks, and ops dashboards."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    analysis_runs: int = 0
-    analysis_short_circuits: int = 0
-    expansion_builds: int = 0
-    system_builds: int = 0
-    fixpoint_runs: int = 0
-    store_hits: int = 0
-    store_misses: int = 0
-    store_writes: int = 0
-    store_write_failures: int = 0
-    components_total: int = 0
-    components_reused: int = 0
-    components_rebuilt: int = 0
-    zero_sets_enumerated: int = 0
-    pruned_by_orbit: int = 0
-    pruned_by_nogood: int = 0
-    orbits_found: int = 0
-
-    def bump(self, counter: str, amount: int = 1) -> None:
-        """Increment one counter by name.
-
-        Every increment in the cache funnels through here so a subclass
-        can make the read-modify-write atomic — the serve daemon installs
-        a lock-guarded subclass to keep its ``/metrics`` counters
-        monotone under concurrent requests.
-        """
-        setattr(self, counter, getattr(self, counter) + amount)
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "analysis_runs": self.analysis_runs,
-            "analysis_short_circuits": self.analysis_short_circuits,
-            "expansion_builds": self.expansion_builds,
-            "system_builds": self.system_builds,
-            "fixpoint_runs": self.fixpoint_runs,
-            "store_hits": self.store_hits,
-            "store_misses": self.store_misses,
-            "store_writes": self.store_writes,
-            "store_write_failures": self.store_write_failures,
-            "components_total": self.components_total,
-            "components_reused": self.components_reused,
-            "components_rebuilt": self.components_rebuilt,
-            "zero_sets_enumerated": self.zero_sets_enumerated,
-            "pruned_by_orbit": self.pruned_by_orbit,
-            "pruned_by_nogood": self.pruned_by_nogood,
-            "orbits_found": self.orbits_found,
-        }
+CACHE_COUNTERS = (
+    "hits",
+    "misses",
+    "evictions",
+    "analysis_runs",
+    "analysis_short_circuits",
+    "expansion_builds",
+    "system_builds",
+    "fixpoint_runs",
+    "store_hits",
+    "store_misses",
+    "store_writes",
+    "store_write_failures",
+    "components_total",
+    "components_reused",
+    "components_rebuilt",
+    *SEARCH_COUNTERS,
+)
+"""The counters a :class:`SessionCache` keeps, in report order: entry
+lookups, the static analysis, each build stage, the persistent tier,
+component reuse, and the zero-set walks of every session drawing on
+the cache (it is their ambient sink)."""
 
 
 @dataclass
@@ -170,7 +138,7 @@ class SchemaArtifacts:
 
     fingerprint: str
     schema: CRSchema
-    stats: CacheStats
+    stats: Counters
     limits: ExpansionLimits | None = None
     store: ArtifactStore | None = field(default=None, repr=False)
     analysis: AnalysisReport | None = None
@@ -302,13 +270,20 @@ class SchemaArtifacts:
 
 
 class SessionCache:
-    """LRU cache of :class:`SchemaArtifacts`, shareable across sessions.
+    """LRU cache of :class:`SchemaArtifacts`, shareable across sessions
+    and threads.
 
-    Thread-compatible rather than thread-safe: like the rest of the
-    library, concurrent use requires one cache per worker or external
-    locking.  A single cache passed to many
+    A single cache passed to many
     :class:`~repro.session.ReasoningSession` instances lets a service
     amortise expansions across requests that mention the same schema.
+
+    The cache locks itself: one re-entrant lock serializes every
+    operation on the entry map (lookup, store adoption, insert, evict,
+    invalidate, clear), and its :class:`~repro.runtime.stats.Counters`
+    lock each increment.  The expensive ``ensure_*`` stages of an entry
+    run outside that lock, so schemas build concurrently; two threads
+    that may build the *same* entry must serialize between themselves,
+    as the serve engine does with its per-fingerprint locks.
 
     With a ``store``, the cache gains a persistent second tier: memory
     misses consult the store (restoring fully-warm entries), and entries
@@ -317,10 +292,7 @@ class SessionCache:
     """
 
     def __init__(
-        self,
-        max_entries: int = 64,
-        store: ArtifactStore | None = None,
-        stats: CacheStats | None = None,
+        self, max_entries: int = 64, store: ArtifactStore | None = None
     ) -> None:
         if max_entries < 1:
             raise ReproError(
@@ -328,14 +300,17 @@ class SessionCache:
             )
         self.max_entries = max_entries
         self.store = store
-        self.stats = stats if stats is not None else CacheStats()
+        self.stats = Counters(CACHE_COUNTERS)
         self._entries: OrderedDict[str, SchemaArtifacts] = OrderedDict()
+        self._lock = threading.RLock()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        with self._lock:
+            return len(self._entries)
 
     def __contains__(self, fingerprint: str) -> bool:
-        return fingerprint in self._entries
+        with self._lock:
+            return fingerprint in self._entries
 
     def artifacts(
         self,
@@ -347,38 +322,41 @@ class SessionCache:
         LRU-promoting as needed.  Nothing expensive happens here; the
         entry's ``ensure_*`` stages build on demand."""
         key = fingerprint or schema_fingerprint(schema)
-        entry = self._entries.get(key)
-        if entry is not None:
-            self.stats.bump("hits")
-            self._entries.move_to_end(key)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self.stats.bump("hits")
+                self._entries.move_to_end(key)
+                return entry
+            self.stats.bump("misses")
+            entry = SchemaArtifacts(
+                fingerprint=key,
+                schema=schema,
+                stats=self.stats,
+                limits=limits,
+                store=self.store,
+            )
+            if self.store is not None:
+                bundle = self.store.get(key)
+                if bundle is not None and entry.adopt_bundle(bundle):
+                    self.stats.bump("store_hits")
+                else:
+                    self.stats.bump("store_misses")
+            self._entries[key] = entry
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+                self.stats.bump("evictions")
             return entry
-        self.stats.bump("misses")
-        entry = SchemaArtifacts(
-            fingerprint=key,
-            schema=schema,
-            stats=self.stats,
-            limits=limits,
-            store=self.store,
-        )
-        if self.store is not None:
-            bundle = self.store.get(key)
-            if bundle is not None and entry.adopt_bundle(bundle):
-                self.stats.bump("store_hits")
-            else:
-                self.stats.bump("store_misses")
-        self._entries[key] = entry
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.stats.bump("evictions")
-        return entry
 
     def invalidate(self, fingerprint: str) -> bool:
         """Drop one entry (e.g. after an external edit of a stored
         schema file); returns whether it was present."""
-        return self._entries.pop(fingerprint, None) is not None
+        with self._lock:
+            return self._entries.pop(fingerprint, None) is not None
 
     def clear(self) -> None:
-        self._entries.clear()
+        with self._lock:
+            self._entries.clear()
 
     def __repr__(self) -> str:
         return (
@@ -387,4 +365,4 @@ class SessionCache:
         )
 
 
-__all__ = ["CacheStats", "SchemaArtifacts", "SessionCache", "WalkAnswer"]
+__all__ = ["CACHE_COUNTERS", "SchemaArtifacts", "SessionCache", "WalkAnswer"]

@@ -23,9 +23,9 @@ schema:
   island's extended schema, cached under its own fingerprint;
 * every first touch of an island's base entry *classifies* it — warm
   entries count as ``components_reused``, cold ones as
-  ``components_rebuilt`` — through the shared
-  :meth:`~repro.session.cache.CacheStats.bump` funnel, which is what
-  ``repro diff``, ``batch --stats`` and ``/metrics`` report.
+  ``components_rebuilt`` — in the cache's
+  :class:`~repro.runtime.stats.Counters`, which is what ``repro diff``,
+  ``batch --stats`` and ``/metrics`` report.
 
 Each island and merged sub-schema is keyed by the fingerprint the
 decomposition already holds, so a session computes none of its own.  A
@@ -51,7 +51,6 @@ the next query resumes from the last completed stage.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from typing import TypeVar
 
 from repro.components.decompose import (
@@ -99,11 +98,11 @@ from repro.pipeline import (
 from repro.runtime.budget import Budget, run_governed
 from repro.runtime.fallback import DEFAULT_FALLBACK, FallbackPolicy
 from repro.runtime.outcome import Verdict
+from repro.runtime.stats import Counters, search_stats_sink
 from repro.session.cache import SchemaArtifacts, SessionCache, WalkAnswer
 # ``schema_fingerprint`` is re-exported: perfbench's traced run wraps it
 # under this module's name (``perfbench/tracing.py``, ``CALL_SITES``).
 from repro.session.fingerprint import schema_fingerprint
-from repro.solver.stats import search_stats_sink
 
 _R = TypeVar("_R")
 
@@ -120,56 +119,6 @@ def _pinned_walk_engine() -> str | None:
 
     name = active_backend_name()
     return None if name == "fixpoint" else name
-
-
-@dataclass(frozen=True)
-class SessionStats:
-    """A point-in-time view of a session's cache economics."""
-
-    queries: int
-    hits: int
-    misses: int
-    evictions: int
-    analysis_runs: int
-    analysis_short_circuits: int
-    expansion_builds: int
-    system_builds: int
-    fixpoint_runs: int
-    store_hits: int = 0
-    store_misses: int = 0
-    store_writes: int = 0
-    store_write_failures: int = 0
-    components_total: int = 0
-    components_reused: int = 0
-    components_rebuilt: int = 0
-    zero_sets_enumerated: int = 0
-    pruned_by_orbit: int = 0
-    pruned_by_nogood: int = 0
-    orbits_found: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "queries": self.queries,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "analysis_runs": self.analysis_runs,
-            "analysis_short_circuits": self.analysis_short_circuits,
-            "expansion_builds": self.expansion_builds,
-            "system_builds": self.system_builds,
-            "fixpoint_runs": self.fixpoint_runs,
-            "store_hits": self.store_hits,
-            "store_misses": self.store_misses,
-            "store_writes": self.store_writes,
-            "store_write_failures": self.store_write_failures,
-            "components_total": self.components_total,
-            "components_reused": self.components_reused,
-            "components_rebuilt": self.components_rebuilt,
-            "zero_sets_enumerated": self.zero_sets_enumerated,
-            "pruned_by_orbit": self.pruned_by_orbit,
-            "pruned_by_nogood": self.pruned_by_nogood,
-            "orbits_found": self.orbits_found,
-        }
 
 
 class ReasoningSession:
@@ -296,9 +245,14 @@ class ReasoningSession:
         return True
 
     @property
-    def stats(self) -> SessionStats:
-        cache_stats = self.cache.stats
-        return SessionStats(queries=self.queries, **cache_stats.as_dict())
+    def stats(self) -> Counters:
+        """A snapshot: this session's ``queries``, then the cache's
+        counters (:data:`~repro.session.cache.CACHE_COUNTERS`)."""
+        counts = {"queries": self.queries, **self.cache.stats.as_dict()}
+        snapshot = Counters(counts)
+        for name, value in counts.items():
+            snapshot.bump(name, value)
+        return snapshot
 
     def _governed(
         self,
@@ -306,12 +260,10 @@ class ReasoningSession:
         compute: Callable[[], _R],
         on_exhaustion: Callable[[BudgetExceededError], _R],
     ) -> _R:
-        """:func:`run_governed` with this session's cache stats installed
-        as the ambient search-counter sink, so any Theorem-3.4 decision
+        """:func:`run_governed` with the cache's counters installed as
+        the ambient search-counter sink, so any Theorem-3.4 decision
         procedure reached under a query (a pinned ``pruned``/``naive``
-        engine) lands its pruning counters in the
-        same :class:`~repro.session.cache.CacheStats` funnel as the
-        cache counters."""
+        engine) counts its pruning beside the cache counters."""
 
         def governed_compute() -> _R:
             with search_stats_sink(self.cache.stats):
@@ -674,6 +626,5 @@ class ReasoningSession:
 __all__ = [
     "ENGINE",
     "ReasoningSession",
-    "SessionStats",
     "schema_fingerprint",
 ]

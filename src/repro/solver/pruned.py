@@ -58,7 +58,7 @@ also records each solved witness.  A caller may hand one store to
 successive walks (the session keeps one per island, DESIGN §15); a
 walk that meets a recorded witness answers from it without an LP.
 
-Counters flow through the ambient sink of :mod:`repro.solver.stats`:
+Counters flow through the ambient sink of :mod:`repro.runtime.stats`:
 ``zero_sets_enumerated`` (LP-tested candidates), ``pruned_by_orbit``,
 ``pruned_by_nogood``, and ``orbits_found`` (non-trivial orbits of the
 verified symmetry group acting on the class unknowns).  Budgets are
@@ -74,6 +74,7 @@ from functools import cached_property
 from itertools import combinations
 
 from repro.runtime.budget import current_budget
+from repro.runtime.stats import bump_search_stat
 # ``farkas_certificate`` is re-exported: perfbench's traced run wraps it
 # under this module's name (``perfbench/tracing.py``, ``CALL_SITES``).
 from repro.solver.certificates import FarkasCertificate, farkas_certificate
@@ -85,7 +86,6 @@ from repro.solver.registry import (
     positive_witness,
     zero_set_rows,
 )
-from repro.solver.stats import bump_search_stat
 
 #: Closure size cap: |S_7| = 5040.  Beyond this the verified generators
 #: are used unclosed — less pruning, identical answers.

@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import LimitExceededError, ReproError
 from repro.runtime.budget import current_budget
+from repro.runtime.stats import bump_search_stat
 from repro.solver.certificates import FarkasCertificate
 from repro.solver.core import (
     InternedSystem,
@@ -48,7 +49,6 @@ from repro.solver.core import (
 )
 from repro.solver.homogeneous import HomogeneousWitness, integerize
 from repro.solver.linear import Relation
-from repro.solver.stats import bump_search_stat
 
 if TYPE_CHECKING:
     from repro.solver.pruned import NogoodStore

@@ -41,7 +41,6 @@ from repro.store.store import (
     ArtifactStore,
     EntryInfo,
     QuarantineInfo,
-    StoreStats,
     VerifyOutcome,
     resolve_cache_dir,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "FORMAT_VERSION",
     "LockOwner",
     "QuarantineInfo",
-    "StoreStats",
     "VerifyOutcome",
     "atomic_write_bytes",
     "backoff_delay",

@@ -30,8 +30,9 @@ source, and the damaged bytes remain available for forensics
 if a concurrent writer already replaced the damaged entry with a good
 one, the good entry is left alone.
 
-Everything is observable: per-process :class:`StoreStats` counters for
-hits/misses/writes/degradations, and on-disk :meth:`ArtifactStore.summary`
+Everything is observable: per-process :data:`STORE_COUNTERS` for
+hits/misses/writes/degradations, each increment atomic so threads may
+share one store, and on-disk :meth:`ArtifactStore.summary`
 / :meth:`~ArtifactStore.verify` / :meth:`~ArtifactStore.quarantined`
 for the ``repro cache`` CLI.
 """
@@ -52,6 +53,7 @@ from repro.errors import (
     StoreLockTimeout,
 )
 from repro.runtime import faults
+from repro.runtime.stats import Counters
 from repro.store.atomic import atomic_write_bytes, fsync_directory, sweep_temp_files
 from repro.store.format import FORMAT_VERSION, decode_entry, encode_entry
 from repro.store.locks import (
@@ -93,37 +95,16 @@ def resolve_cache_dir(
     return env or None
 
 
-@dataclass
-class StoreStats:
-    """Per-process observability counters (on-disk state is separate —
-    see :meth:`ArtifactStore.summary`)."""
-
-    hits: int = 0
-    misses: int = 0
-    writes: int = 0
-    write_errors: int = 0
-    lock_timeouts: int = 0
-    quarantined: int = 0
-
-    def bump(self, counter: str, amount: int = 1) -> None:
-        """Increment one counter by name.
-
-        All store internals funnel increments through here so a subclass
-        can make the read-modify-write atomic — the serve daemon installs
-        a lock-guarded subclass to keep its ``/metrics`` counters
-        monotone under concurrent requests.
-        """
-        setattr(self, counter, getattr(self, counter) + amount)
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "write_errors": self.write_errors,
-            "lock_timeouts": self.lock_timeouts,
-            "quarantined": self.quarantined,
-        }
+STORE_COUNTERS = (
+    "hits",
+    "misses",
+    "writes",
+    "write_errors",
+    "lock_timeouts",
+    "quarantined",
+)
+"""The per-process counters an :class:`ArtifactStore` keeps, in report
+order (on-disk state is separate — see :meth:`ArtifactStore.summary`)."""
 
 
 @dataclass(frozen=True)
@@ -169,13 +150,12 @@ class ArtifactStore:
         artifact_version: int = ARTIFACT_VERSION,
         lock_timeout: float = DEFAULT_TIMEOUT,
         stale_lock_after: float = DEFAULT_STALE_AFTER,
-        stats: StoreStats | None = None,
     ) -> None:
         self.root = Path(root)
         self.artifact_version = artifact_version
         self.lock_timeout = lock_timeout
         self.stale_lock_after = stale_lock_after
-        self.stats = stats if stats is not None else StoreStats()
+        self.stats = Counters(STORE_COUNTERS)
         version_root = self.root / f"v{FORMAT_VERSION}"
         self.objects_dir = version_root / "objects"
         self.quarantine_dir = version_root / "quarantine"
@@ -499,7 +479,7 @@ __all__ = [
     "ENV_CACHE_DIR",
     "EntryInfo",
     "QuarantineInfo",
-    "StoreStats",
+    "STORE_COUNTERS",
     "VerifyOutcome",
     "resolve_cache_dir",
 ]

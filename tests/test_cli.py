@@ -364,6 +364,26 @@ class TestBatch:
         ]
         assert report["stats"]["expansion_builds"] == 1
 
+    def test_answers_stream_before_a_failing_query(self, meeting_file, capsys):
+        # Each answer is printed as it is answered, so a query that
+        # fails mid-batch still leaves the answers before it on stdout.
+        code = main(
+            [
+                "batch",
+                meeting_file,
+                "--query",
+                "sat Speaker",
+                "--query",
+                "sat Nowhere",
+                "--query",
+                "sat Talk",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "sat Speaker: satisfiable\n"
+        assert "Nowhere" in captured.err
+
     def test_empty_batch_is_a_usage_error(self, meeting_file, capsys):
         assert main(["batch", meeting_file]) == 2
         assert "at least one query" in capsys.readouterr().err

@@ -13,7 +13,7 @@ Three layers of pinning:
   error behaviour, same query counts;
 * **counters** — component classification (``components_reused`` vs
   ``components_rebuilt``) against memory and store tiers, through the
-  :meth:`~repro.session.cache.CacheStats.bump` funnel;
+  cache counters' :meth:`~repro.runtime.stats.Counters.bump` funnel;
 * **surfaces** — ``repro diff`` end to end (a one-statement edit
   rebuilds only the touched island), the serve engine's ``diff``
   endpoint, and the decompose/combine pipeline stages.
@@ -31,7 +31,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cli import answer_query
+from repro.cli import answer_all
 from repro.cli import main as cli_main
 from repro.components import (
     compute_delta,
@@ -47,7 +47,6 @@ from repro.dsl import serialize_schema
 from repro.errors import SchemaError, UnknownSymbolError
 from repro.pipeline import PipelineRun, activate_run
 from repro.session import ReasoningSession, SessionCache
-from repro.session.cache import CacheStats
 from repro.store import ArtifactStore
 
 from tests.strategies import (
@@ -121,10 +120,12 @@ def test_decomposed_session_matches_monolithic_records(data):
     queries = data.draw(query_mixes(schema))
     monolithic = _monolithic(schema)
     decomposed = ReasoningSession(schema)
-    for kind, query in queries:
-        expected = answer_query(monolithic, kind, query)
-        actual = answer_query(decomposed, kind, query)
-        assert actual == expected
+    expected_texts: list[str] = []
+    actual_texts: list[str] = []
+    expected = answer_all(monolithic, queries, expected_texts.append)
+    actual = answer_all(decomposed, queries, actual_texts.append)
+    assert actual == expected
+    assert actual_texts == expected_texts
     assert decomposed.queries == monolithic.queries
     assert decomposed.satisfiable_classes() == monolithic.satisfiable_classes()
     assert decomposed.queries == monolithic.queries
@@ -201,18 +202,6 @@ class TestDeltas:
 # ---------------------------------------------------------------------------
 
 
-class RecordingStats(CacheStats):
-    """Counts every increment that flows through :meth:`bump`."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.bumped: dict[str, int] = {}
-
-    def bump(self, counter: str, amount: int = 1) -> None:
-        self.bumped[counter] = self.bumped.get(counter, 0) + amount
-        super().bump(counter, amount)
-
-
 class TestReuseCounters:
     def test_cold_run_rebuilds_every_component(self, tmp_path):
         cache = SessionCache(store=ArtifactStore(str(tmp_path)))
@@ -265,16 +254,23 @@ class TestReuseCounters:
         session.implies(MinCardinalityStatement("A", "R", "x", 2))
         assert session.components_total == 0
 
-    def test_counters_flow_through_the_bump_funnel(self):
-        stats = RecordingStats()
-        session = ReasoningSession(
-            _two_island_schema(), cache=SessionCache(stats=stats)
-        )
+    def test_counters_flow_through_the_bump_funnel(self, monkeypatch):
+        cache = SessionCache()
+        stats = cache.stats
+        bumped: dict[str, int] = {}
+        bump = stats.bump
+
+        def spy(counter: str, amount: int = 1) -> None:
+            bumped[counter] = bumped.get(counter, 0) + amount
+            bump(counter, amount)
+
+        monkeypatch.setattr(stats, "bump", spy)
+        session = ReasoningSession(_two_island_schema(), cache=cache)
         session.classify_all()
-        assert stats.bumped.get("components_total") == 2
-        assert stats.bumped.get("components_rebuilt") == 2
-        assert "components_reused" not in stats.bumped
-        for counter, value in stats.bumped.items():
+        assert bumped.get("components_total") == 2
+        assert bumped.get("components_rebuilt") == 2
+        assert "components_reused" not in bumped
+        for counter, value in bumped.items():
             assert getattr(stats, counter) == value
 
 

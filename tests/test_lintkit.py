@@ -425,6 +425,39 @@ class TestR8LockDiscipline:
         )
         assert not findings_for("R8", good)
 
+    def test_lock_owning_session_class_is_protected(self):
+        # The daemon serves from shared state it does not define (the
+        # session cache, the counters), so a lock-owning class outside
+        # repro/serve/ is patrolled too.
+        (f,) = findings_for(
+            "R8",
+            (
+                "repro/session/state.py",
+                """
+                import threading
+
+                class Tally:
+                    def __init__(self):
+                        self.lock = threading.Lock()
+                        self.count = 0
+
+                    def note(self):
+                        self.count += 1
+                """,
+            ),
+            (
+                "repro/serve/handler.py",
+                """
+                def handle(tally):
+                    tally.note()
+                """,
+            ),
+        )
+        assert (f.rule, f.path, f.line, f.scope) == (
+            "R8", "repro/session/state.py", 10, "Tally.note"
+        )
+        assert "repro.serve.handler.handle" in f.witness[0]
+
 
 class TestR9DeadlineDiscipline:
     def test_undeadlined_acquire_flagged(self):

@@ -124,7 +124,8 @@ class TestStage:
 
     def test_stage_phase_entry_checks_the_budget(self):
         # An exhausted budget refuses the stage at the door, like
-        # scoped_phase; no timing is charged for work that never ran.
+        # Budget.enter_phase; no timing is charged for work that never
+        # ran.
         run = PipelineRun(clock=FakeClock())
         budget = Budget(timeout=0)
         with activate(budget), activate_run(run):

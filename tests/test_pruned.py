@@ -23,6 +23,7 @@ from repro.paper import meeting_schema
 from repro.runtime.budget import Budget, activate
 from repro.runtime.faults import inject_faults
 from repro.runtime.outcome import Verdict
+from repro.runtime.stats import SEARCH_COUNTERS, Counters, search_stats_sink
 from repro.session import ReasoningSession
 from repro.solver.core import InternedSystem, VariableTable
 from repro.solver.pruned import (
@@ -40,7 +41,6 @@ from repro.solver.registry import (
     decide_acceptable,
     pin_backend,
 )
-from repro.solver.stats import SearchCounters, search_stats_sink
 
 
 def symmetric_conflict_schema(siblings: int = 2):
@@ -122,10 +122,10 @@ class TestParity:
     def test_matches_naive_with_a_5x_lp_reduction(self):
         problem = problem_for(symmetric_conflict_schema(), "T")
 
-        naive_counters = SearchCounters()
+        naive_counters = Counters(SEARCH_COUNTERS)
         with search_stats_sink(naive_counters):
             expected = decide_acceptable(problem, "naive")
-        pruned_counters = SearchCounters()
+        pruned_counters = Counters(SEARCH_COUNTERS)
         with search_stats_sink(pruned_counters):
             actual = decide_acceptable(problem, "pruned")
 
@@ -145,7 +145,7 @@ class TestParity:
         # A refuted candidate's nogood comes from the certificate of the
         # solve that refuted it: no second LP per candidate.
         problem = problem_for(symmetric_conflict_schema(siblings), "T")
-        counters = SearchCounters()
+        counters = Counters(SEARCH_COUNTERS)
         budget = Budget()
         with activate(budget), search_stats_sink(counters):
             found, _, _ = pruned_zero_set_search(problem)

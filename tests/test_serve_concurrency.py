@@ -10,8 +10,9 @@ shared-state ones:
   staged cache build make this hold);
 * **counter monotonicity** — ``/metrics`` sampled *during* the storm
   must never show any counter going backwards (the lost-update race
-  that plain ``+=`` would introduce is the thing the ``bump`` funnel
-  and the locked stats subclasses exist to kill);
+  that plain ``+=`` would introduce is the thing the self-locking
+  :class:`~repro.runtime.stats.Counters` and
+  :class:`~repro.session.SessionCache` exist to kill);
 * **store faults mid-request** — a scripted crash inside the store's
   atomic-write protocol (the global :mod:`repro.runtime.faults` hook
   reaches the in-process server's threads) must degrade to
@@ -39,11 +40,10 @@ from __future__ import annotations
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import pytest
 
-from repro.cli import answer_query, parse_batch_query
+from repro.cli import answer_all, parse_batch_query
 from repro.components import decompose_schema
 from repro.cr.construction import witness_violation
 from repro.cr.satisfiability import decision_problem
@@ -89,12 +89,9 @@ QUERY_LINES = ["sat A", "sat B", "B isa A", "A isa B", "disjoint(A, B)",
 
 
 def serial_records(text: str) -> list[dict]:
-    """The oracle: one cold session through the shared formatter."""
+    """The oracle: one cold session through the shared batch loop."""
     session = ReasoningSession(parse_schema(text))
-    return [
-        answer_query(session, kind, payload)[0]
-        for kind, payload in map(parse_batch_query, QUERY_LINES)
-    ]
+    return answer_all(session, list(map(parse_batch_query, QUERY_LINES)))[0]
 
 
 @pytest.fixture(scope="module")

@@ -5,9 +5,9 @@ reasoning: for any schema and any query mix, the records coming back
 over HTTP are byte-identical to the records ``repro batch --json``
 prints for the same inputs — same verdicts, same ``unknown_reason``
 strings, same ordering, same exit-code semantics (carried as
-``exit_code`` in the response body).  Both paths share one formatter
-(:func:`repro.cli.answer_query`), and these properties
-pin that sharing down from the outside:
+``exit_code`` in the response body).  Both paths share one batch loop
+(:func:`repro.cli.answer_all`), and these properties pin that sharing
+down from the outside:
 
 * random schemas and mixed query batches (from the same
   :func:`tests.strategies.query_mixes` generator the component parity
@@ -236,6 +236,69 @@ def test_bad_query_and_bad_budget_are_http_400(server):
     assert status == 400 and "error" in payload
     status, payload = client.batch(text, ["sat Speaker"], budget={"max_lp": "many"})
     assert status == 400 and "error" in payload
+
+
+# ---------------------------------------------------------------------------
+# the counter keys both surfaces export, pinned in order
+# ---------------------------------------------------------------------------
+
+# Readers of these reports (perfbench's ``_delta`` among them) take a
+# missing key as 0, so a dropped or renamed counter would go unnoticed
+# without an exact list.
+CACHE_COUNTER_KEYS = [
+    "hits",
+    "misses",
+    "evictions",
+    "analysis_runs",
+    "analysis_short_circuits",
+    "expansion_builds",
+    "system_builds",
+    "fixpoint_runs",
+    "store_hits",
+    "store_misses",
+    "store_writes",
+    "store_write_failures",
+    "components_total",
+    "components_reused",
+    "components_rebuilt",
+    "zero_sets_enumerated",
+    "pruned_by_orbit",
+    "pruned_by_nogood",
+    "orbits_found",
+]
+STORE_COUNTER_KEYS = [
+    "hits",
+    "misses",
+    "writes",
+    "write_errors",
+    "lock_timeouts",
+    "quarantined",
+]
+
+
+def test_batch_json_stats_keys_are_pinned():
+    report, code = run_cli_batch(
+        serialize_schema(meeting_schema()), ["sat Speaker"]
+    )
+    assert code == 0
+    assert list(report["stats"]) == ["queries", *CACHE_COUNTER_KEYS]
+
+
+def test_metrics_cache_and_store_keys_are_pinned(tmp_path):
+    config = ServeConfig(cache_dir=str(tmp_path / "store"))
+    with running_server(config) as server:
+        client = ServeClient(server.base_url)
+        status, _ = client.batch(
+            serialize_schema(meeting_schema()), ["sat Speaker"]
+        )
+        assert status == 200
+        _, metrics = client.metrics()
+    assert list(metrics["cache"]) == [
+        *CACHE_COUNTER_KEYS,
+        "memory_entries",
+        "max_entries",
+    ]
+    assert list(metrics["store"]) == STORE_COUNTER_KEYS
 
 
 # ---------------------------------------------------------------------------

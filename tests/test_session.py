@@ -7,6 +7,8 @@ zero times once warm."""
 from __future__ import annotations
 
 import itertools
+import sys
+import threading
 from contextlib import ExitStack
 from unittest import mock
 
@@ -377,6 +379,38 @@ def test_lru_eviction_and_invalidation(meeting, figure1):
     assert cache.invalidate(figure1_session.fingerprint)
     assert not cache.invalidate(figure1_session.fingerprint)
     assert len(cache) == 0
+
+
+def test_one_cache_shared_by_four_threads_keeps_its_books():
+    """The cache locks its own entry map and counters: every lookup is
+    counted once, and each entry still held was a miss not yet
+    evicted."""
+    schemas = [_chain(k) for k in range(1, 7)]
+    keyed = [(schema, schema_fingerprint(schema)) for schema in schemas]
+    cache = SessionCache(max_entries=3)
+    calls_per_thread = 600
+
+    def hammer(offset: int) -> None:
+        for i in range(calls_per_thread):
+            schema, fingerprint = keyed[(i * (offset + 1) + offset) % len(keyed)]
+            cache.artifacts(schema, fingerprint)
+
+    threads = [
+        threading.Thread(target=hammer, args=(offset,)) for offset in range(4)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    stats = cache.stats
+    assert stats.hits + stats.misses == 4 * calls_per_thread
+    assert stats.misses - stats.evictions == len(cache) == 3
 
 
 # ---------------------------------------------------------------------------
