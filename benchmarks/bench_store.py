@@ -5,11 +5,14 @@ expansion amortising across one process's queries; this module measures
 the *cross-process* version of the same economics.  A cold process pays
 the expansion + pruned ``Ψ_S`` + acceptability fixpoint and writes the
 warm bundle through to the :mod:`repro.store` tier; the next process
-restores the bundle (checksum-verified pickle) instead of rebuilding.
-The report records both totals, the restore speedup, and the raw store
-round-trip throughput, and ``validate_report`` asserts the structural
-guarantees the timings rest on: the warm process ran **zero** fixpoints
-and answered entirely from persisted-store hits.
+restores the bundle (checksum-verified, canonically encoded: the
+compound-class table, support, witness, verdicts and analysis report)
+instead of rebuilding.  The report records both totals, the restore
+speedup, each workload's mean on-disk entry size and mean ``get`` cost
+per entry, and the raw store round-trip throughput; ``validate_report``
+asserts the structural guarantees the timings rest on: the warm process
+ran **zero** fixpoints, expansion builds and system builds, and
+answered entirely from persisted-store hits.
 
 Standalone runner (what CI's bench-smoke invokes)::
 
@@ -45,6 +48,9 @@ BATCH_SIZE = 30
 ROUND_TRIPS = 200
 """Entries written and re-read by the raw-throughput micro-benchmark."""
 
+GET_REPEATS = 20
+"""Reads of every stored entry behind each workload's mean ``get`` cost."""
+
 
 def _answer(session: ReasoningSession, query) -> None:
     kind, payload = query
@@ -79,6 +85,14 @@ def run_workload(label: str, schema: CRSchema, size: int = BATCH_SIZE) -> dict:
             _answer(warm_session, query)
         warm_total = time.perf_counter() - warm_start
 
+        store = ArtifactStore(root)
+        entries = list(store.entries())
+        get_start = time.perf_counter()
+        for _ in range(GET_REPEATS):
+            for entry in entries:
+                assert store.get(entry.fingerprint, entry.kind) is not None
+        get_total = time.perf_counter() - get_start
+
         cold_stats = cold_session.stats
         warm_stats = warm_session.stats
         return {
@@ -91,9 +105,12 @@ def run_workload(label: str, schema: CRSchema, size: int = BATCH_SIZE) -> dict:
                 cold_total / warm_total if warm_total > 0 else float("inf")
             ),
             "store_writes": cold_stats.store_writes,
+            "entry_bytes": sum(entry.size for entry in entries) / len(entries),
+            "warm_get_s": get_total / (GET_REPEATS * len(entries)),
             "warm_store_hits": warm_stats.store_hits,
             "warm_fixpoint_runs": warm_stats.fixpoint_runs,
             "warm_expansion_builds": warm_stats.expansion_builds,
+            "warm_system_builds": warm_stats.system_builds,
         }
 
 
@@ -168,9 +185,12 @@ _ENTRY_KEYS = {
     "warm_total_s": float,
     "speedup": float,
     "store_writes": int,
+    "entry_bytes": float,
+    "warm_get_s": float,
     "warm_store_hits": int,
     "warm_fixpoint_runs": int,
     "warm_expansion_builds": int,
+    "warm_system_builds": int,
 }
 
 
@@ -179,9 +199,9 @@ def validate_report(report: dict) -> dict:
     BENCH_store.json payload; returns the report for chaining.
 
     The bars are structural rather than wall-clock (CI timing is
-    noisy): the warm process must answer with zero fixpoint runs and
-    zero expansion builds, entirely from persisted-store hits the cold
-    process wrote.
+    noisy): the warm process must answer with zero fixpoint runs,
+    expansion builds and system builds, entirely from persisted-store
+    hits the cold process wrote.
     """
     entries = check_report_shape(report, "store")
     for entry in entries:
@@ -205,6 +225,11 @@ def validate_report(report: dict) -> dict:
             raise ValueError(
                 f"entry {entry.get('workload')!r}: warm process rebuilt the "
                 f"expansion {entry['warm_expansion_builds']} time(s)"
+            )
+        if entry["warm_system_builds"] != 0:
+            raise ValueError(
+                f"entry {entry.get('workload')!r}: warm process rebuilt "
+                f"Psi_S {entry['warm_system_builds']} time(s)"
             )
     round_trip = report.get("round_trip")
     if not isinstance(round_trip, dict) or round_trip.get("entries", 0) < 1:
@@ -278,6 +303,8 @@ def main(argv: list[str] | None = None) -> int:
             f"  warm {entry['warm_total_s']*1e3:8.1f} ms"
             f"  speedup {entry['speedup']:7.1f}x"
             f"  hits {entry['warm_store_hits']}"
+            f"  {entry['entry_bytes']:7.0f} B/entry"
+            f"  get {entry['warm_get_s']*1e3:.3f} ms"
         ),
         summary_line=lambda report, output: (
             f"-> {output}: {report['summary']['workloads']} workloads, "

@@ -56,9 +56,10 @@ fallback is left, the fault surfaces as a
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from repro.analysis.analyzer import analyze
 from repro.analysis.diagnostics import Diagnostic
@@ -108,8 +109,15 @@ class SatisfiabilityResult:
     ``Ψ'_S`` when satisfiable (the paper's Figure 6 object), from which
     :func:`repro.cr.construction.construct_model` builds an explicit
     finite model.  ``support`` is the set of unknowns the witness makes
-    positive.  On an UNKNOWN verdict ``cr_system`` may be ``None`` (the
-    budget can run out before the system is even built).
+    positive.
+
+    ``cr_system`` is the system ``Ψ_S`` the verdict was read from.  It
+    is built on first read, by the zero-argument ``system_builder`` the
+    deciding procedure passes, and cached on the result: a session
+    answering from a restored store entry rebuilds ``Ψ_S`` only for a
+    caller that reads it.  Results without a builder read ``None``: on
+    an UNKNOWN verdict (the budget can run out before the system is
+    even built) and on a precheck answer.
 
     ``diagnostic`` is set when the verdict was served by the static
     analyzer's precheck (engine :data:`ANALYSIS_ENGINE`): the
@@ -121,7 +129,9 @@ class SatisfiabilityResult:
     cls: str
     satisfiable: bool
     engine: str
-    cr_system: CRSystem | None
+    system_builder: Callable[[], CRSystem] | None = field(
+        compare=False, repr=False
+    )
     solution: dict[str, int] | None
     support: frozenset[str] | None
     verdict: Verdict | None = None
@@ -134,6 +144,13 @@ class SatisfiabilityResult:
             object.__setattr__(
                 self, "verdict", Verdict.from_bool(self.satisfiable)
             )
+
+    @cached_property
+    def cr_system(self) -> CRSystem | None:
+        """``Ψ_S`` of the deciding schema, built on first access."""
+        if self.system_builder is None:
+            return None
+        return self.system_builder()
 
     def witness_count(self, unknown: str) -> int:
         """Convenience accessor into the witness solution."""
@@ -158,7 +175,7 @@ def diagnostic_result(cls: str, diagnostic: Diagnostic) -> SatisfiabilityResult:
         cls=cls,
         satisfiable=False,
         engine=ANALYSIS_ENGINE,
-        cr_system=None,
+        system_builder=None,
         solution=None,
         support=frozenset(),
         diagnostic=diagnostic,
@@ -173,7 +190,7 @@ def _unknown_result(
         cls=cls,
         satisfiable=False,
         engine=engine,
-        cr_system=None,
+        system_builder=None,
         solution=None,
         support=None,
         verdict=Verdict.UNKNOWN,
@@ -458,7 +475,7 @@ def is_class_satisfiable(
                 cls=cls,
                 satisfiable=satisfiable,
                 engine=engine,
-                cr_system=cr_system,
+                system_builder=lambda: cr_system,
                 solution=solution,
                 support=support if satisfiable else frozenset(),
             )

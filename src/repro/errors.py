@@ -98,7 +98,7 @@ class StoreIntegrityError(StoreError):
     ``reason`` is a stable machine-readable tag (``"truncated-header"``,
     ``"magic"``, ``"format-version"``, ``"artifact-version"``,
     ``"truncated-payload"``, ``"trailing-garbage"``, ``"checksum"``,
-    ``"unpickleable"``, ``"key-mismatch"``) — it becomes part of the
+    ``"undecodable"``, ``"key-mismatch"``) — it becomes part of the
     quarantined file's name so ``repro cache quarantine list`` can
     report why each entry was pulled.
     """

@@ -39,13 +39,24 @@ building: a valid persisted bundle restores the entry fully warm
 (``store_hits``), and an entry that completes its fixpoint stage
 writes through (``store_writes``) so the *next* process starts warm.
 The store's absent-or-valid contract means this tier can only ever
-return artifacts byte-equivalent to a fresh build or nothing at all;
+return artifacts equal to a fresh build or nothing at all;
 persistence failures (contention, full disk, corruption) degrade to
 counted no-ops and the reasoning path proceeds from source.
 
-The walk memo and the ledger are never persisted: they are not in
-:data:`_BUNDLE_FIELDS`, so neither the bundle nor
-:data:`repro.store.ARTIFACT_VERSION` changes, and an entry restored
+A bundle (:data:`_BUNDLE_FIELDS`) holds only what warm queries read:
+the analysis report, the **compound-class table** (each consistent
+compound class's unknown with its member classes), the support, the
+witness and the class verdicts.  Every satisfiability, ISA,
+disjointness and cardinality answer is a lookup in that table against
+the support, so a restored entry answers them without ``S̄`` or
+``Ψ_S``.  The paths that read the system itself — a pinned zero-set
+walk, a countermodel, a result's ``cr_system`` — rebuild both from the
+entry's schema on first use (:meth:`SchemaArtifacts.ensure_system`).
+The rebuild is deterministic: the fingerprint keeps class and
+relationship declaration order, which fixes the compound numbering,
+so the persisted witness's unknown names match the rebuilt system.
+
+The walk memo and the ledger are never persisted: an entry restored
 from the store (or rebuilt after eviction) starts both empty.
 """
 
@@ -53,6 +64,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -84,10 +96,13 @@ from repro.store.store import ArtifactStore
 WalkAnswer = tuple[bool, dict[str, int] | None, frozenset[str]]
 """A zero-set walk's ``(found, integer_witness, support)``."""
 
+CompoundTable = dict[str, frozenset[str]]
+"""Each consistent compound class of ``Ψ_S``: its unknown, mapped to
+its member classes."""
+
 _BUNDLE_FIELDS = (
     "analysis",
-    "expansion",
-    "cr_system",
+    "classes",
     "support",
     "witness",
     "class_verdicts",
@@ -96,6 +111,35 @@ _BUNDLE_FIELDS = (
 needed to answer every warm query.  Changing this tuple (or the shape
 of any field) is an artifact-codec change: bump
 :data:`repro.store.ARTIFACT_VERSION` alongside."""
+
+
+def _names(value: Any) -> bool:
+    return isinstance(value, frozenset) and all(
+        isinstance(name, str) for name in value
+    )
+
+
+def _by_name(value: Any, shaped: Callable[[Any], bool]) -> bool:
+    return isinstance(value, dict) and all(
+        isinstance(name, str) and shaped(item) for name, item in value.items()
+    )
+
+
+def _well_shaped(bundle: dict[str, Any]) -> bool:
+    """Whether a decoded bundle's fields have the shapes a warm entry
+    reads: an optional analysis report, a compound-class table, the
+    support as a set of unknowns, an ``int`` witness and ``bool``
+    verdicts, each keyed by name."""
+    analysis = bundle["analysis"]
+    return (
+        (analysis is None or isinstance(analysis, AnalysisReport))
+        and _by_name(bundle["classes"], _names)
+        and _names(bundle["support"])
+        and _by_name(bundle["witness"], lambda count: type(count) is int)
+        and _by_name(
+            bundle["class_verdicts"], lambda verdict: type(verdict) is bool
+        )
+    )
 
 
 CACHE_COUNTERS = (
@@ -126,9 +170,13 @@ the cache (it is their ambient sink)."""
 class SchemaArtifacts:
     """Cached reasoning state for one schema fingerprint.
 
-    ``support`` is the maximal acceptable support of ``Ψ_S`` and
+    ``support`` is the maximal acceptable support of ``Ψ_S``,
     ``witness`` an integer acceptable solution positive on exactly that
-    support; both are ``None`` until the fixpoint stage has run.
+    support, and ``classes`` the compound-class table queries read the
+    support through (:meth:`compound_unknowns`); all three are ``None``
+    until the fixpoint stage has run or a bundle is adopted.
+    ``expansion`` and ``cr_system`` are never persisted: a restored
+    entry rebuilds them on first use.
 
     ``walks`` memoizes each pinned zero-set walk's own answer, keyed by
     engine and target set, and ``ledger`` is the nogood store every
@@ -144,6 +192,7 @@ class SchemaArtifacts:
     analysis: AnalysisReport | None = None
     expansion: Expansion | None = None
     cr_system: CRSystem | None = None
+    classes: CompoundTable | None = field(default=None, repr=False)
     support: frozenset[str] | None = None
     witness: dict[str, int] | None = None
     class_verdicts: dict[str, bool] | None = field(default=None, repr=False)
@@ -200,9 +249,26 @@ class SchemaArtifacts:
                 raise SolverError(f"fixpoint witness rejected: {violation}")
             self.witness = witness
             self.class_verdicts = support_verdicts(cr_system, support)
+            self.classes = {
+                name: compound.members
+                for compound, name in cr_system.class_var.items()
+            }
             self.support = support
             self._persist()
         return self.support
+
+    def compound_unknowns(
+        self, where: Callable[[frozenset[str]], bool]
+    ) -> frozenset[str]:
+        """The unknowns of the consistent compound classes whose member
+        set satisfies ``where`` — read off the compound-class table, so
+        a warm entry answers without ``S̄`` or ``Ψ_S``."""
+        assert self.classes is not None  # set alongside the support
+        return frozenset(
+            unknown
+            for unknown, members in self.classes.items()
+            if where(members)
+        )
 
     def walk(self, engine: str, targets: frozenset[str]) -> WalkAnswer:
         """The pinned Theorem-3.4 walk's own answer for ``targets``,
@@ -232,7 +298,8 @@ class SchemaArtifacts:
 
     @property
     def warm(self) -> bool:
-        """Whether every stage has been built."""
+        """Whether the fixpoint stage's results are present, built here
+        or adopted from the store."""
         return self.support is not None
 
     # -- the persistent tier -------------------------------------------------
@@ -252,17 +319,19 @@ class SchemaArtifacts:
         """Restore a persisted bundle into this (cold) entry; ``False``
         leaves the entry untouched for a normal cold build.
 
-        The store already verified the envelope checksum and artifact
-        version; this is the last line of shape validation before the
-        fields go live.  Only fully-warm bundles are adopted — partial
-        state would reintroduce exactly the half-built hazards the
-        staged build exists to prevent.
+        The store already verified the envelope checksum, the artifact
+        version and the key; this is the last line of shape validation
+        before the fields go live.  Only fully-warm bundles are adopted
+        — partial state would reintroduce exactly the half-built
+        hazards the staged build exists to prevent.
         """
         if not isinstance(bundle, dict):
             return False
         if any(name not in bundle for name in _BUNDLE_FIELDS):
             return False
-        if bundle["support"] is None or bundle["witness"] is None:
+        if not _well_shaped(bundle):
+            return False
+        if set(bundle["class_verdicts"]) != set(self.schema.classes):
             return False
         for name in _BUNDLE_FIELDS:
             setattr(self, name, bundle[name])
@@ -280,10 +349,12 @@ class SessionCache:
     The cache locks itself: one re-entrant lock serializes every
     operation on the entry map (lookup, store adoption, insert, evict,
     invalidate, clear), and its :class:`~repro.runtime.stats.Counters`
-    lock each increment.  The expensive ``ensure_*`` stages of an entry
-    run outside that lock, so schemas build concurrently; two threads
-    that may build the *same* entry must serialize between themselves,
-    as the serve engine does with its per-fingerprint locks.
+    lock each increment.  The store read runs outside that lock, so a
+    slow disk never stalls lookups of other schemas; the expensive
+    ``ensure_*`` stages of an entry run outside it too, so schemas
+    build concurrently.  Two threads that may build the *same* entry
+    must serialize between themselves, as the serve engine does with
+    its per-fingerprint locks.
 
     With a ``store``, the cache gains a persistent second tier: memory
     misses consult the store (restoring fully-warm entries), and entries
@@ -323,30 +394,54 @@ class SessionCache:
         entry's ``ensure_*`` stages build on demand."""
         key = fingerprint or schema_fingerprint(schema)
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._promote(key)
             if entry is not None:
-                self.stats.bump("hits")
-                self._entries.move_to_end(key)
                 return entry
-            self.stats.bump("misses")
-            entry = SchemaArtifacts(
-                fingerprint=key,
-                schema=schema,
-                stats=self.stats,
-                limits=limits,
-                store=self.store,
-            )
-            if self.store is not None:
-                bundle = self.store.get(key)
-                if bundle is not None and entry.adopt_bundle(bundle):
-                    self.stats.bump("store_hits")
-                else:
-                    self.stats.bump("store_misses")
-            self._entries[key] = entry
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.stats.bump("evictions")
-            return entry
+            if self.store is None:
+                return self._insert(self._new_entry(key, schema, limits))
+        bundle = self.store.get(key)
+        with self._lock:
+            # Another thread may have adopted or created the entry while
+            # this one read the store; its entry wins.
+            entry = self._promote(key)
+            if entry is not None:
+                return entry
+            entry = self._new_entry(key, schema, limits)
+            if bundle is not None and entry.adopt_bundle(bundle):
+                self.stats.bump("store_hits")
+            else:
+                self.stats.bump("store_misses")
+            return self._insert(entry)
+
+    def _promote(self, key: str) -> SchemaArtifacts | None:
+        """The entry under ``key``, counted as a hit and LRU-promoted;
+        ``None`` when absent.  Call with the lock held."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            self.stats.bump("hits")
+            self._entries.move_to_end(key)
+        return entry
+
+    def _new_entry(
+        self, key: str, schema: CRSchema, limits: ExpansionLimits | None
+    ) -> SchemaArtifacts:
+        return SchemaArtifacts(
+            fingerprint=key,
+            schema=schema,
+            stats=self.stats,
+            limits=limits,
+            store=self.store,
+        )
+
+    def _insert(self, entry: SchemaArtifacts) -> SchemaArtifacts:
+        """Count a miss, insert ``entry`` and evict down to the cap.
+        Call with the lock held."""
+        self.stats.bump("misses")
+        self._entries[entry.fingerprint] = entry
+        while len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
+            self.stats.bump("evictions")
+        return entry
 
     def invalidate(self, fingerprint: str) -> bool:
         """Drop one entry (e.g. after an external edit of a stored
@@ -365,4 +460,10 @@ class SessionCache:
         )
 
 
-__all__ = ["CACHE_COUNTERS", "SchemaArtifacts", "SessionCache", "WalkAnswer"]
+__all__ = [
+    "CACHE_COUNTERS",
+    "CompoundTable",
+    "SchemaArtifacts",
+    "SessionCache",
+    "WalkAnswer",
+]

@@ -296,11 +296,14 @@ class ReasoningSession:
         """Theorem-3.3 satisfiability of ``cls``, decided on its island.
 
         Cold cost is one expansion + system build + fixpoint of the
-        island; warm cost is a support lookup.  The result's witness is
-        the island's cached full-support solution (positive on every
+        island; warm cost is a lookup in the island's compound-class
+        table against its support.  The result's witness is the
+        island's cached full-support solution (positive on every
         satisfiable class of the island at once), so
         :func:`repro.cr.construction.construct_model_for_result` works
-        on it unchanged.
+        on it unchanged; the result's ``cr_system`` is built on first
+        read, so an island restored from the store rebuilds ``Ψ_S``
+        only for a caller that reads it.
 
         With a zero-set walk pinned (``--backend pruned``/``naive``)
         the class is decided by that walk instead, and the result
@@ -344,22 +347,23 @@ class ReasoningSession:
                     cls=cls,
                     satisfiable=satisfiable,
                     engine=engine,
-                    cr_system=cr_system,
+                    system_builder=artifacts.ensure_system,
                     solution=solution,
                     support=support if satisfiable else frozenset(),
                 )
             support = artifacts.ensure_support()
-            cr_system = artifacts.ensure_system()
             witness = artifacts.witness
             assert witness is not None  # set alongside the support
             with stage(STAGE_VERDICT, phase="session:lookup"):
-                targets = class_targets(cr_system, cls)
+                targets = artifacts.compound_unknowns(
+                    lambda members: cls in members
+                )
                 satisfiable = bool(targets & support)
             return SatisfiabilityResult(
                 cls=cls,
                 satisfiable=satisfiable,
                 engine=ENGINE,
-                cr_system=cr_system,
+                system_builder=artifacts.ensure_system,
                 solution=dict(witness) if satisfiable else None,
                 support=support if satisfiable else frozenset(),
             )
@@ -419,8 +423,10 @@ class ReasoningSession:
                 with stage(STAGE_VERDICT, phase="session:lookup"):
                     return {cls: False for cls in classes}
             artifacts.ensure_support()
-            assert artifacts.class_verdicts is not None
-            return dict(artifacts.class_verdicts)
+            verdicts = artifacts.class_verdicts
+            assert verdicts is not None  # set alongside the support
+            # Declaration order, whatever order a restored map has.
+            return {cls: verdicts[cls] for cls in classes}
 
         return self._governed(
             budget,
@@ -479,13 +485,13 @@ class ReasoningSession:
     ) -> ImplicationResult:
         """A not-implied answer whose countermodel is built on first read
         from the cached witness (checked when the fixpoint produced it),
-        with the Section-4 class ``strip`` dropped when given."""
+        with the Section-4 class ``strip`` dropped when given.  An entry
+        restored from the store rebuilds ``Ψ_S`` only then."""
         witness = artifacts.witness
         assert witness is not None  # callers run ensure_support() first
-        cr_system = artifacts.ensure_system()
 
         def build() -> Interpretation:
-            model = construct_model(cr_system, witness)
+            model = construct_model(artifacts.ensure_system(), witness)
             return model if strip is None else strip_class(model, strip)
 
         return ImplicationResult(query, False, ENGINE, build)
@@ -502,16 +508,10 @@ class ReasoningSession:
         def compute() -> ImplicationResult:
             artifacts = self._artifacts(schema, fingerprint)
             support = artifacts.ensure_support()
-            cr_system = artifacts.ensure_system()
-            expansion = artifacts.expansion
-            assert expansion is not None  # built by ensure_system()
             with stage(STAGE_VERDICT, phase="session:lookup"):
-                counterexamples = frozenset(
-                    cr_system.class_var[compound]
-                    for compound in expansion.consistent_classes_containing(
-                        query.sub
-                    )
-                    if query.sup not in compound.members
+                counterexamples = artifacts.compound_unknowns(
+                    lambda members: query.sub in members
+                    and query.sup not in members
                 )
                 implied = not (counterexamples & support)
             if implied:
@@ -539,14 +539,10 @@ class ReasoningSession:
         def compute() -> ImplicationResult:
             artifacts = self._artifacts(schema, fingerprint)
             support = artifacts.ensure_support()
-            cr_system = artifacts.ensure_system()
-            expansion = artifacts.expansion
-            assert expansion is not None  # built by ensure_system()
             with stage(STAGE_VERDICT, phase="session:lookup"):
-                shared = frozenset(
-                    cr_system.class_var[compound]
-                    for compound in expansion.consistent_compound_classes()
-                    if sum(cls in compound.members for cls in class_list) >= 2
+                shared = artifacts.compound_unknowns(
+                    lambda members: sum(cls in members for cls in class_list)
+                    >= 2
                 )
                 implied = not (shared & support)
             if implied:
@@ -582,7 +578,9 @@ class ReasoningSession:
             artifacts = self.cache.artifacts(extended, limits=self.limits)
             support = artifacts.ensure_support()
             with stage(STAGE_VERDICT, phase="session:lookup"):
-                targets = class_targets(artifacts.cr_system, exc)
+                targets = artifacts.compound_unknowns(
+                    lambda members: exc in members
+                )
                 implied = not (targets & support)
             if implied:
                 return ImplicationResult(query, True, ENGINE, None)

@@ -7,6 +7,9 @@ fingerprint.
                                        instrumented (invariant R6)
 :mod:`repro.store.format`              versioned, checksummed entry
                                        envelope; typed integrity errors
+:mod:`repro.store.codec`               the canonical payload
+                                       encoding (JSON; decoding runs
+                                       no code)
 :mod:`repro.store.locks`               advisory writer locks with stale
                                        reclaim and deterministic
                                        jittered backoff

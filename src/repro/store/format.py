@@ -5,7 +5,7 @@ Layout (big-endian, 48-byte header)::
     offset  size  field
     0       4     magic  b"RPST"
     4       2     format version   (the envelope layout itself)
-    6       2     artifact version (the pickled payload's schema)
+    6       2     artifact version (the payload's codec and shape)
     8       8     payload length in bytes
     16      32    SHA-256 digest of the payload
     48      —     payload
@@ -14,11 +14,10 @@ Two version numbers because they fail differently: a **format**
 mismatch means this code cannot even parse the envelope (the store
 keeps per-format-version subdirectories, so in practice this only
 happens to hand-damaged files), while an **artifact** mismatch means
-the envelope is intact but the pickled reasoning artifacts inside were
-produced by an incompatible codec — bump
-:data:`repro.store.store.ARTIFACT_VERSION` whenever the shape of
-cached artifacts changes and every stale entry degrades to a rebuild
-instead of an unpickling surprise.
+the envelope is intact but the reasoning artifacts inside were encoded
+by an incompatible codec or in an older shape — bump
+:data:`repro.store.store.ARTIFACT_VERSION` whenever either changes and
+every stale entry degrades to a rebuild instead of a decoding surprise.
 
 :func:`decode_entry` validates *everything* before a byte of payload is
 returned — magic, both versions, declared length against actual length

@@ -2,7 +2,8 @@
 
 :class:`ArtifactStore` maps ``(fingerprint, kind)`` keys — the same
 SHA-256 schema fingerprints :mod:`repro.session` caches under — to
-pickled artifact bundles on disk, with one governing invariant:
+artifact bundles on disk, each in the canonical encoding of
+:mod:`repro.store.codec`, with one governing invariant:
 
     **absent or valid.**  After a crash at any point of the write
     protocol, a concurrent-writer race, bit-rot, truncation, or a
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import logging
 import os
-import pickle
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,6 +54,7 @@ from repro.errors import (
 )
 from repro.runtime import faults
 from repro.runtime.stats import Counters
+from repro.store import codec
 from repro.store.atomic import atomic_write_bytes, fsync_directory, sweep_temp_files
 from repro.store.format import FORMAT_VERSION, decode_entry, encode_entry
 from repro.store.locks import (
@@ -64,11 +65,11 @@ from repro.store.locks import (
 
 logger = logging.getLogger("repro.store")
 
-ARTIFACT_VERSION = 1
-"""Version of the pickled artifact bundle schema.  Bump whenever the
-shape of cached reasoning artifacts changes; every entry written under
-the old version then degrades to a quarantine + rebuild instead of an
-unpickling surprise."""
+ARTIFACT_VERSION = 2
+"""Version of the stored artifact bundle: its codec and the shape of the
+reasoning artifacts in it.  Bump whenever either changes; every entry
+written under the old version then degrades to a quarantine + rebuild
+instead of a decoding surprise."""
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 """Environment variable naming the store root when no flag is given."""
@@ -212,11 +213,9 @@ class ArtifactStore:
         raises :class:`StoreIntegrityError` with a reason on failure."""
         payload = decode_entry(blob, self.artifact_version)
         try:
-            bundle = pickle.loads(payload)
-        except Exception as error:  # pickle raises a small zoo of types
-            raise StoreIntegrityError(
-                f"payload does not unpickle: {error}", reason="unpickleable"
-            ) from error
+            bundle = codec.decode(payload)
+        except codec.CodecError as error:
+            raise StoreIntegrityError(str(error), reason="undecodable") from error
         if (
             not isinstance(bundle, dict)
             or bundle.get("fingerprint") != fingerprint
@@ -231,7 +230,7 @@ class ArtifactStore:
         """The stored artifact, or ``None``; never raises on damage.
 
         A damaged entry (torn, truncated, flipped, version-skewed,
-        unpicklable, mislabelled) is quarantined on the spot and read
+        undecodable, mislabelled) is quarantined on the spot and read
         as a miss, so the caller rebuilds from source.
         """
         path = self.entry_path(fingerprint, kind)
@@ -259,7 +258,8 @@ class ArtifactStore:
         self, fingerprint: str, artifact: Any, kind: str = DEFAULT_KIND
     ) -> bool:
         """Persist ``artifact``; ``True`` on success, ``False`` on a
-        degraded skip (lock contention, unpicklable input, I/O error).
+        degraded skip (lock contention, a value the codec refuses, I/O
+        error).
 
         A :class:`~repro.runtime.faults.SimulatedCrash` from an injected
         fault point propagates — and deliberately leaves the entry lock
@@ -268,16 +268,11 @@ class ArtifactStore:
         """
         path = self.entry_path(fingerprint, kind)
         try:
-            payload = pickle.dumps(
-                {"fingerprint": fingerprint, "kind": kind, "artifact": artifact},
-                protocol=pickle.HIGHEST_PROTOCOL,
+            payload = codec.encode(
+                {"fingerprint": fingerprint, "kind": kind, "artifact": artifact}
             )
-        except Exception as error:
-            logger.warning(
-                "store put of %s skipped: unpicklable artifact (%s)",
-                path.name,
-                error,
-            )
+        except codec.CodecError as error:
+            logger.warning("store put of %s skipped: %s", path.name, error)
             self.stats.bump("write_errors")
             return False
         data = bytearray(encode_entry(payload, self.artifact_version))

@@ -9,17 +9,21 @@ like a killed process, so this also exercises stale-lock reclaim).
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import analyze
+from repro.cr.builder import SchemaBuilder
 from repro.errors import (
     StoreError,
     StoreIntegrityError,
@@ -43,7 +47,9 @@ from repro.store import (
     resolve_cache_dir,
     sweep_temp_files,
 )
+from repro.store import codec
 from repro.store.format import HEADER_SIZE, MAGIC
+from tests.strategies import schemas
 
 FP = "a" * 64
 FP2 = "b" * 64
@@ -339,7 +345,7 @@ class TestArtifactStore:
 
     def test_unpicklable_artifact_degrades_put(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        assert store.put(FP, lambda: None) is False  # lambdas don't pickle
+        assert store.put(FP, lambda: None) is False  # the codec refuses it
         assert store.stats.write_errors == 1
         assert store.get(FP) is None
 
@@ -507,11 +513,13 @@ class TestCrashRecovery:
         with tempfile.TemporaryDirectory() as root:
             ArtifactStore(root).put(FP, value)
             # A different process would re-open the store from scratch;
-            # byte-level equality of the pickle round trip is what the
-            # batch CLI's warm-equals-cold guarantee rests on.
+            # a value read back encodes to the bytes of the value
+            # written, which is what the batch CLI's warm-equals-cold
+            # guarantee rests on (equal frozensets can iterate, and so
+            # pickle, differently; the codec sorts them).
             found = ArtifactStore(root).get(FP)
             assert found == value
-            assert pickle.dumps(found) == pickle.dumps(value)
+            assert codec.encode(found) == codec.encode(value)
 
     @settings(max_examples=25)
     @given(
@@ -532,3 +540,131 @@ class TestCrashRecovery:
             assert results.count(None) == 1
             assert bundle in results
             assert len(store.quarantined()) == 1
+
+
+# ---------------------------------------------------------------------------
+# The payload codec
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Unlisted:
+    """A frozen dataclass the codec's allow-list does not name."""
+
+    value: int
+
+
+def _cycle() -> list:
+    loop: list = []
+    loop.append(loop)
+    return loop
+
+
+class TestCodec:
+    @settings(max_examples=60)
+    @given(value=artifact_values)
+    def test_round_trip_returns_an_equal_value(self, value):
+        found = codec.decode(codec.encode(value))
+        assert found == value
+        assert type(found) is type(value)
+
+    def test_tuples_and_nested_sets_keep_their_types(self):
+        value = (
+            ("c1", frozenset({"A"})),
+            ("c2", frozenset({"A", "B"})),
+            [frozenset({("x", 1), ("y", 2)}), None, True, -(10**30)],
+        )
+        assert codec.decode(codec.encode(value)) == value
+
+    @settings(max_examples=60)
+    @given(value=artifact_values)
+    def test_encoding_is_json_with_sorted_keys(self, value):
+        encoded = codec.encode(value)
+        canonical = json.dumps(
+            json.loads(encoded), sort_keys=True, separators=(",", ":")
+        )
+        assert canonical.encode("ascii") == encoded
+
+    @settings(max_examples=60)
+    @given(
+        items=st.lists(st.text(max_size=6), unique=True, max_size=12),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_insertion_order_does_not_reach_the_bytes(self, items, order):
+        shuffled = list(items)
+        order.shuffle(shuffled)
+        first = {item: index for index, item in enumerate(items)}
+        second = {item: first[item] for item in shuffled}
+        assert codec.encode(first) == codec.encode(second)
+        assert codec.encode(frozenset(items)) == codec.encode(
+            frozenset(shuffled)
+        )
+        nested = frozenset(frozenset(items[i : i + 2]) for i in range(len(items)))
+        rebuilt = frozenset(
+            frozenset(reversed(items[i : i + 2]))
+            for i in reversed(range(len(items)))
+        )
+        assert codec.encode(nested) == codec.encode(rebuilt)
+
+    @settings(max_examples=40, deadline=None)
+    @given(schema=schemas())
+    def test_analysis_reports_round_trip_through_their_constructors(
+        self, schema
+    ):
+        report = analyze(schema)
+        found = codec.decode(codec.encode(report))
+        assert found == report
+        assert found.verify(schema)
+
+    def test_a_report_failing_its_own_checks_does_not_decode(self):
+        report = analyze(
+            SchemaBuilder("Inverted")
+            .classes("A", "B")
+            .relationship("R", u="A", v="B")
+            .card("A", "R", "u", 2, 1)
+            .build()
+        )
+        assert report.unsat_classes == frozenset({"A"})
+        forged = codec.encode(report).replace(
+            b'"unsat_classes":["S","A"]', b'"unsat_classes":["S"]'
+        )
+        assert forged != codec.encode(report)
+        with pytest.raises(codec.CodecError):
+            codec.decode(forged)
+
+    @pytest.mark.parametrize(
+        "value",
+        [lambda: None, 0.5, Unlisted(1), {"support": {"x"}}, {1: "x"}, _cycle()],
+        ids=["lambda", "float", "unlisted-dataclass", "set", "int-key", "cycle"],
+    )
+    def test_values_outside_the_codec_are_refused_at_put(
+        self, tmp_path, value
+    ):
+        store = ArtifactStore(tmp_path)
+        assert store.put(FP, {"artifact": value}) is False
+        assert store.stats.write_errors == 1
+        assert store.stats.writes == 0
+        assert not store.entry_path(FP).exists()
+
+    def test_an_old_pickle_payload_is_quarantined_never_unpickled(
+        self, tmp_path, monkeypatch
+    ):
+        store = ArtifactStore(tmp_path)
+        payload = pickle.dumps(
+            {"fingerprint": FP, "kind": "artifacts", "artifact": {"v": 1}},
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+        path = store.entry_path(FP)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(encode_entry(payload, ARTIFACT_VERSION))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the store unpickled a payload")
+
+        for name in ("loads", "load", "Unpickler"):
+            monkeypatch.setattr(pickle, name, refuse)
+        assert store.get(FP) is None
+        assert [info.reason for info in store.quarantined()] == [
+            "undecodable"
+        ]
+        assert store.stats.quarantined == 1
