@@ -111,7 +111,6 @@ from repro.session import (
 )
 from repro.runtime import (
     Budget,
-    FallbackPolicy,
     ImplicationVerdict,
     ProgressSnapshot,
     Verdict,
@@ -190,7 +189,6 @@ __all__ = [
     "ProgressSnapshot",
     "Verdict",
     "ImplicationVerdict",
-    "FallbackPolicy",
     "activate",
     "current_budget",
     "run_governed",

@@ -1,7 +1,10 @@
 """Implication of ISA and cardinality constraints (Section 4 of the paper).
 
 ``S ⊨ K`` — every finite model of schema ``S`` satisfies statement
-``K`` — is decided by reduction to (un)satisfiability:
+``K`` — is decided by reduction to (un)satisfiability, written once per
+query kind by :func:`reduce_query` and decided by the one
+:func:`implies` body here and the one
+:meth:`repro.session.ReasoningSession.implies` body:
 
 * **ISA** ``C ≼ D``: not implied iff ``Ψ_S`` admits an acceptable
   solution making positive some consistent compound class containing
@@ -39,21 +42,18 @@ from repro.cr.constraints import (
     MinCardinalityStatement,
 )
 from repro.cr.construction import construct_model
-from repro.cr.expansion import Expansion, ExpansionLimits
+from repro.cr.expansion import ExpansionLimits
 from repro.cr.interpretation import Interpretation
-from repro.cr.satisfiability import DEFAULT_NAIVE_LIMIT, acceptable_with_positive
-from repro.cr.schema import Card, CRSchema, Relationship, UNBOUNDED
-from repro.cr.system import CRSystem, build_system
-from repro.errors import BudgetExceededError, ReproError, SchemaError
-from repro.pipeline import (
-    STAGE_BUILD_SYSTEM,
-    STAGE_EXPAND,
-    STAGE_SOLVE,
-    STAGE_VERDICT,
-    stage,
+from repro.cr.satisfiability import (
+    DEFAULT_NAIVE_LIMIT,
+    _resolve_engine,
+    decide_compounds,
 )
+from repro.cr.schema import Card, CRSchema, Relationship, UNBOUNDED
+from repro.cr.system import CRSystem
+from repro.errors import BudgetExceededError, ReproError, SchemaError
+from repro.pipeline import STAGE_VERDICT, stage
 from repro.runtime.budget import Budget, ProgressSnapshot, run_governed
-from repro.runtime.fallback import DEFAULT_FALLBACK, FallbackPolicy
 from repro.runtime.outcome import ImplicationVerdict
 from repro.utils.naming import FreshNames
 
@@ -126,87 +126,6 @@ def _unknown_implication(
     )
 
 
-def implies(
-    schema: CRSchema,
-    query: ImplicationQuery,
-    engine: str = "fixpoint",
-    limits: ExpansionLimits | None = None,
-    budget: Budget | None = None,
-    naive_limit: int = DEFAULT_NAIVE_LIMIT,
-    fallback: FallbackPolicy | None = DEFAULT_FALLBACK,
-) -> ImplicationResult:
-    """Dispatch an implication query to the matching decision routine.
-
-    ``budget`` governs the whole check and degrades it to an UNKNOWN
-    verdict on exhaustion; ``naive_limit`` and ``fallback`` configure
-    the solver degradation chain (see
-    :func:`repro.cr.satisfiability.acceptable_with_positive`).
-    """
-    if isinstance(query, IsaStatement):
-        return implies_isa(
-            schema, query.sub, query.sup, engine, limits, budget,
-            naive_limit, fallback,
-        )
-    if isinstance(query, MinCardinalityStatement):
-        return implies_min_cardinality(
-            schema, query.cls, query.rel, query.role, query.value, engine,
-            limits, budget, naive_limit, fallback,
-        )
-    if isinstance(query, MaxCardinalityStatement):
-        return implies_max_cardinality(
-            schema, query.cls, query.rel, query.role, query.value, engine,
-            limits, budget, naive_limit, fallback,
-        )
-    if isinstance(query, DisjointnessStatement):
-        classes = sorted(query.classes)
-        return implies_disjointness(
-            schema, classes, engine, limits, budget, naive_limit, fallback,
-        )
-    raise ReproError(f"unsupported implication query {query!r}")
-
-
-def implies_isa(
-    schema: CRSchema,
-    sub: str,
-    sup: str,
-    engine: str = "fixpoint",
-    limits: ExpansionLimits | None = None,
-    budget: Budget | None = None,
-    naive_limit: int = DEFAULT_NAIVE_LIMIT,
-    fallback: FallbackPolicy | None = DEFAULT_FALLBACK,
-) -> ImplicationResult:
-    """Decide ``S ⊨ sub ≼ sup``."""
-    schema.require_class(sub)
-    schema.require_class(sup)
-    query = IsaStatement(sub, sup)
-
-    def compute() -> ImplicationResult:
-        with stage(STAGE_EXPAND, phase="expansion"):
-            expansion = Expansion(schema, limits)
-        with stage(STAGE_BUILD_SYSTEM, phase="system"):
-            cr_system = build_system(expansion, mode="pruned")
-            targets = frozenset(
-                cr_system.class_var[compound]
-                for compound in expansion.consistent_classes_containing(sub)
-                if sup not in compound.members
-            )
-        with stage(STAGE_SOLVE, phase=f"decide:{engine}"):
-            found, solution, _support = acceptable_with_positive(
-                cr_system, targets, engine, naive_limit, fallback
-            )
-        with stage(STAGE_VERDICT):
-            if not found:
-                return ImplicationResult(query, True, engine, None)
-            assert solution is not None
-            return ImplicationResult(
-                query, False, engine, _countermodel_builder(cr_system, solution)
-            )
-
-    return run_governed(
-        budget, compute, lambda error: _unknown_implication(query, engine, error)
-    )
-
-
 def exceptional_schema(
     schema: CRSchema,
     cls: str,
@@ -259,6 +178,68 @@ def strip_class(interpretation: Interpretation, cls: str) -> Interpretation:
     )
 
 
+@dataclass(frozen=True)
+class Reduction:
+    """Section 4's reduction of ``S ⊨ K`` to one Theorem-3.3 test.
+
+    ``K`` fails in some finite model iff an acceptable solution of
+    ``Ψ`` over ``schema`` — ``S`` itself, or ``S + C_exc`` for a
+    cardinality query — populates a consistent compound class whose
+    member set satisfies ``where``.  ``classes`` are the classes the
+    query names (a session routes on them), and ``strip`` is the
+    auxiliary class a countermodel drops: ``C_exc``, or ``None``.
+    """
+
+    schema: CRSchema
+    classes: tuple[str, ...]
+    where: Callable[[frozenset[str]], bool]
+    strip: str | None = None
+
+
+def reduce_query(
+    schema: CRSchema, query: ImplicationQuery
+) -> Reduction | None:
+    """The :class:`Reduction` deciding ``schema ⊨ query``, or ``None``
+    for the vacuously implied ``minc = 0``.
+
+    Raises :class:`~repro.errors.SchemaError` for an unknown class or
+    an illegal cardinality query, and
+    :class:`~repro.errors.ReproError` for an unsupported query.
+    """
+    if isinstance(query, IsaStatement):
+        sub, sup = query.sub, query.sup
+        schema.require_class(sub)
+        schema.require_class(sup)
+        return Reduction(
+            schema,
+            (sub, sup),
+            lambda members: sub in members and sup not in members,
+        )
+    if isinstance(query, DisjointnessStatement):
+        classes = tuple(sorted(query.classes))
+        for cls in classes:
+            schema.require_class(cls)
+        return Reduction(
+            schema,
+            classes,
+            lambda members: sum(cls in members for cls in classes) >= 2,
+        )
+    if isinstance(query, MinCardinalityStatement):
+        if query.value == 0:
+            return None
+        card = Card(0, query.value - 1)
+    elif isinstance(query, MaxCardinalityStatement):
+        card = Card(query.value + 1, UNBOUNDED)
+    else:
+        raise ReproError(f"unsupported implication query {query!r}")
+    extended, exc = exceptional_schema(
+        schema, query.cls, query.rel, query.role, card
+    )
+    return Reduction(
+        extended, (query.cls,), lambda members: exc in members, strip=exc
+    )
+
+
 def _countermodel_builder(
     cr_system: CRSystem,
     solution: Mapping[str, int],
@@ -275,33 +256,38 @@ def _countermodel_builder(
     return build
 
 
-def _cardinality_implication(
+def implies(
     schema: CRSchema,
-    query: MinCardinalityStatement | MaxCardinalityStatement,
-    exceptional_card: Card,
-    engine: str,
-    limits: ExpansionLimits | None,
+    query: ImplicationQuery,
+    engine: str = "fixpoint",
+    limits: ExpansionLimits | None = None,
     budget: Budget | None = None,
     naive_limit: int = DEFAULT_NAIVE_LIMIT,
-    fallback: FallbackPolicy | None = DEFAULT_FALLBACK,
+    fallback: bool = True,
 ) -> ImplicationResult:
-    extended, exc = exceptional_schema(
-        schema, query.cls, query.rel, query.role, exceptional_card
-    )
+    """Decide ``S ⊨ query`` through its :func:`reduce_query` reduction.
+
+    A pinned zero-set walk (``--backend``, ``REPRO_BACKEND``) replaces
+    the default ``fixpoint`` engine, and the result and its budget
+    phase name the engine that decided.  ``budget`` governs the whole
+    check and degrades it to an UNKNOWN verdict on exhaustion;
+    ``naive_limit`` and ``fallback`` configure the solver degradation
+    chain (see :mod:`repro.cr.satisfiability`).
+    """
+    reduction = reduce_query(schema, query)
+    engine = _resolve_engine(engine)
+    if reduction is None:
+        return ImplicationResult(query, True, engine, None)
 
     def compute() -> ImplicationResult:
-        with stage(STAGE_EXPAND, phase="expansion"):
-            expansion = Expansion(extended, limits)
-        with stage(STAGE_BUILD_SYSTEM, phase="system"):
-            cr_system = build_system(expansion, mode="pruned")
-            targets = frozenset(
-                cr_system.class_var[compound]
-                for compound in expansion.consistent_classes_containing(exc)
-            )
-        with stage(STAGE_SOLVE, phase=f"decide:{engine}"):
-            found, solution, _support = acceptable_with_positive(
-                cr_system, targets, engine, naive_limit, fallback
-            )
+        cr_system, found, solution, _support = decide_compounds(
+            reduction.schema,
+            reduction.where,
+            engine,
+            limits=limits,
+            naive_limit=naive_limit,
+            fallback=fallback,
+        )
         with stage(STAGE_VERDICT):
             if not found:
                 return ImplicationResult(query, True, engine, None)
@@ -310,12 +296,27 @@ def _cardinality_implication(
                 query,
                 False,
                 engine,
-                _countermodel_builder(cr_system, solution, strip=exc),
+                _countermodel_builder(cr_system, solution, reduction.strip),
             )
 
     return run_governed(
         budget, compute, lambda error: _unknown_implication(query, engine, error)
     )
+
+
+def implies_isa(
+    schema: CRSchema,
+    sub: str,
+    sup: str,
+    engine: str = "fixpoint",
+    limits: ExpansionLimits | None = None,
+    budget: Budget | None = None,
+    naive_limit: int = DEFAULT_NAIVE_LIMIT,
+    fallback: bool = True,
+) -> ImplicationResult:
+    """Decide ``S ⊨ sub ≼ sup``."""
+    query = IsaStatement(sub, sup)
+    return implies(schema, query, engine, limits, budget, naive_limit, fallback)
 
 
 def implies_min_cardinality(
@@ -328,7 +329,7 @@ def implies_min_cardinality(
     limits: ExpansionLimits | None = None,
     budget: Budget | None = None,
     naive_limit: int = DEFAULT_NAIVE_LIMIT,
-    fallback: FallbackPolicy | None = DEFAULT_FALLBACK,
+    fallback: bool = True,
 ) -> ImplicationResult:
     """Decide ``S ⊨ minc(cls, rel, role) = value``.
 
@@ -337,12 +338,7 @@ def implies_min_cardinality(
     ``cls`` instance participating fewer than ``value`` times.
     """
     query = MinCardinalityStatement(cls, rel, role, value)
-    if value == 0:
-        return ImplicationResult(query, True, engine, None)
-    return _cardinality_implication(
-        schema, query, Card(0, value - 1), engine, limits, budget,
-        naive_limit, fallback,
-    )
+    return implies(schema, query, engine, limits, budget, naive_limit, fallback)
 
 
 def implies_max_cardinality(
@@ -355,7 +351,7 @@ def implies_max_cardinality(
     limits: ExpansionLimits | None = None,
     budget: Budget | None = None,
     naive_limit: int = DEFAULT_NAIVE_LIMIT,
-    fallback: FallbackPolicy | None = DEFAULT_FALLBACK,
+    fallback: bool = True,
 ) -> ImplicationResult:
     """Decide ``S ⊨ maxc(cls, rel, role) = value``.
 
@@ -363,10 +359,7 @@ def implies_max_cardinality(
     it is satisfiable exactly when some model breaks the bound.
     """
     query = MaxCardinalityStatement(cls, rel, role, value)
-    return _cardinality_implication(
-        schema, query, Card(value + 1, UNBOUNDED), engine, limits, budget,
-        naive_limit, fallback,
-    )
+    return implies(schema, query, engine, limits, budget, naive_limit, fallback)
 
 
 def implies_disjointness(
@@ -376,49 +369,18 @@ def implies_disjointness(
     limits: ExpansionLimits | None = None,
     budget: Budget | None = None,
     naive_limit: int = DEFAULT_NAIVE_LIMIT,
-    fallback: FallbackPolicy | None = DEFAULT_FALLBACK,
+    fallback: bool = True,
 ) -> ImplicationResult:
     """Decide whether the given classes are pairwise disjoint in all models.
 
     Not implied iff some *pair* can share an instance, i.e. some
     consistent compound class containing both can be populated.
     """
-    class_list = sorted(set(classes))
-    if len(class_list) < 2:
+    members = frozenset(classes)
+    if len(members) < 2:
         raise SchemaError("disjointness query needs at least two classes")
-    for cls in class_list:
-        schema.require_class(cls)
-    query = DisjointnessStatement(frozenset(class_list))
-
-    def compute() -> ImplicationResult:
-        with stage(STAGE_EXPAND, phase="expansion"):
-            expansion = Expansion(schema, limits)
-        with stage(STAGE_BUILD_SYSTEM, phase="system"):
-            cr_system = build_system(expansion, mode="pruned")
-            targets = set()
-            for i, first in enumerate(class_list):
-                for second in class_list[i + 1 :]:
-                    for compound in expansion.consistent_compound_classes():
-                        if (
-                            first in compound.members
-                            and second in compound.members
-                        ):
-                            targets.add(cr_system.class_var[compound])
-        with stage(STAGE_SOLVE, phase=f"decide:{engine}"):
-            found, solution, _support = acceptable_with_positive(
-                cr_system, frozenset(targets), engine, naive_limit, fallback
-            )
-        with stage(STAGE_VERDICT):
-            if not found:
-                return ImplicationResult(query, True, engine, None)
-            assert solution is not None
-            return ImplicationResult(
-                query, False, engine, _countermodel_builder(cr_system, solution)
-            )
-
-    return run_governed(
-        budget, compute, lambda error: _unknown_implication(query, engine, error)
-    )
+    query = DisjointnessStatement(members)
+    return implies(schema, query, engine, limits, budget, naive_limit, fallback)
 
 
 # ---------------------------------------------------------------------------

@@ -45,13 +45,25 @@ Three engines implement the test:
 raises :class:`~repro.errors.BudgetExceededError`), and the public
 entry points accept a ``budget=`` parameter that additionally turns
 exhaustion into a graceful UNKNOWN verdict instead of an exception.
-A solver fault re-decides the whole query on another engine
-(:mod:`repro.runtime.fallback`): a faulted fixpoint falls back to the
-naive engine — provided the system has at most ``naive_limit`` class
-unknowns (the naive engine enumerates ``2^n`` zero-sets) — and a
-faulted ``naive`` or ``pruned`` walk to the fixpoint.  When no
-fallback is left, the fault surfaces as a
-:class:`~repro.errors.SolverError`.
+
+**Fallback.**  Every LP runs on the one exact kernel
+(:mod:`repro.solver.core`), which raises
+:class:`~repro.errors.SolverError` only on caller misuse, on its
+defensive zero-pivot check, or when :mod:`repro.runtime.faults`
+injects a fault.  A fault is not retried LP by LP; with
+``fallback=True`` (the default) :func:`acceptable_with_positive`
+re-decides the whole question on another engine:
+
+    fixpoint  →  naive walk, when the system has at most ``naive_limit``
+                 class unknowns (the naive engine enumerates ``2^n``
+                 zero-sets)
+    naive / pruned walk  →  fixpoint
+
+Each engine is sound and complete, so a fallback's verdict equals the
+unfaulted one.  When no fallback is left, or ``fallback=False``, the
+typed ``SolverError`` surfaces at once.  Budget exhaustion is never
+retried: running out of resources on one engine is no evidence that
+another would do better.
 """
 
 from __future__ import annotations
@@ -83,7 +95,6 @@ from repro.runtime.budget import (
     ProgressSnapshot,
     run_governed,
 )
-from repro.runtime.fallback import DEFAULT_FALLBACK, FallbackPolicy
 from repro.runtime.outcome import Verdict
 from repro.solver.homogeneous import integerize
 from repro.solver.registry import (
@@ -216,20 +227,32 @@ def is_acceptable(
     return True
 
 
-def class_targets(cr_system: CRSystem, cls: str) -> frozenset[str]:
+def compound_targets(
+    cr_system: CRSystem, where: Callable[[frozenset[str]], bool]
+) -> frozenset[str]:
     """Theorem 3.3 targets: unknowns of the consistent compound classes
-    containing ``cls``.
+    whose member set satisfies ``where``.
 
-    ``cls`` is satisfiable exactly when some acceptable solution makes
-    one of these unknowns positive — equivalently, when the set meets
-    the maximal acceptable support.  Shared by the satisfiability entry
-    points here and the cached :class:`repro.session.ReasoningSession`.
+    Some acceptable solution makes one of these unknowns positive
+    exactly when the set meets the maximal acceptable support.  Class
+    satisfiability asks it of the compound classes containing a class
+    (:func:`class_targets`), and each Section-4 implication of the
+    compound classes its :func:`repro.cr.implication.reduce_query`
+    predicate selects.
     """
-    expansion = cr_system.expansion
     return frozenset(
         cr_system.class_var[compound]
-        for compound in expansion.consistent_classes_containing(cls)
+        for compound in cr_system.expansion.consistent_compound_classes()
+        if where(compound.members)
     )
+
+
+def class_targets(cr_system: CRSystem, cls: str) -> frozenset[str]:
+    """Theorem 3.3 targets of class ``cls``: the unknowns of the
+    consistent compound classes containing it.  Shared by the
+    satisfiability entry points here and the cached
+    :class:`repro.session.ReasoningSession`."""
+    return compound_targets(cr_system, lambda members: cls in members)
 
 
 def support_verdicts(
@@ -324,7 +347,7 @@ def acceptable_with_positive(
     targets: frozenset[str],
     engine: str = "fixpoint",
     naive_limit: int = DEFAULT_NAIVE_LIMIT,
-    fallback: FallbackPolicy | None = DEFAULT_FALLBACK,
+    fallback: bool = True,
 ) -> tuple[bool, dict[str, int] | None, frozenset[str]]:
     """Is there an acceptable solution making some ``targets`` unknown positive?
 
@@ -334,12 +357,9 @@ def acceptable_with_positive(
     counterexample compound classes).  Returns
     ``(found, integer_witness, support)``.
 
-    With a ``fallback`` policy, a fixpoint run whose solver faults
-    falls back to the naive engine — but only when the system has at
-    most ``naive_limit`` class unknowns; otherwise the original fault
-    propagates.  Symmetrically, a faulted ``naive`` or ``pruned`` walk
-    is answered by the fixpoint.  Budget exhaustion is never absorbed
-    by a fallback.
+    With ``fallback``, a solver fault re-decides the question on
+    another engine (module docstring); budget exhaustion is never
+    absorbed by a fallback.
     """
     engine = _resolve_engine(engine)
     if engine == "fixpoint":
@@ -348,11 +368,8 @@ def acceptable_with_positive(
         except BudgetExceededError:
             raise
         except SolverError:
-            if (
-                fallback is None
-                or not fallback.use_naive
-                or len(cr_system.consistent_class_unknowns()) > naive_limit
-            ):
+            unknowns = len(cr_system.consistent_class_unknowns())
+            if not fallback or unknowns > naive_limit:
                 raise
             return _naive_with_positive(cr_system, targets, naive_limit)
     if engine in ("naive", "pruned"):
@@ -363,7 +380,7 @@ def acceptable_with_positive(
         except BudgetExceededError:
             raise
         except SolverError:
-            if fallback is None:
+            if not fallback:
                 raise
             return _fixpoint_with_positive(cr_system, targets)
     raise ReproError(f"unknown engine {engine!r}")
@@ -402,6 +419,37 @@ def _naive_with_positive(
 # ---------------------------------------------------------------------------
 
 
+def decide_compounds(
+    schema: CRSchema,
+    where: Callable[[frozenset[str]], bool],
+    engine: str,
+    expansion: Expansion | None = None,
+    limits: ExpansionLimits | None = None,
+    naive_limit: int = DEFAULT_NAIVE_LIMIT,
+    fallback: bool = True,
+) -> tuple[CRSystem, bool, dict[str, int] | None, frozenset[str]]:
+    """The Theorem-3.3 test every stateless query runs: can an
+    acceptable solution of ``Ψ_S`` populate a consistent compound class
+    of ``schema`` whose member set satisfies ``where``?
+
+    Expands ``schema`` (unless ``expansion`` is given), builds ``Ψ_S``,
+    selects the :func:`compound_targets` and decides them on the
+    already resolved ``engine``, each step under its pipeline stage.
+    Returns ``(Ψ_S, found, integer_witness, support)``.
+    """
+    with stage(STAGE_EXPAND, phase="expansion"):
+        if expansion is None:
+            expansion = Expansion(schema, limits)
+    with stage(STAGE_BUILD_SYSTEM, phase="system"):
+        cr_system = build_system(expansion, mode="pruned")
+        targets = compound_targets(cr_system, where)
+    with stage(STAGE_SOLVE, phase=f"decide:{engine}"):
+        found, solution, support = acceptable_with_positive(
+            cr_system, targets, engine, naive_limit, fallback
+        )
+    return cr_system, found, solution, support
+
+
 def is_class_satisfiable(
     schema: CRSchema,
     cls: str,
@@ -410,7 +458,7 @@ def is_class_satisfiable(
     limits: ExpansionLimits | None = None,
     budget: Budget | None = None,
     naive_limit: int = DEFAULT_NAIVE_LIMIT,
-    fallback: FallbackPolicy | None = DEFAULT_FALLBACK,
+    fallback: bool = True,
     precheck: bool = False,
 ) -> SatisfiabilityResult:
     """Decide whether ``cls`` can be populated in some finite model.
@@ -426,8 +474,8 @@ def is_class_satisfiable(
         the module
         docstring.
     expansion:
-        Optionally a precomputed expansion of ``schema`` (reused by the
-        implication engine to amortise the exponential step).
+        Optionally a precomputed expansion of ``schema``, to amortise
+        the exponential step over several calls.
     limits:
         Expansion guards; ignored when ``expansion`` is given.
     budget:
@@ -441,8 +489,8 @@ def is_class_satisfiable(
         Cap on class unknowns for the naive engine (it enumerates
         ``2^n`` zero-sets); also bounds the fixpoint→naive fallback.
     fallback:
-        Solver-fault fallback policy (``None`` disables it; see
-        :func:`acceptable_with_positive`).
+        Whether a solver fault re-decides the question on another
+        engine (``False`` lets it surface; see the module docstring).
     precheck:
         Run the polynomial-time static analyzer first and serve the
         verdict from an ``error`` diagnostic when one proves ``cls``
@@ -459,17 +507,15 @@ def is_class_satisfiable(
             if diagnostic is not None:
                 with stage(STAGE_VERDICT):
                     return diagnostic_result(cls, diagnostic)
-        with stage(STAGE_EXPAND, phase="expansion"):
-            local_expansion = expansion
-            if local_expansion is None:
-                local_expansion = Expansion(schema, limits)
-        with stage(STAGE_BUILD_SYSTEM, phase="system"):
-            cr_system = build_system(local_expansion, mode="pruned")
-            targets = class_targets(cr_system, cls)
-        with stage(STAGE_SOLVE, phase=f"decide:{engine}"):
-            satisfiable, solution, support = acceptable_with_positive(
-                cr_system, targets, engine, naive_limit, fallback
-            )
+        cr_system, satisfiable, solution, support = decide_compounds(
+            schema,
+            lambda members: cls in members,
+            engine,
+            expansion,
+            limits,
+            naive_limit,
+            fallback,
+        )
         with stage(STAGE_VERDICT):
             return SatisfiabilityResult(
                 cls=cls,
@@ -491,7 +537,7 @@ def satisfiable_classes(
     limits: ExpansionLimits | None = None,
     budget: Budget | None = None,
     naive_limit: int = DEFAULT_NAIVE_LIMIT,
-    fallback: FallbackPolicy | None = DEFAULT_FALLBACK,
+    fallback: bool = True,
     precheck: bool = False,
 ) -> dict[str, bool | Verdict]:
     """Satisfiability of every class with a single fixpoint run.
@@ -535,11 +581,8 @@ def satisfiable_classes(
         except BudgetExceededError:
             raise
         except SolverError:
-            if (
-                fallback is None
-                or not fallback.use_naive
-                or len(cr_system.consistent_class_unknowns()) > naive_limit
-            ):
+            unknowns = len(cr_system.consistent_class_unknowns())
+            if not fallback or unknowns > naive_limit:
                 raise
             with stage(STAGE_SOLVE, phase="decide:naive"):
                 return {

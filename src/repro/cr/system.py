@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from repro.cr.expansion import CompoundClass, CompoundRelationship, Expansion
 from repro.errors import ReproError
 from repro.solver.core import Coeff, InternedSystem, VariableTable
-from repro.solver.linear import Constraint, LinearSystem, LinExpr, Relation, term
+from repro.solver.linear import LinearSystem, LinExpr, Relation, term
 
 
 def _relationship_prefixes(expansion: Expansion) -> dict[str, str]:
@@ -111,7 +111,7 @@ class CRSystem:
             if self.expansion.is_consistent_class(compound)
         )
 
-    # -- derived expressions (Theorem 3.3 / Section 4) -----------------------
+    # -- derived expressions (Theorem 3.3) ------------------------------------
 
     def class_population_expr(self, cls: str) -> LinExpr:
         """``Σ Var(C̄)`` over consistent compound classes containing ``cls``.
@@ -124,38 +124,6 @@ class CRSystem:
         expr = LinExpr()
         for compound in self.expansion.consistent_classes_containing(cls):
             expr = expr + term(self.class_var[compound])
-        return expr
-
-    def class_positivity(self, cls: str) -> Constraint:
-        """The Theorem-3.3 disequation ``Σ_{C̄ ∋ cls} Var(C̄) > 0``."""
-        expr = self.class_population_expr(cls)
-        if expr.is_constant():
-            # No consistent compound class contains cls: the class is
-            # trivially unsatisfiable; 0 > 0 encodes that faithfully.
-            return Constraint(LinExpr(), Relation.GT, label=f"positivity:{cls}")
-        return Constraint(expr, Relation.GT, label=f"positivity:{cls}")
-
-    def isa_counterexample_positivity(self, sub: str, sup: str) -> Constraint:
-        """``Σ Var(C̄) > 0`` over consistent ``C̄`` with ``sub ∈ C̄, sup ∉ C̄``.
-
-        Section 4: ``S ⊨ sub ≼ sup`` iff ``Ψ_S`` extended with this
-        disequation admits no acceptable solution.
-        """
-        self.expansion.schema.require_class(sub)
-        self.expansion.schema.require_class(sup)
-        expr = LinExpr()
-        for compound in self.expansion.consistent_classes_containing(sub):
-            if sup not in compound.members:
-                expr = expr + term(self.class_var[compound])
-        return Constraint(expr, Relation.GT, label=f"not-isa:{sub}:{sup}")
-
-    def joint_population_expr(self, classes: tuple[str, ...]) -> LinExpr:
-        """``Σ Var(C̄)`` over consistent compound classes containing all of
-        ``classes`` — used for disjointness implication."""
-        expr = LinExpr()
-        for compound in self.expansion.consistent_compound_classes():
-            if all(cls in compound.members for cls in classes):
-                expr = expr + term(self.class_var[compound])
         return expr
 
 

@@ -11,23 +11,21 @@ procedures:
 * **three-valued verdicts** (:mod:`repro.runtime.outcome`) — SAT /
   UNSAT / UNKNOWN-with-reason, so governed entry points degrade instead
   of hanging or dying;
-* **engine fallback** (:mod:`repro.runtime.fallback`) — when a solve
-  faults, the query is re-decided on another engine (fixpoint → naive
-  walk on small systems, naive/pruned walk → fixpoint);
 * **fault injection** (:mod:`repro.runtime.faults`) — one deterministic
   registry that fails the N-th solver call or the N-th firing of a disk
   fault point in the persistent artifact store's write protocol, so the
-  degradation paths are themselves under test;
+  degradation paths — among them the engine fallback of
+  :mod:`repro.cr.satisfiability` — are themselves under test;
 * **counters** (:mod:`repro.runtime.stats`) — the one self-locking
   :class:`~repro.runtime.stats.Counters` type that the session cache,
   the artifact store and the zero-set walks count their work in, and
   the ambient sink the walks report through.
 
-Only the budget and outcome modules are imported eagerly; ``fallback``
-and ``faults`` (the latter imports the solver layer) load lazily on
-first attribute access, letting the solver modules import
-:func:`current_budget` without a cycle.  ``stats`` imports nothing of
-the project, so any layer may import it directly.
+Only the budget and outcome modules are imported eagerly; ``faults``
+(it imports the solver layer) loads lazily on first attribute access,
+letting the solver modules import :func:`current_budget` without a
+cycle.  ``stats`` imports nothing of the project, so any layer may
+import it directly.
 """
 
 from __future__ import annotations
@@ -44,8 +42,6 @@ from repro.runtime.budget import (
 from repro.runtime.outcome import ImplicationVerdict, Verdict
 
 _LAZY = {
-    "FallbackPolicy": "repro.runtime.fallback",
-    "DEFAULT_FALLBACK": "repro.runtime.fallback",
     "FaultPlan": "repro.runtime.faults",
     "InjectedSolverFault": "repro.runtime.faults",
     "SimulatedCrash": "repro.runtime.faults",
@@ -71,8 +67,6 @@ __all__ = [
     "activate",
     "current_budget",
     "run_governed",
-    "FallbackPolicy",
-    "DEFAULT_FALLBACK",
     "FaultPlan",
     "InjectedSolverFault",
     "SimulatedCrash",

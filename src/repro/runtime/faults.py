@@ -5,7 +5,7 @@ they are untested code on the most stressful path.  This harness makes
 every degradation path in the repository *testable* through a single
 deterministic injection registry:
 
-* the **solver fallbacks** of :mod:`repro.runtime.fallback` — the N-th
+* the **solver fallbacks** of :mod:`repro.cr.satisfiability` — the N-th
   LP solve raises a chosen exception::
 
       with inject_faults(simplex_failures={1}) as plan:

@@ -21,7 +21,8 @@ asserts wholesale.
 **Concurrency model**: requests for the same *whole-schema*
 fingerprint are serialized on a per-fingerprint lock (so a cold entry
 is built exactly once and never observed half-built — no torn
-adoption), requests for different schemas run concurrently, and the
+adoption), which the engine drops once no request holds or waits on
+it; requests for different schemas run concurrently, and the
 shared cache and store lock their own entry map and counters, so every
 ``/metrics`` counter stays monotone.  Two *different* whole schemas
 sharing a constraint-graph island may race on that island's component
@@ -96,7 +97,9 @@ class ServeEngine:
         self.backend = backend
         self.default_caps = dict(default_caps or {})
         self.metrics = metrics
-        self._fingerprint_locks: dict[str, threading.Lock] = {}
+        # Fingerprint -> (its build lock, requests holding or waiting
+        # on it); an entry lives only while that count is positive.
+        self._fingerprint_locks: dict[str, tuple[threading.Lock, int]] = {}
         self._locks_guard = threading.Lock()
         # Schema text -> its decomposition, which carries the parsed
         # schema and (set before it is published) its fingerprint.
@@ -194,17 +197,10 @@ class ServeEngine:
 
     # -- concurrency ---------------------------------------------------------
 
-    def fingerprint_lock(self, fingerprint: str) -> threading.Lock:
-        """The lock serializing requests against one schema fingerprint."""
-        with self._locks_guard:
-            lock = self._fingerprint_locks.get(fingerprint)
-            if lock is None:
-                lock = self._fingerprint_locks[fingerprint] = threading.Lock()
-            return lock
-
     @contextmanager
     def hold_fingerprint_lock(self, fingerprint: str) -> Iterator[None]:
-        """Acquire the per-fingerprint build lock *with a deadline*.
+        """Hold the lock serializing requests against one schema
+        fingerprint, acquired *with a deadline*.
 
         The lock is held across a potentially large artifact build, so
         a bare ``with lock:`` would stack executor threads behind a
@@ -212,18 +208,35 @@ class ServeEngine:
         degrades that pathology to a clean
         :class:`~repro.errors.LimitExceededError`, which the app maps
         onto the CLI's exit-3 resource-exhaustion shape.
+
+        Each caller counts itself on the fingerprint's entry before it
+        waits and off after it releases; the last one off drops the
+        entry, so the lock table holds only fingerprints some request
+        is holding or waiting on, however many schemas a long-lived
+        daemon serves.
         """
-        lock = self.fingerprint_lock(fingerprint)
-        if not lock.acquire(timeout=LOCK_ACQUIRE_SECONDS):
-            raise LimitExceededError(
-                "timed out waiting for the schema build lock after "
-                f"{LOCK_ACQUIRE_SECONDS:g}s; another request is still "
-                "building artifacts for this fingerprint"
-            )
+        with self._locks_guard:
+            entry = self._fingerprint_locks.get(fingerprint)
+            lock, users = entry if entry is not None else (threading.Lock(), 0)
+            self._fingerprint_locks[fingerprint] = (lock, users + 1)
         try:
-            yield
+            if not lock.acquire(timeout=LOCK_ACQUIRE_SECONDS):
+                raise LimitExceededError(
+                    "timed out waiting for the schema build lock after "
+                    f"{LOCK_ACQUIRE_SECONDS:g}s; another request is still "
+                    "building artifacts for this fingerprint"
+                )
+            try:
+                yield
+            finally:
+                lock.release()
         finally:
-            lock.release()
+            with self._locks_guard:
+                users = self._fingerprint_locks[fingerprint][1] - 1
+                if users:
+                    self._fingerprint_locks[fingerprint] = (lock, users)
+                else:
+                    del self._fingerprint_locks[fingerprint]
 
     # -- answering -----------------------------------------------------------
 

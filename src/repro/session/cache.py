@@ -71,7 +71,7 @@ from typing import Any
 from repro.analysis.analyzer import analyze
 from repro.analysis.diagnostics import AnalysisReport
 from repro.cr.construction import witness_violation
-from repro.cr.expansion import Expansion, ExpansionLimits
+from repro.cr.expansion import Expansion
 from repro.cr.satisfiability import (
     acceptable_support,
     decision_problem,
@@ -187,7 +187,6 @@ class SchemaArtifacts:
     fingerprint: str
     schema: CRSchema
     stats: Counters
-    limits: ExpansionLimits | None = None
     store: ArtifactStore | None = field(default=None, repr=False)
     analysis: AnalysisReport | None = None
     expansion: Expansion | None = None
@@ -220,7 +219,7 @@ class SchemaArtifacts:
         if self.cr_system is None:
             if self.expansion is None:
                 with stage(STAGE_EXPAND, phase="session:expansion"):
-                    self.expansion = Expansion(self.schema, self.limits)
+                    self.expansion = Expansion(self.schema)
                 self.stats.bump("expansion_builds")
             with stage(STAGE_BUILD_SYSTEM, phase="session:system"):
                 self.cr_system = build_system(self.expansion, mode="pruned")
@@ -384,10 +383,7 @@ class SessionCache:
             return fingerprint in self._entries
 
     def artifacts(
-        self,
-        schema: CRSchema,
-        fingerprint: str | None = None,
-        limits: ExpansionLimits | None = None,
+        self, schema: CRSchema, fingerprint: str | None = None
     ) -> SchemaArtifacts:
         """The (possibly still cold) entry for ``schema``, creating and
         LRU-promoting as needed.  Nothing expensive happens here; the
@@ -398,7 +394,7 @@ class SessionCache:
             if entry is not None:
                 return entry
             if self.store is None:
-                return self._insert(self._new_entry(key, schema, limits))
+                return self._insert(self._new_entry(key, schema))
         bundle = self.store.get(key)
         with self._lock:
             # Another thread may have adopted or created the entry while
@@ -406,7 +402,7 @@ class SessionCache:
             entry = self._promote(key)
             if entry is not None:
                 return entry
-            entry = self._new_entry(key, schema, limits)
+            entry = self._new_entry(key, schema)
             if bundle is not None and entry.adopt_bundle(bundle):
                 self.stats.bump("store_hits")
             else:
@@ -422,15 +418,9 @@ class SessionCache:
             self._entries.move_to_end(key)
         return entry
 
-    def _new_entry(
-        self, key: str, schema: CRSchema, limits: ExpansionLimits | None
-    ) -> SchemaArtifacts:
+    def _new_entry(self, key: str, schema: CRSchema) -> SchemaArtifacts:
         return SchemaArtifacts(
-            fingerprint=key,
-            schema=schema,
-            stats=self.stats,
-            limits=limits,
-            store=self.store,
+            fingerprint=key, schema=schema, stats=self.stats, store=self.store
         )
 
     def _insert(self, entry: SchemaArtifacts) -> SchemaArtifacts:

@@ -58,19 +58,12 @@ from repro.components.decompose import (
     SchemaComponent,
     decompose_schema,
 )
-from repro.cr.constraints import (
-    DisjointnessStatement,
-    IsaStatement,
-    MaxCardinalityStatement,
-    MinCardinalityStatement,
-)
 from repro.cr.construction import construct_model
-from repro.cr.expansion import ExpansionLimits
 from repro.cr.implication import (
     ImplicationQuery,
     ImplicationResult,
     _unknown_implication,
-    exceptional_schema,
+    reduce_query,
     strip_class,
 )
 from repro.cr.interpretation import Interpretation
@@ -81,13 +74,8 @@ from repro.cr.satisfiability import (
     class_targets,
     diagnostic_result,
 )
-from repro.cr.schema import Card, CRSchema, UNBOUNDED
-from repro.errors import (
-    BudgetExceededError,
-    ReproError,
-    SchemaError,
-    SolverError,
-)
+from repro.cr.schema import CRSchema
+from repro.errors import BudgetExceededError, SolverError
 from repro.pipeline import (
     STAGE_COMBINE,
     STAGE_DECOMPOSE,
@@ -96,7 +84,6 @@ from repro.pipeline import (
     stage,
 )
 from repro.runtime.budget import Budget, run_governed
-from repro.runtime.fallback import DEFAULT_FALLBACK, FallbackPolicy
 from repro.runtime.outcome import Verdict
 from repro.runtime.stats import Counters, search_stats_sink
 from repro.session.cache import SchemaArtifacts, SessionCache, WalkAnswer
@@ -142,12 +129,6 @@ class ReasoningSession:
         session-or-call budget degrades answers to UNKNOWN verdicts on
         exhaustion; with no budget, an *ambient* budget still applies
         and exhaustion raises.
-    limits / fallback:
-        Forwarded to the expansion build and to the solver-fault
-        fallback of a pinned zero-set walk (see
-        :class:`repro.cr.expansion.ExpansionLimits` and
-        :mod:`repro.runtime.fallback`); a fault in the cached fixpoint
-        itself surfaces.
     decomposition:
         A prebuilt :func:`~repro.components.decompose.decompose_schema`
         of ``schema`` (the serve engine memoizes one per schema text);
@@ -162,15 +143,11 @@ class ReasoningSession:
         schema: CRSchema,
         cache: SessionCache | None = None,
         budget: Budget | None = None,
-        limits: ExpansionLimits | None = None,
-        fallback: FallbackPolicy | None = DEFAULT_FALLBACK,
         decomposition: ComponentDecomposition | None = None,
     ) -> None:
         self.schema = schema
         self.cache = cache if cache is not None else SessionCache()
         self.budget = budget
-        self.limits = limits
-        self.fallback = fallback
         if decomposition is None:
             # Timing-only stage: no budget phase, so construction stays
             # check-free.
@@ -187,9 +164,6 @@ class ReasoningSession:
 
     # -- island plumbing ---------------------------------------------------
 
-    def _artifacts(self, schema: CRSchema, fingerprint: str) -> SchemaArtifacts:
-        return self.cache.artifacts(schema, fingerprint, self.limits)
-
     def _classify(self, component: SchemaComponent) -> None:
         """First touch of a component's base artifacts: acquire the cache
         entry and record whether it arrived warm (``components_reused``)
@@ -199,7 +173,7 @@ class ReasoningSession:
         if component.fingerprint in self._classified:
             return
         self._classified.add(component.fingerprint)
-        entry = self._artifacts(component.schema, component.fingerprint)
+        entry = self.cache.artifacts(component.schema, component.fingerprint)
         stats = self.cache.stats
         stats.bump("components_total")
         self.components_total += 1
@@ -280,13 +254,7 @@ class ReasoningSession:
         reports on.  Renaming the schema label, reordering unordered
         statements, or re-adding duplicates keeps every island warm.
         """
-        return ReasoningSession(
-            schema,
-            cache=self.cache,
-            budget=self.budget,
-            limits=self.limits,
-            fallback=self.fallback,
-        )
+        return ReasoningSession(schema, cache=self.cache, budget=self.budget)
 
     # -- satisfiability ----------------------------------------------------
 
@@ -312,9 +280,9 @@ class ReasoningSession:
         repeated class costs no LP, and every pruned walk on the island
         starts from the island's shared nogood ledger
         (:meth:`~repro.session.cache.SchemaArtifacts.walk`).  A walk
-        that faults is answered by the fixpoint (unless ``fallback`` is
-        ``None``) and one that exhausts its budget answers UNKNOWN;
-        neither answer is memoized, so the next ask walks again.
+        that faults is answered by the fixpoint and one that exhausts
+        its budget answers UNKNOWN; neither answer is memoized, so the
+        next ask walks again.
         """
         self.schema.require_class(cls)
         self.queries += 1
@@ -323,7 +291,7 @@ class ReasoningSession:
         effective = budget if budget is not None else self.budget
 
         def compute() -> SatisfiabilityResult:
-            artifacts = self._artifacts(component.schema, component.fingerprint)
+            artifacts = self.cache.artifacts(component.schema, component.fingerprint)
             diagnostic = artifacts.ensure_analysis().unsat_witness(cls)
             if diagnostic is not None:
                 # The witness proves `cls` empty in every model, so the
@@ -376,15 +344,13 @@ class ReasoningSession:
         self, artifacts: SchemaArtifacts, engine: str, targets: frozenset[str]
     ) -> WalkAnswer:
         """The island's memoized walk answer; a walk that faults is
-        answered by the fixpoint unless the session has no fallback
-        (as :func:`~repro.cr.satisfiability.acceptable_with_positive`
+        answered by the fixpoint (as
+        :func:`~repro.cr.satisfiability.acceptable_with_positive`
         does), and that answer is not memoized."""
         try:
             return artifacts.walk(engine, targets)
         except SolverError:
-            if self.fallback is None:
-                raise
-        return _fixpoint_with_positive(artifacts.ensure_system(), targets)
+            return _fixpoint_with_positive(artifacts.ensure_system(), targets)
 
     def satisfiable_classes(
         self, budget: Budget | None = None
@@ -415,7 +381,7 @@ class ReasoningSession:
         classes = component.schema.classes
 
         def compute() -> dict[str, bool | Verdict]:
-            artifacts = self._artifacts(component.schema, component.fingerprint)
+            artifacts = self.cache.artifacts(component.schema, component.fingerprint)
             report = artifacts.ensure_analysis()
             if set(classes) <= report.unsat_classes:
                 # Every class is statically settled; skip the expansion.
@@ -445,20 +411,48 @@ class ReasoningSession:
     ) -> ImplicationResult:
         """Decide ``S ⊨ K`` from cached state (Section 4).
 
-        ISA and disjointness statements are support lookups against the
-        entry of the island (or merged islands) their classes live in;
-        cardinality statements reason over the owning island's Section-4
-        extended schema, cached under its own fingerprint.
+        The query's :func:`~repro.cr.implication.reduce_query` reduction
+        is decided on one cache entry: ISA and disjointness on the entry
+        of the island (or merged islands) their classes live in, and
+        cardinality on the owning island's Section-4 extended schema,
+        cached under its own fingerprint.  Either way the answer is a
+        lookup: implied iff the reduction's compound unknowns miss the
+        entry's support.
         """
-        if isinstance(query, IsaStatement):
-            return self._implies_isa(query, budget)
-        if isinstance(query, DisjointnessStatement):
-            return self._implies_disjointness(query, budget)
-        if isinstance(query, MinCardinalityStatement):
-            return self._implies_min(query, budget)
-        if isinstance(query, MaxCardinalityStatement):
-            return self._implies_max(query, budget)
-        raise ReproError(f"unsupported implication query {query!r}")
+        # Validate (and fail) against the whole schema before counting.
+        reduction = reduce_query(self.schema, query)
+        self.queries += 1
+        if reduction is None:
+            return ImplicationResult(query, True, ENGINE, None)
+        fingerprint: str | None = None
+        if reduction.strip is None:
+            schema, fingerprint = self._routed(reduction.classes)
+        else:
+            # A legal cardinality query's class, relationship and
+            # primary class all share one island, so extending the
+            # owner cannot fail; the owner is not classified.
+            (cls,) = reduction.classes
+            owner = self.decomposition.component_of(cls)
+            island = reduce_query(owner.schema, query)
+            assert island is not None
+            reduction, schema = island, island.schema
+        where, strip = reduction.where, reduction.strip
+        effective = budget if budget is not None else self.budget
+
+        def compute() -> ImplicationResult:
+            artifacts = self.cache.artifacts(schema, fingerprint)
+            support = artifacts.ensure_support()
+            with stage(STAGE_VERDICT, phase="session:lookup"):
+                implied = not (artifacts.compound_unknowns(where) & support)
+            if implied:
+                return ImplicationResult(query, True, ENGINE, None)
+            return self._countermodel_result(query, artifacts, strip)
+
+        return self._governed(
+            effective,
+            compute,
+            lambda error: _unknown_implication(query, ENGINE, error),
+        )
 
     def implies_all(
         self,
@@ -474,8 +468,6 @@ class ReasoningSession:
         """
         effective = budget if budget is not None else self.budget
         return [self.implies(query, budget=effective) for query in queries]
-
-    # -- implication internals --------------------------------------------
 
     def _countermodel_result(
         self,
@@ -495,119 +487,6 @@ class ReasoningSession:
             return model if strip is None else strip_class(model, strip)
 
         return ImplicationResult(query, False, ENGINE, build)
-
-    def _implies_isa(
-        self, query: IsaStatement, budget: Budget | None
-    ) -> ImplicationResult:
-        self.schema.require_class(query.sub)
-        self.schema.require_class(query.sup)
-        self.queries += 1
-        schema, fingerprint = self._routed((query.sub, query.sup))
-        effective = budget if budget is not None else self.budget
-
-        def compute() -> ImplicationResult:
-            artifacts = self._artifacts(schema, fingerprint)
-            support = artifacts.ensure_support()
-            with stage(STAGE_VERDICT, phase="session:lookup"):
-                counterexamples = artifacts.compound_unknowns(
-                    lambda members: query.sub in members
-                    and query.sup not in members
-                )
-                implied = not (counterexamples & support)
-            if implied:
-                return ImplicationResult(query, True, ENGINE, None)
-            return self._countermodel_result(query, artifacts)
-
-        return self._governed(
-            effective,
-            compute,
-            lambda error: _unknown_implication(query, ENGINE, error),
-        )
-
-    def _implies_disjointness(
-        self, query: DisjointnessStatement, budget: Budget | None
-    ) -> ImplicationResult:
-        class_list = sorted(query.classes)
-        if len(class_list) < 2:
-            raise SchemaError("disjointness query needs at least two classes")
-        for cls in class_list:
-            self.schema.require_class(cls)
-        self.queries += 1
-        schema, fingerprint = self._routed(class_list)
-        effective = budget if budget is not None else self.budget
-
-        def compute() -> ImplicationResult:
-            artifacts = self._artifacts(schema, fingerprint)
-            support = artifacts.ensure_support()
-            with stage(STAGE_VERDICT, phase="session:lookup"):
-                shared = artifacts.compound_unknowns(
-                    lambda members: sum(cls in members for cls in class_list)
-                    >= 2
-                )
-                implied = not (shared & support)
-            if implied:
-                return ImplicationResult(query, True, ENGINE, None)
-            return self._countermodel_result(query, artifacts)
-
-        return self._governed(
-            effective,
-            compute,
-            lambda error: _unknown_implication(query, ENGINE, error),
-        )
-
-    def _implies_cardinality(
-        self,
-        query: MinCardinalityStatement | MaxCardinalityStatement,
-        exceptional_card: Card,
-        budget: Budget | None,
-    ) -> ImplicationResult:
-        # Validate (and fail) against the whole schema before counting;
-        # a *legal* query's class, relationship and primary class all
-        # share one island, so extending the owner cannot fail.
-        exceptional_schema(
-            self.schema, query.cls, query.rel, query.role, exceptional_card
-        )
-        self.queries += 1
-        component = self.decomposition.component_of(query.cls)
-        extended, exc = exceptional_schema(
-            component.schema, query.cls, query.rel, query.role, exceptional_card
-        )
-        effective = budget if budget is not None else self.budget
-
-        def compute() -> ImplicationResult:
-            artifacts = self.cache.artifacts(extended, limits=self.limits)
-            support = artifacts.ensure_support()
-            with stage(STAGE_VERDICT, phase="session:lookup"):
-                targets = artifacts.compound_unknowns(
-                    lambda members: exc in members
-                )
-                implied = not (targets & support)
-            if implied:
-                return ImplicationResult(query, True, ENGINE, None)
-            return self._countermodel_result(query, artifacts, strip=exc)
-
-        return self._governed(
-            effective,
-            compute,
-            lambda error: _unknown_implication(query, ENGINE, error),
-        )
-
-    def _implies_min(
-        self, query: MinCardinalityStatement, budget: Budget | None
-    ) -> ImplicationResult:
-        if query.value == 0:
-            self.queries += 1
-            return ImplicationResult(query, True, ENGINE, None)
-        return self._implies_cardinality(
-            query, Card(0, query.value - 1), budget
-        )
-
-    def _implies_max(
-        self, query: MaxCardinalityStatement, budget: Budget | None
-    ) -> ImplicationResult:
-        return self._implies_cardinality(
-            query, Card(query.value + 1, UNBOUNDED), budget
-        )
 
     # -- misc ---------------------------------------------------------------
 

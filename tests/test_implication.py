@@ -21,6 +21,9 @@ from repro.cr.implication import (
     statement_holds,
 )
 from repro.errors import ReproError, SchemaError
+from repro.runtime.budget import Budget
+from repro.runtime.outcome import ImplicationVerdict
+from repro.solver.registry import pin_backend
 
 ENGINES = ["fixpoint", "naive"]
 
@@ -212,6 +215,28 @@ class TestDispatcher:
     def test_unsupported_query_rejected(self, meeting):
         with pytest.raises(ReproError):
             implies(meeting, "not a statement")
+
+
+class TestPinnedEngine:
+    @pytest.mark.parametrize("engine", ["pruned", "naive"])
+    def test_result_and_budget_phase_name_the_pinned_walk(
+        self, meeting, engine
+    ):
+        # Like is_class_satisfiable, implies resolves the pinned walk
+        # once: the result and the phase its budget ran out in both
+        # name the walk that decided, not the default "fixpoint".
+        query = IsaStatement("Talk", "Discussant")
+        with pin_backend(engine):
+            decided = implies(meeting, query)
+            capped = implies(meeting, query, budget=Budget(max_solver_calls=2))
+            vacuous = implies_min_cardinality(meeting, "Talk", "Holds", "U2", 0)
+        assert not decided.implied
+        assert decided.engine == engine
+        assert capped.verdict is ImplicationVerdict.UNKNOWN
+        assert capped.engine == engine
+        assert capped.snapshot.phase == f"decide:{engine}"
+        assert f"'decide:{engine}'" in capped.pretty()
+        assert vacuous.engine == engine
 
 
 class TestStatementHolds:

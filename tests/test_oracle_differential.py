@@ -15,6 +15,14 @@ The completeness direction (procedure SAT ⟹ some finite model) is
 covered exactly rather than boundedly: the procedure's own Theorem-3.4
 witness is re-validated by the checker and must populate the class.
 
+The same enumeration decides implication boundedly
+(:func:`oracle_countermodel`): a small model of ``S`` in which the
+Definition-level :func:`~repro.cr.implication.statement_holds` says
+``K`` fails means the stateless procedure and a session must both
+answer NOT_IMPLIED.  This catches a Section-4 reduction predicate that
+selects too few compound classes; the countermodel checks elsewhere
+catch one that selects too many.
+
 The enumeration is staged so the oracle stays fast: class-extension
 candidates are pre-pruned against ISA/disjointness/covering, and each
 relationship's extension is chosen independently (cardinality
@@ -32,6 +40,7 @@ return identical per-class verdicts.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,11 +48,17 @@ from hypothesis import strategies as st
 from repro.cr.baseline import baseline_satisfiable_classes
 from repro.cr.checker import check_model
 from repro.cr.construction import construct_model_for_result
+from repro.cr.implication import implies, statement_holds
 from repro.cr.interpretation import Interpretation
 from repro.cr.satisfiability import is_class_satisfiable, satisfiable_classes
 from repro.cr.schema import CRSchema, Relationship
+from repro.runtime.outcome import ImplicationVerdict
 from repro.session import ReasoningSession
-from tests.strategies import property_max_examples, schemas
+from tests.strategies import (
+    implication_queries_for,
+    property_max_examples,
+    schemas,
+)
 
 ORACLE_DOMAIN = 2
 """Domain bound for the brute-force search.  Two individuals already
@@ -122,34 +137,68 @@ def _relationship_choices(
                 yield list(chosen)
 
 
+def _oracle_models(
+    schema: CRSchema,
+    max_domain: int,
+    wanted: Callable[[dict[str, frozenset[str]]], bool],
+    varied: str | None = None,
+):
+    """Checker-validated models of ``schema`` over at most
+    ``max_domain`` individuals whose class extensions pass ``wanted``.
+
+    Each class-extension candidate is paired with *every* admissible
+    extension of relationship ``varied`` and the first admissible
+    extension of each other relationship — complete for any question
+    about ``varied`` alone, because relationships never constrain one
+    another."""
+    domain = tuple(f"d{i}" for i in range(max_domain))
+    for class_ext in _class_extension_candidates(schema, domain):
+        if not wanted(class_ext):
+            continue
+        options = {}
+        for rel in schema.relationships:
+            choices = _relationship_choices(schema, rel, class_ext)
+            if rel.name == varied:
+                options[rel.name] = list(choices)
+            else:
+                first = next(choices, None)
+                options[rel.name] = [] if first is None else [first]
+        for combo in itertools.product(*options.values()):
+            model = Interpretation.build(
+                class_ext, dict(zip(options, combo)), extra_domain=domain
+            )
+            violations = check_model(schema, model)
+            assert not violations, (
+                "oracle accepted a non-model — staging bug: "
+                f"{[v for v in violations]}"
+            )
+            yield model
+
+
 def oracle_model(
     schema: CRSchema, cls: str, max_domain: int = ORACLE_DOMAIN
 ) -> Interpretation | None:
     """A checker-validated model of ``schema`` populating ``cls`` with
     at most ``max_domain`` individuals, or ``None`` if none exists."""
-    domain = tuple(f"d{i}" for i in range(max_domain))
-    for class_ext in _class_extension_candidates(schema, domain):
-        if not class_ext[cls]:
-            continue
-        rel_ext = {}
-        for rel in schema.relationships:
-            choice = next(
-                _relationship_choices(schema, rel, class_ext), None
-            )
-            if choice is None:
-                rel_ext = None
-                break
-            rel_ext[rel.name] = choice
-        if rel_ext is None:
-            continue
-        model = Interpretation.build(class_ext, rel_ext, extra_domain=domain)
-        violations = check_model(schema, model)
-        assert not violations, (
-            "oracle accepted a non-model — staging bug: "
-            f"{[v for v in violations]}"
-        )
-        return model
-    return None
+    models = _oracle_models(schema, max_domain, lambda ext: bool(ext[cls]))
+    return next(models, None)
+
+
+def oracle_countermodel(
+    schema: CRSchema, query, max_domain: int = ORACLE_DOMAIN
+) -> Interpretation | None:
+    """A checker-validated model of ``schema`` violating the implication
+    ``query`` with at most ``max_domain`` individuals, or ``None``.
+
+    The violation is read off the model by the Definition-level
+    :func:`~repro.cr.implication.statement_holds`, never through the
+    compound-class predicates the decision procedures share."""
+    models = _oracle_models(
+        schema, max_domain, lambda ext: True, getattr(query, "rel", None)
+    )
+    return next(
+        (model for model in models if not statement_holds(model, query)), None
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +225,33 @@ def test_procedure_agrees_with_bounded_oracle(data):
         assert witness.instances_of(cls)
     else:
         assert small_model is None
+
+
+@settings(max_examples=property_max_examples())
+@given(data=st.data())
+def test_implication_procedures_agree_with_bounded_oracle(data):
+    """Whenever a small model of ``S`` violates ``K``, the stateless
+    procedure and a session both answer NOT_IMPLIED: a Section-4
+    predicate selecting too few compound classes would miss it.
+    Several queries per schema share one session, so the CI example
+    budget still reaches every query kind."""
+    schema = data.draw(schemas(max_classes=3, allow_extensions=True))
+    queries = data.draw(
+        st.lists(implication_queries_for(schema), min_size=1, max_size=4)
+    )
+    session = ReasoningSession(schema)
+    for query in queries:
+        if oracle_countermodel(schema, query) is None:
+            continue
+        stateless = implies(schema, query).verdict
+        assert stateless is ImplicationVerdict.NOT_IMPLIED, (
+            f"a {ORACLE_DOMAIN}-element model violates {query.pretty()} "
+            "but the procedure says it is implied"
+        )
+        assert session.implies(query).verdict is ImplicationVerdict.NOT_IMPLIED, (
+            f"a {ORACLE_DOMAIN}-element model violates {query.pretty()} "
+            "but the session says it is implied"
+        )
 
 
 @settings(max_examples=property_max_examples())

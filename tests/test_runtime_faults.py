@@ -13,7 +13,6 @@ import pytest
 from repro.cr.satisfiability import is_class_satisfiable, satisfiable_classes
 from repro.errors import BudgetExceededError, SolverError
 from repro.paper import figure1_schema, meeting_schema, refined_meeting_schema
-from repro.runtime.fallback import FallbackPolicy
 from repro.runtime.faults import (
     DISK_WRITE_POINTS,
     FaultPlan,
@@ -30,7 +29,7 @@ class TestHarness:
         schema = meeting_schema()
         with inject_solver_faults(simplex_failures={2}) as plan:
             with pytest.raises(InjectedSolverFault):
-                is_class_satisfiable(schema, "Speaker", fallback=None)
+                is_class_satisfiable(schema, "Speaker", fallback=False)
         assert plan.injected == [("simplex", 2)]
         assert plan.calls["simplex"] == 2
 
@@ -67,7 +66,7 @@ class TestHarness:
         ):
             with pytest.raises(CustomFault):
                 is_class_satisfiable(
-                    meeting_schema(), "Speaker", fallback=None
+                    meeting_schema(), "Speaker", fallback=False
                 )
 
     def test_plan_records_multiple_injections(self):
@@ -96,15 +95,7 @@ class TestFallbackChain:
         with inject_solver_faults(simplex_failures={1}):
             with pytest.raises(InjectedSolverFault):
                 is_class_satisfiable(
-                    meeting_schema(), "Speaker", fallback=None
-                )
-
-    def test_policy_can_disable_naive_stage_only(self):
-        policy = FallbackPolicy(use_naive=False)
-        with inject_solver_faults(simplex_failures={1}):
-            with pytest.raises(SolverError):
-                is_class_satisfiable(
-                    meeting_schema(), "Speaker", fallback=policy
+                    meeting_schema(), "Speaker", fallback=False
                 )
 
     def test_naive_fallback_respects_naive_limit(self):

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -51,6 +52,7 @@ from repro.dsl import parse_schema, serialize_schema
 from repro.paper import refined_meeting_schema
 from repro.runtime.faults import inject_faults
 from repro.serve import ServeClient, ServeConfig, running_server
+from repro.serve.engine import ServeEngine
 from repro.session import ReasoningSession
 from repro.solver.pruned import nogood_source_system
 from repro.solver.registry import pin_backend
@@ -347,16 +349,13 @@ def test_saturation_answers_503_with_retry_after(expected):
     """Hold the engine's fingerprint lock from the test thread so the
     single permitted request parks deterministically; the next request
     must bounce with 503 + Retry-After instead of queueing."""
-    import time
-
     from repro.session.fingerprint import schema_fingerprint
 
     text = SCHEMA_TEXTS["Duo"]
     fingerprint = schema_fingerprint(parse_schema(text))
     with running_server(ServeConfig(max_inflight=1)) as server:
-        lock = server.engine.fingerprint_lock(fingerprint)
         results: dict[str, tuple] = {}
-        with lock:
+        with server.engine.hold_fingerprint_lock(fingerprint):
             blocked = threading.Thread(
                 target=lambda: results.__setitem__(
                     "first", ServeClient(server.base_url).batch(text, QUERY_LINES)
@@ -384,3 +383,55 @@ def test_saturation_answers_503_with_retry_after(expected):
         _, metrics = client.metrics()
     assert metrics["server"]["rejected_busy"] >= 1
     assert metrics["server"]["in_flight"] == 0
+
+
+def test_lock_table_is_empty_after_serving_distinct_schemas():
+    """Each distinct whole schema gets a build lock only while a request
+    holds or waits on it: after ten distinct schemas and the diffs
+    between them, the engine's lock table is empty again."""
+    engine = ServeEngine()
+    texts = [
+        SCHEMA_TEXTS["Duo"].replace("(1, 2)", f"(1, {bound})")
+        for bound in range(2, 12)
+    ]
+    for old, new in zip(texts, texts[1:]):
+        engine.handle("check", {"schema": old, "class": "B"})
+        engine.handle("diff", {"old_schema": old, "new_schema": new})
+    assert engine._fingerprint_locks == {}
+
+
+def test_fingerprint_locks_stay_exclusive_while_entries_come_and_go():
+    """More threads than cores take and drop a few fingerprints' locks
+    under a shortened switch interval.  An entry dropped while another
+    request still waits on it would let two threads into one critical
+    section, and the unguarded read-modify-write below would lose an
+    update."""
+    engine = ServeEngine()
+    fingerprints = ("a" * 64, "b" * 64, "c" * 64)
+    counts = dict.fromkeys(fingerprints, 0)
+    threads_count, rounds = 8, 200
+
+    def worker(offset: int) -> None:
+        for index in range(rounds):
+            fingerprint = fingerprints[(offset + index) % len(fingerprints)]
+            with engine.hold_fingerprint_lock(fingerprint):
+                value = counts[fingerprint]
+                time.sleep(0)  # yield the interpreter mid-update
+                counts[fingerprint] = value + 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=worker, args=(offset,))
+            for offset in range(threads_count)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sum(counts.values()) == threads_count * rounds
+    assert engine._fingerprint_locks == {}

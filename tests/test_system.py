@@ -7,7 +7,10 @@ from fractions import Fraction
 import pytest
 
 from repro.cr.builder import SchemaBuilder
+from repro.cr.constraints import DisjointnessStatement, IsaStatement
 from repro.cr.expansion import Expansion
+from repro.cr.implication import reduce_query
+from repro.cr.satisfiability import class_targets, compound_targets
 from repro.cr.system import build_system
 from repro.errors import ReproError
 from repro.solver.linear import Relation
@@ -145,11 +148,7 @@ class TestDerivedExpressions:
         expr = meeting_system.class_population_expr("Speaker")
         assert set(expr.coefficients) == {"c1", "c4", "c5", "c7"}
 
-    def test_class_positivity_is_strict(self, meeting_system):
-        constraint = meeting_system.class_positivity("Speaker")
-        assert constraint.relation is Relation.GT
-
-    def test_positivity_for_uncoverable_class_is_contradictory(self):
+    def test_uncoverable_class_has_no_targets(self):
         schema = (
             SchemaBuilder()
             .classes("A", "B")
@@ -160,22 +159,20 @@ class TestDerivedExpressions:
             .build()
         )
         # A <= B and B <= A with A,B disjoint: no consistent compound
-        # class contains A.
+        # class contains A, so no solution can populate it.
         cr_system = build_system(Expansion(schema), mode="pruned")
-        constraint = cr_system.class_positivity("A")
-        assert constraint.expr.is_constant()
-        assert not constraint.is_satisfied_by({})
+        assert class_targets(cr_system, "A") == frozenset()
 
-    def test_isa_counterexample_positivity(self, meeting_system):
-        constraint = meeting_system.isa_counterexample_positivity(
-            "Speaker", "Discussant"
-        )
+    def test_isa_counterexample_targets(self, meeting, meeting_system):
+        reduction = reduce_query(meeting, IsaStatement("Speaker", "Discussant"))
         # Compound classes with Speaker but not Discussant: C1, C5.
-        assert set(constraint.expr.coefficients) == {"c1", "c5"}
+        assert compound_targets(meeting_system, reduction.where) == {"c1", "c5"}
 
-    def test_joint_population_expr(self, meeting_system):
-        expr = meeting_system.joint_population_expr(("Speaker", "Talk"))
-        assert set(expr.coefficients) == {"c5", "c7"}
+    def test_disjointness_targets(self, meeting, meeting_system):
+        query = DisjointnessStatement({"Speaker", "Talk"})
+        reduction = reduce_query(meeting, query)
+        # Compound classes with both Speaker and Talk: C5, C7.
+        assert compound_targets(meeting_system, reduction.where) == {"c5", "c7"}
 
     def test_dependencies_cover_all_consistent_relationship_unknowns(
         self, meeting_system
