@@ -16,10 +16,15 @@ perf-trajectory artifact::
 Each entry records, beside the time, the LP calls and pivots an
 ambient :class:`~repro.runtime.budget.Budget` charged for one solve:
 deterministic counts that show whether a change moved the pivot
-sequence or only its cost.  ``validate_report`` is the schema check CI
-runs against the JSON; it requires every support to be certified
-(:func:`repro.solver.certificates.support_is_certified`) and both
-counts to be non-negative ints.  The runner needs only the
+sequence or only its cost.  Next to that one LP it records the whole
+acceptability fixpoint on the same system
+(:func:`repro.cr.satisfiability.acceptable_support`): its time, LP
+calls and pivots.  ``validate_report`` is the schema check CI runs
+against the JSON; it requires every support to be certified
+(:func:`repro.solver.certificates.support_is_certified`) and every
+count to be a non-negative int, and, given the committed report, it
+fails when a workload's fixpoint takes more LPs or pivots than the
+committed run of the same workload did.  The runner needs only the
 standard library and :mod:`repro`.
 
 **E12 (pytest-benchmark suite).**  The decision path of the library is
@@ -47,6 +52,7 @@ from benchmarks._emit import (
 )
 from repro.cr.builder import SchemaBuilder
 from repro.cr.expansion import Expansion
+from repro.cr.satisfiability import acceptable_support
 from repro.cr.schema import CRSchema
 from repro.cr.system import CRSystem, build_system
 from repro.paper import figure1_schema, meeting_schema, refined_meeting_schema
@@ -104,7 +110,8 @@ def random_schema(classes: int, relationships: int, seed: int) -> CRSchema:
 def _support_workload(
     label: str, family: str, schema: CRSchema, repeats: int = 1
 ) -> dict:
-    """Time one maximal-support LP on the kernel, then certify it.
+    """Time one maximal-support LP on the kernel, then certify it, and
+    time the whole acceptability fixpoint on the same system.
 
     The system is built once outside the timed region (system
     generation is shared infrastructure, not under test), and the probe
@@ -127,6 +134,14 @@ def _support_workload(
             )
         best = min(best, time.perf_counter() - start)
 
+    fixpoint_best = float("inf")
+    for _ in range(repeats):
+        fixpoint_budget = Budget()
+        start = time.perf_counter()
+        with activate(fixpoint_budget):
+            acceptable_support(cr_system)
+        fixpoint_best = min(fixpoint_best, time.perf_counter() - start)
+
     return {
         "workload": label,
         "family": family,
@@ -137,6 +152,9 @@ def _support_workload(
         "sparse_s": best,
         "lp_calls": budget.solver_calls,
         "pivots": budget.pivots,
+        "fixpoint_s": fixpoint_best,
+        "fixpoint_lp_calls": fixpoint_budget.solver_calls,
+        "fixpoint_pivots": fixpoint_budget.pivots,
         "support_size": len(support),
         "certified": support_is_certified(
             cr_system.system, candidates, support, solution
@@ -180,7 +198,7 @@ def run_benchmarks(quick: bool = False) -> dict:
     largest = max(random_entries, key=lambda entry: entry["unknowns"])
     return {
         "benchmark": "solver",
-        "version": 3,
+        "version": 4,
         "quick": quick,
         "entries": entries,
         "summary": {
@@ -203,19 +221,31 @@ _ENTRY_KEYS = {
     "sparse_s": float,
     "lp_calls": int,
     "pivots": int,
+    "fixpoint_s": float,
+    "fixpoint_lp_calls": int,
+    "fixpoint_pivots": int,
     "support_size": int,
     "certified": bool,
 }
 
+_COUNTS = ("lp_calls", "pivots", "fixpoint_lp_calls", "fixpoint_pivots")
+_GATED_COUNTS = ("fixpoint_lp_calls", "fixpoint_pivots")
+"""The counts a run may not raise above the committed report's."""
 
-def validate_report(report: dict) -> dict:
+
+def validate_report(report: dict, committed: dict | None = None) -> dict:
     """Raise ``ValueError`` unless ``report`` is a well-formed
     BENCH_solver.json payload whose every support is certified and
-    whose counts are non-negative; returns the report for chaining."""
+    whose counts are non-negative; returns the report for chaining.
+
+    With ``committed`` (the report kept in the repository), a workload
+    the two share must not take more fixpoint LPs or pivots than the
+    committed entry records: the counts are exact, so a rise is a
+    change in the work, not noise."""
     entries = check_report_shape(report, "solver")
     for entry in entries:
         check_entry_fields(entry, _ENTRY_KEYS)
-        for key in ("lp_calls", "pivots"):
+        for key in _COUNTS:
             if entry[key] < 0:
                 raise ValueError(
                     f"entry {entry['workload']!r}: {key} must be >= 0"
@@ -233,6 +263,21 @@ def validate_report(report: dict) -> dict:
         raise ValueError("summary.certified must count every entry")
     if not isinstance(summary.get("largest_random_sparse_s"), float):
         raise ValueError("summary.largest_random_sparse_s must be a float")
+    if committed is not None:
+        baseline = {
+            entry["workload"]: entry
+            for entry in check_report_shape(committed, "solver")
+        }
+        for entry in entries:
+            kept = baseline.get(entry["workload"])
+            if kept is None:
+                continue
+            for key in _GATED_COUNTS:
+                if entry[key] > kept[key]:
+                    raise ValueError(
+                        f"entry {entry['workload']!r}: {key} rose from "
+                        f"{kept[key]} (committed) to {entry[key]}"
+                    )
     return report
 
 
@@ -262,6 +307,9 @@ def main(argv: list[str] | None = None) -> int:
             f"{entry['workload']:<24} {entry['unknowns']:>5} unknowns"
             f"  sparse {entry['sparse_s']*1e3:8.2f} ms"
             f"  {entry['lp_calls']} LP {entry['pivots']:>5} pivots"
+            f"  fixpoint {entry['fixpoint_s']*1e3:8.2f} ms"
+            f" {entry['fixpoint_lp_calls']} LP"
+            f" {entry['fixpoint_pivots']:>5} pivots"
             f"  support {entry['support_size']:>4}"
             f"  certified {entry['certified']}"
         ),

@@ -13,7 +13,8 @@ artifacts are bit-identical to the monolithic path.
 for cross-component queries (an ISA or disjointness question whose
 classes span islands is decided on the union of just those islands —
 equivalent to the whole schema by the model-composition argument of
-DESIGN §13).
+DESIGN §13), and the Section-4 extensions ``S + C_exc`` of its islands
+that decide cardinality queries, each with its fingerprint.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.components.graph import connected_class_sets
+from repro.cr.implication import ImplicationQuery, Reduction, reduce_query
 from repro.cr.schema import CRSchema
 from repro.session.fingerprint import schema_fingerprint
 
@@ -84,9 +86,10 @@ class ComponentDecomposition:
     """A schema split into constraint-graph components.
 
     Construct via :func:`decompose_schema`.  Owns the class → component
-    map, the lazily computed whole-schema fingerprint, and a cache of
+    map, the lazily computed whole-schema fingerprint, a cache of
     merged sub-schemas (keyed by the frozen set of component indices)
-    for cross-component queries.
+    for cross-component queries, and one of island extensions for
+    cardinality queries (:meth:`extension`).
     """
 
     def __init__(
@@ -107,6 +110,7 @@ class ComponentDecomposition:
         self._all_indices = frozenset(range(len(components)))
         self._merged: dict[frozenset[int], CRSchema] = {}
         self._merged_fingerprints: dict[frozenset[int], str] = {}
+        self._extensions: dict[ImplicationQuery, tuple[Reduction, str]] = {}
 
     @property
     def whole_fingerprint(self) -> str:
@@ -164,6 +168,29 @@ class ComponentDecomposition:
                 schema_fingerprint(self.merged_schema(indices))
             )
         return fingerprint
+
+    def extension(
+        self, cls: str, query: ImplicationQuery
+    ) -> tuple[Reduction, str]:
+        """The :func:`~repro.cr.implication.reduce_query` reduction of a
+        cardinality ``query`` about ``cls`` on the island owning
+        ``cls``, with the fingerprint of that island's ``S + C_exc``.
+
+        A legal cardinality query's class, relationship and primary
+        class share one island, so the island decides it.  Both are
+        made on the first ask and kept here, so every later ask on this
+        decomposition, from any session, builds and fingerprints
+        nothing.  ``query`` must already be valid on the whole schema.
+        """
+        known = self._extensions.get(query)
+        if known is None:
+            island = reduce_query(self.component_of(cls).schema, query)
+            assert island is not None  # minc = 0 reduces to nothing
+            known = self._extensions[query] = (
+                island,
+                schema_fingerprint(island.schema),
+            )
+        return known
 
     def __repr__(self) -> str:
         return (

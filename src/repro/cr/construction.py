@@ -45,7 +45,6 @@ from repro.cr.interpretation import Interpretation, LabeledTuple
 from repro.cr.satisfiability import SatisfiabilityResult, is_acceptable
 from repro.cr.system import CRSystem
 from repro.errors import ReproError
-from repro.solver.linear import Relation
 
 
 def construct_model(
@@ -157,25 +156,14 @@ def witness_violation(
         if value < 0:
             return f"solution assigns a negative count to {name!r}"
     interned = cr_system.interned
-    values = [witness.get(name, 0) for name in interned.table.names()]
-    for row in interned.rows:
-        relation = row.relation
-        if relation.is_strict:
-            continue
-        total = row.const
-        for col, coeff in zip(row.cols, row.coeffs):
-            total += coeff * values[col]
-        if relation is Relation.LE:
-            holds = total <= 0
-        elif relation is Relation.GE:
-            holds = total >= 0
-        else:
-            holds = total == 0
-        if not holds:
-            return (
-                "the given assignment does not solve Psi_S; first violated "
-                f"disequation: {interned.constraint(row).pretty()}"
-            )
+    row = interned.violated_row(
+        [witness.get(name, 0) for name in interned.table.names()]
+    )
+    if row is not None:
+        return (
+            "the given assignment does not solve Psi_S; first violated "
+            f"disequation: {interned.constraint(row).pretty()}"
+        )
     if not is_acceptable(witness, cr_system.dependencies):
         return (
             "the given solution is not acceptable: some relationship "

@@ -126,15 +126,10 @@ def _unknown_implication(
     )
 
 
-def exceptional_schema(
-    schema: CRSchema,
-    cls: str,
-    rel: str,
-    role: str,
-    exceptional_card: Card,
-) -> tuple[CRSchema, str]:
-    """The schema ``S'`` of Section 4: ``S`` plus ``C_exc ≼ cls`` with the
-    given cardinality on ``(rel, role)``.  Returns ``(S', C_exc name)``.
+def exceptional_class(schema: CRSchema, cls: str, rel: str, role: str) -> str:
+    """The name of Section 4's auxiliary class ``C_exc`` for a
+    cardinality query on ``(cls, rel, role)``, after checking that the
+    query is legal on ``schema``.
 
     The fresh-name choice is deterministic, so the same query against
     the same schema always yields the same extended schema — which is
@@ -150,10 +145,23 @@ def exceptional_schema(
         )
     fresh = FreshNames(schema.classes)
     fresh.reserve(rel)
-    exc = fresh.fresh("C_exc")
+    return fresh.fresh("C_exc")
+
+
+def exceptional_schema(
+    schema: CRSchema,
+    exc: str,
+    cls: str,
+    rel: str,
+    role: str,
+    exceptional_card: Card,
+) -> CRSchema:
+    """The schema ``S'`` of Section 4: ``S`` plus ``exc ≼ cls`` with the
+    given cardinality on ``(rel, role)``; ``exc`` comes from
+    :func:`exceptional_class`."""
     cards = schema.declared_cards
     cards[(exc, rel, role)] = exceptional_card
-    extended = CRSchema(
+    return CRSchema(
         classes=tuple(schema.classes) + (exc,),
         relationships=schema.relationships,
         isa=tuple(schema.isa_statements) + ((exc, cls),),
@@ -162,7 +170,6 @@ def exceptional_schema(
         coverings=schema.coverings,
         name=f"{schema.name}+{exc}",
     )
-    return extended, exc
 
 
 def strip_class(interpretation: Interpretation, cls: str) -> Interpretation:
@@ -183,17 +190,28 @@ class Reduction:
     """Section 4's reduction of ``S ⊨ K`` to one Theorem-3.3 test.
 
     ``K`` fails in some finite model iff an acceptable solution of
-    ``Ψ`` over ``schema`` — ``S`` itself, or ``S + C_exc`` for a
-    cardinality query — populates a consistent compound class whose
-    member set satisfies ``where``.  ``classes`` are the classes the
-    query names (a session routes on them), and ``strip`` is the
+    ``Ψ`` over :attr:`schema` — ``base`` itself, or ``base + C_exc``
+    for a cardinality query — populates a consistent compound class
+    whose member set satisfies ``where``.  ``classes`` are the classes
+    the query names (a session routes on them), and ``strip`` is the
     auxiliary class a countermodel drops: ``C_exc``, or ``None``.
+    ``extension`` builds ``base + C_exc``; it runs on the first read of
+    :attr:`schema`, so a reduction made only to validate a query builds
+    no schema.
     """
 
-    schema: CRSchema
+    base: CRSchema
     classes: tuple[str, ...]
     where: Callable[[frozenset[str]], bool]
     strip: str | None = None
+    extension: Callable[[], CRSchema] | None = field(
+        default=None, compare=False, repr=False
+    )
+
+    @cached_property
+    def schema(self) -> CRSchema:
+        """The deciding schema, built on first read."""
+        return self.base if self.extension is None else self.extension()
 
 
 def reduce_query(
@@ -232,11 +250,14 @@ def reduce_query(
         card = Card(query.value + 1, UNBOUNDED)
     else:
         raise ReproError(f"unsupported implication query {query!r}")
-    extended, exc = exceptional_schema(
-        schema, query.cls, query.rel, query.role, card
-    )
+    cls, rel, role = query.cls, query.rel, query.role
+    exc = exceptional_class(schema, cls, rel, role)
     return Reduction(
-        extended, (query.cls,), lambda members: exc in members, strip=exc
+        schema,
+        (cls,),
+        lambda members: exc in members,
+        strip=exc,
+        extension=lambda: exceptional_schema(schema, exc, cls, rel, role, card),
     )
 
 

@@ -24,12 +24,16 @@ Three engines implement the test:
 ``fixpoint``
     Exploits the cone structure of homogeneous systems: the set of
     unknowns positive in *some* solution is closed under union (sum the
-    witnesses), so there is a unique maximal support, computable with
-    one LP per unknown.  Acceptability is then enforced by a fixpoint:
-    any relationship unknown depending on a class unknown that can
-    never be positive is forced to zero, the support is recomputed, and
-    so on until stable.  The final support is exactly the union of the
-    supports of all acceptable solutions, so:
+    witnesses), so there is a unique maximal support over the class
+    unknowns, computable with one capped LP.  Acceptability is then
+    enforced by a fixpoint: every relationship unknown depending on a
+    class unknown outside the support is set to zero in the LP's
+    solution.  If that zeroed solution still satisfies every row, it is
+    acceptable and positive on the whole support, and since forcing
+    unknowns to zero can only shrink the support, the fixpoint stops
+    there; otherwise those unknowns are forced to zero and the support
+    is recomputed, and so on.  The final support is exactly the union
+    of the supports of all acceptable solutions, so:
 
     * class ``C`` is satisfiable  iff  some consistent compound class
       containing ``C`` has its unknown in the final support;

@@ -415,27 +415,26 @@ class ReasoningSession:
         is decided on one cache entry: ISA and disjointness on the entry
         of the island (or merged islands) their classes live in, and
         cardinality on the owning island's Section-4 extended schema,
-        cached under its own fingerprint.  Either way the answer is a
-        lookup: implied iff the reduction's compound unknowns miss the
-        entry's support.
+        cached under its own fingerprint.  That extension and its
+        fingerprint are made once per query and kept by the
+        decomposition
+        (:meth:`~repro.components.decompose.ComponentDecomposition.extension`).
+        Either way the answer is a lookup: implied iff the reduction's
+        compound unknowns miss the entry's support.
         """
-        # Validate (and fail) against the whole schema before counting.
+        # Validate (and fail) against the whole schema before counting;
+        # this builds no extended schema.
         reduction = reduce_query(self.schema, query)
         self.queries += 1
         if reduction is None:
             return ImplicationResult(query, True, ENGINE, None)
-        fingerprint: str | None = None
         if reduction.strip is None:
             schema, fingerprint = self._routed(reduction.classes)
         else:
-            # A legal cardinality query's class, relationship and
-            # primary class all share one island, so extending the
-            # owner cannot fail; the owner is not classified.
+            # Decided on the owning island, which is not classified.
             (cls,) = reduction.classes
-            owner = self.decomposition.component_of(cls)
-            island = reduce_query(owner.schema, query)
-            assert island is not None
-            reduction, schema = island, island.schema
+            reduction, fingerprint = self.decomposition.extension(cls, query)
+            schema = reduction.schema
         where, strip = reduction.where, reduction.strip
         effective = budget if budget is not None else self.budget
 

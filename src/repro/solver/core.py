@@ -312,6 +312,31 @@ class InternedSystem:
         """Total stored coefficients (the sparsity measure)."""
         return sum(len(row.cols) for row in self.rows)
 
+    def violated_row(self, values: Sequence[Coeff]) -> SparseRow | None:
+        """The first non-strict row that ``values`` (one per column, in
+        table order) violates, or ``None`` when every one holds.
+
+        Strict rows are skipped: on a homogeneous system they constrain
+        only which scaling of a point is a solution, never its support.
+        With ``int`` values the check runs in ``int`` arithmetic.
+        """
+        for row in self.rows:
+            relation = row.relation
+            if relation.is_strict:
+                continue
+            total = row.const
+            for col, coeff in zip(row.cols, row.coeffs):
+                total += coeff * values[col]
+            if relation is Relation.LE:
+                holds = total <= 0
+            elif relation is Relation.GE:
+                holds = total >= 0
+            else:
+                holds = total == 0
+            if not holds:
+                return row
+        return None
+
     def __repr__(self) -> str:
         return (
             f"InternedSystem({len(self.rows)} rows, "

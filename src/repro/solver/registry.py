@@ -109,11 +109,17 @@ def fixpoint_support(
 
     The acceptability fixpoint (module docstring of
     :mod:`repro.cr.satisfiability`): compute the maximal support over
-    the class unknowns, force to zero every relationship unknown that
-    depends on a class unknown outside it, and iterate until stable.
-    Forced-zero rows are added at the interned level.
+    the class unknowns and find the relationship unknowns that depend
+    on a class unknown outside it.  Zeroed in the LP's solution, they
+    usually leave a point that still satisfies every row: it keeps the
+    support's class values, every relationship unknown it leaves
+    positive depends only on support classes, and forcing unknowns to
+    zero can only shrink the support, so that point is the fixpoint's
+    answer and is returned as it is.  Otherwise the unknowns are forced
+    to zero by interned rows and the LP is solved again.
     """
     table = problem.system.table
+    names = table.names()
     forced_zero: set[str] = set()
     budget = current_budget()
     while True:
@@ -138,6 +144,11 @@ def fixpoint_support(
         }
         if not newly_forced:
             return support, solution
+        for name in newly_forced:
+            solution[name] = Fraction(0)
+        scaled = integerize(solution)
+        if constrained.violated_row([scaled[name] for name in names]) is None:
+            return support - newly_forced, solution
         forced_zero |= newly_forced
 
 

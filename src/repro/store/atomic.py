@@ -62,6 +62,23 @@ def fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
+def create_exclusive(path: Path) -> int:
+    """Create ``path`` (``O_CREAT | O_EXCL``) and return its descriptor.
+
+    A missing parent directory is made only when the create finds it
+    missing, and the create is then tried once more: a store writes
+    into directories that already exist on all but its first write, so
+    no write pays a ``mkdir`` to be sure.  ``FileExistsError``
+    propagates.
+    """
+    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
+    try:
+        return os.open(path, flags, 0o644)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return os.open(path, flags, 0o644)
+
+
 def atomic_write_bytes(
     path: Path, data: bytes, fault_prefix: str = "store:write"
 ) -> None:
@@ -73,10 +90,9 @@ def atomic_write_bytes(
     point defines — including a torn temp file at the ``:torn`` point).
     """
     directory = path.parent
-    directory.mkdir(parents=True, exist_ok=True)
     faults.fire(f"{fault_prefix}:start")
     temp = directory / f".{path.name}.{os.getpid()}.{next(_SEQUENCE)}{TEMP_SUFFIX}"
-    fd = os.open(temp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
+    fd = create_exclusive(temp)
     try:
         half = len(data) // 2
         os.write(fd, data[:half])
@@ -136,6 +152,7 @@ def sweep_temp_files(directory: Path) -> int:
 __all__ = [
     "TEMP_SUFFIX",
     "atomic_write_bytes",
+    "create_exclusive",
     "fsync_directory",
     "sweep_temp_files",
 ]

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import StoreLockTimeout
+from repro.store.atomic import create_exclusive
 
 DEFAULT_TIMEOUT = 2.0
 """Seconds a writer will retry before degrading to a skipped write."""
@@ -116,12 +117,9 @@ class AdvisoryLock:
     # -- acquisition -------------------------------------------------------
 
     def _try_create(self) -> bool:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         owner = LockOwner(os.getpid(), time.time(), socket.gethostname())
         try:
-            fd = os.open(
-                self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644
-            )
+            fd = create_exclusive(self.path)
         except FileExistsError:
             return False
         try:

@@ -65,7 +65,7 @@ from repro.store.locks import (
 
 logger = logging.getLogger("repro.store")
 
-ARTIFACT_VERSION = 2
+ARTIFACT_VERSION = 3
 """Version of the stored artifact bundle: its codec and the shape of the
 reasoning artifacts in it.  Bump whenever either changes; every entry
 written under the old version then degrades to a quarantine + rebuild
@@ -161,37 +161,42 @@ class ArtifactStore:
         self.objects_dir = version_root / "objects"
         self.quarantine_dir = version_root / "quarantine"
         self.locks_dir = version_root / "locks"
-        # Startup recovery: make the tree (idempotent) and sweep temp
-        # files crashed writers abandoned.  Both best-effort — a store
-        # on a read-only filesystem still serves reads.
-        try:
-            for directory in (
-                self.objects_dir,
-                self.quarantine_dir,
-                self.locks_dir,
-            ):
-                directory.mkdir(parents=True, exist_ok=True)
-            for shard in self._shard_dirs():
-                sweep_temp_files(shard)
-        except OSError as error:
-            logger.warning("store root %s not writable: %s", self.root, error)
+        self._objects_prefix = f"{self.objects_dir}{os.sep}"
+        # Startup recovery: sweep the temp files crashed writers
+        # abandoned.  No directory is made here: each is made by the
+        # first create or rename that finds it missing, so a fresh
+        # store answers before it touches the disk, and a tree deleted
+        # underneath a running store grows back on its next write.
+        for shard in self._shard_dirs():
+            sweep_temp_files(shard)
 
     # -- paths ---------------------------------------------------------------
 
     @staticmethod
     def _check_key(value: str, what: str) -> str:
-        if not _KEY_PATTERN.match(value):
+        # A hex fingerprint passes the two C-level tests alone.
+        if not (value.isascii() and value.isalnum()) and not _KEY_PATTERN.match(
+            value
+        ):
             raise StoreError(
                 f"{what} {value!r} is not a filesystem-safe key "
                 "(letters, digits, '_', '-' only)"
             )
         return value
 
-    def entry_path(self, fingerprint: str, kind: str = DEFAULT_KIND) -> Path:
+    def _entry_file(self, fingerprint: str, kind: str = DEFAULT_KIND) -> str:
+        """``objects/<fp[:2]>/<fp>.<kind>.bin`` as a string, keys
+        checked: a warm read needs no ``pathlib`` object, whose joins
+        cost more than the rest of the lookup."""
         self._check_key(fingerprint, "fingerprint")
         self._check_key(kind, "kind")
-        shard = fingerprint[:2]
-        return self.objects_dir / shard / f"{fingerprint}.{kind}{ENTRY_SUFFIX}"
+        return (
+            f"{self._objects_prefix}{fingerprint[:2]}{os.sep}"
+            f"{fingerprint}.{kind}{ENTRY_SUFFIX}"
+        )
+
+    def entry_path(self, fingerprint: str, kind: str = DEFAULT_KIND) -> Path:
+        return Path(self._entry_file(fingerprint, kind))
 
     def _lock_for(self, fingerprint: str, kind: str) -> AdvisoryLock:
         return AdvisoryLock(
@@ -233,20 +238,23 @@ class ArtifactStore:
         undecodable, mislabelled) is quarantined on the spot and read
         as a miss, so the caller rebuilds from source.
         """
-        path = self.entry_path(fingerprint, kind)
+        entry = self._entry_file(fingerprint, kind)
         try:
-            blob = path.read_bytes()
+            with open(entry, "rb") as handle:
+                blob = handle.read()
         except FileNotFoundError:
             self.stats.bump("misses")
             return None
         except OSError as error:
-            logger.warning("store read of %s failed: %s", path.name, error)
+            logger.warning(
+                "store read of %s failed: %s", os.path.basename(entry), error
+            )
             self.stats.bump("misses")
             return None
         try:
             artifact = self._validate(blob, fingerprint, kind)
         except StoreIntegrityError as error:
-            self._quarantine(path, fingerprint, kind, error.reason)
+            self._quarantine(Path(entry), fingerprint, kind, error.reason)
             self.stats.bump("misses")
             return None
         self.stats.bump("hits")
@@ -328,7 +336,13 @@ class ArtifactStore:
                 return False  # healed; nothing to quarantine
             destination = self._quarantine_name(path.name, reason)
             try:
-                os.replace(path, destination)
+                try:
+                    os.replace(path, destination)
+                except FileNotFoundError:
+                    # The entry was just read, so the quarantine
+                    # directory is what is missing.
+                    self.quarantine_dir.mkdir(parents=True, exist_ok=True)
+                    os.replace(path, destination)
             except OSError as replace_error:
                 logger.warning(
                     "could not quarantine %s: %s", path.name, replace_error

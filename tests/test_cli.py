@@ -257,14 +257,14 @@ class TestExitCodes:
 
     def test_single_class_budget_unknown(self, meeting_file, capsys):
         code = main(
-            ["check", meeting_file, "--class", "Speaker", "--max-lp", "1"]
+            ["check", meeting_file, "--class", "Speaker", "--max-lp", "0"]
         )
         assert code == 3
         assert "Speaker: UNKNOWN" in capsys.readouterr().out
 
     def test_implies_budget_unknown_is_three(self, meeting_file, capsys):
         code = main(
-            ["implies", meeting_file, "Speaker isa Discussant", "--max-lp", "1"]
+            ["implies", meeting_file, "Speaker isa Discussant", "--max-lp", "0"]
         )
         assert code == 3
         assert "unknown" in capsys.readouterr().out

@@ -46,7 +46,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cr.baseline import baseline_satisfiable_classes
+from repro.cr.builder import SchemaBuilder
 from repro.cr.checker import check_model
+from repro.cr.constraints import MaxCardinalityStatement
 from repro.cr.construction import construct_model_for_result
 from repro.cr.implication import implies, statement_holds
 from repro.cr.interpretation import Interpretation
@@ -66,6 +68,20 @@ distinguish every constraint kind the strategies generate (ISA
 violations, disjointness overlaps, cardinality deficits); pushing to 3
 multiplies the search space without changing any verdict on shrunken
 counterexamples."""
+
+MAXC_ORACLE_DOMAIN = 3
+"""Domain bound for refuting ``maxc = n``.  A violation needs one
+individual in ``n + 1`` tuples, and over two individuals a binary
+relationship holds at most two tuples per individual and role, so
+``ORACLE_DOMAIN`` could never refute ``maxc = 2``; three individuals
+can."""
+
+
+def implication_oracle_domain(query) -> int:
+    """The bounded oracle's domain size for an implication query."""
+    if isinstance(query, MaxCardinalityStatement):
+        return MAXC_ORACLE_DOMAIN
+    return ORACLE_DOMAIN
 
 
 def _class_extension_candidates(schema: CRSchema, domain: tuple[str, ...]):
@@ -241,15 +257,16 @@ def test_implication_procedures_agree_with_bounded_oracle(data):
     )
     session = ReasoningSession(schema)
     for query in queries:
-        if oracle_countermodel(schema, query) is None:
+        domain = implication_oracle_domain(query)
+        if oracle_countermodel(schema, query, domain) is None:
             continue
         stateless = implies(schema, query).verdict
         assert stateless is ImplicationVerdict.NOT_IMPLIED, (
-            f"a {ORACLE_DOMAIN}-element model violates {query.pretty()} "
+            f"a {domain}-element model violates {query.pretty()} "
             "but the procedure says it is implied"
         )
         assert session.implies(query).verdict is ImplicationVerdict.NOT_IMPLIED, (
-            f"a {ORACLE_DOMAIN}-element model violates {query.pretty()} "
+            f"a {domain}-element model violates {query.pretty()} "
             "but the session says it is implied"
         )
 
@@ -279,6 +296,28 @@ def test_figure1_oracle_agreement(figure1):
             assert satisfiable
         if not satisfiable:
             assert model is None
+
+
+def test_three_individuals_refute_maxc_two():
+    """Why ``maxc`` queries search :data:`MAXC_ORACLE_DOMAIN`
+    individuals: only a third individual gives one ``A`` three ``R``
+    tuples, the most its declared ``maxc = 3`` allows, so both
+    procedures must answer NOT_IMPLIED (a ``C_exc`` asked for four
+    tuples would wrongly make it implied)."""
+    schema = (
+        SchemaBuilder("Pairs")
+        .classes("A", "B")
+        .relationship("R", U1="A", U2="B")
+        .card("A", "R", "U1", 0, 3)
+        .build()
+    )
+    query = MaxCardinalityStatement("A", "R", "U1", 2)
+    assert oracle_countermodel(schema, query, ORACLE_DOMAIN) is None
+    model = oracle_countermodel(schema, query, MAXC_ORACLE_DOMAIN)
+    assert model is not None and not statement_holds(model, query)
+    assert implies(schema, query).verdict is ImplicationVerdict.NOT_IMPLIED
+    session = ReasoningSession(schema)
+    assert session.implies(query).verdict is ImplicationVerdict.NOT_IMPLIED
 
 
 def test_meeting_every_class_has_small_model(meeting):

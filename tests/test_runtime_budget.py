@@ -231,7 +231,7 @@ class TestGovernedEntryPoints:
             meeting_schema(),
             "Discussant",
             "Speaker",
-            budget=Budget(max_solver_calls=1),
+            budget=Budget(max_solver_calls=0),
         )
         assert result.verdict is ImplicationVerdict.UNKNOWN
         assert not result.implied

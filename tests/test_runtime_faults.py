@@ -27,11 +27,11 @@ from repro.solver import core
 class TestHarness:
     def test_nth_call_fails_deterministically(self):
         schema = meeting_schema()
-        with inject_solver_faults(simplex_failures={2}) as plan:
+        with inject_solver_faults(simplex_failures={1}) as plan:
             with pytest.raises(InjectedSolverFault):
                 is_class_satisfiable(schema, "Speaker", fallback=False)
-        assert plan.injected == [("simplex", 2)]
-        assert plan.calls["simplex"] == 2
+        assert plan.injected == [("simplex", 1)]
+        assert plan.calls["simplex"] == 1
 
     def test_unscripted_runs_are_untouched_but_counted(self):
         with inject_solver_faults() as plan:

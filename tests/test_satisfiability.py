@@ -3,22 +3,35 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cr.builder import SchemaBuilder
+from repro.cr.constraints import MaxCardinalityStatement
+from repro.cr.construction import witness_violation
 from repro.cr.expansion import Expansion
-from repro.cr.implication import implies_max_cardinality
+from repro.cr.implication import implies_max_cardinality, reduce_query
 from repro.cr.satisfiability import (
     acceptable_support,
     is_acceptable,
     is_class_satisfiable,
     is_schema_fully_satisfiable,
     satisfiable_classes,
+    support_verdicts,
 )
 from repro.cr.system import build_system
+from repro.dsl import parse_schema
 from repro.errors import ReproError
 from repro.paper import figure1_schema, meeting_schema, refined_meeting_schema
 from repro.runtime.budget import Budget, activate
 from repro.solver import core
+from repro.solver.homogeneous import integerize
+from repro.solver.linear import Relation
+from tests.strategies import (
+    implication_queries_for,
+    property_max_examples,
+    schemas,
+)
 
 ENGINES = ["fixpoint", "naive"]
 
@@ -140,9 +153,9 @@ class TestFixpointCounts:
     @pytest.mark.parametrize(
         ("schema", "satisfiable", "counts"),
         [
-            (figure1_schema, False, (2, 6, 6)),
-            (meeting_schema, True, (2, 56, 56)),
-            (refined_meeting_schema, False, (2, 23, 23)),
+            (figure1_schema, False, (1, 6, 6)),
+            (meeting_schema, True, (1, 37, 37)),
+            (refined_meeting_schema, False, (1, 23, 23)),
         ],
     )
     def test_every_class(self, pivot_calls, schema, satisfiable, counts):
@@ -161,7 +174,123 @@ class TestFixpointCounts:
             ),
         )
         assert result.implied
-        assert measured == (2, 76, 76)
+        assert measured == (1, 57, 57)
+
+
+def converged_support(cr_system):
+    """The acceptability fixpoint run until no unknown is newly forced:
+    one maximal-support LP per round, each round forcing to zero every
+    relationship unknown that depends on a class outside the support.
+    Returns ``(support, solution, rounds)``."""
+    table = cr_system.interned.table
+    class_unknowns = tuple(cr_system.class_var.values())
+    forced: set[str] = set()
+    rounds = 0
+    while True:
+        rounds += 1
+        support, solution = core.interned_maximal_support(
+            cr_system.interned.with_rows(
+                core.SparseRow.make({table.index(name): 1}, Relation.EQ)
+                for name in sorted(forced)
+            ),
+            class_unknowns,
+        )
+        newly_forced = {
+            rel_unknown
+            for rel_unknown, depends_on in cr_system.dependencies.items()
+            if rel_unknown not in forced
+            and any(c not in support for c in depends_on)
+        }
+        if not newly_forced:
+            return support, solution, rounds
+        forced |= newly_forced
+
+
+def assert_stops_on_the_converged_answer(cr_system):
+    """The fixpoint's answer on ``cr_system`` against
+    :func:`converged_support`; returns the fixpoint's LP count."""
+    budget = Budget()
+    with activate(budget):
+        support, solution = acceptable_support(cr_system)
+    expected, _solution, rounds = converged_support(cr_system)
+    class_unknowns = set(cr_system.class_var.values())
+    assert support & class_unknowns == expected & class_unknowns
+    assert support_verdicts(cr_system, support) == support_verdicts(
+        cr_system, expected
+    )
+    assert support == {name for name, value in solution.items() if value > 0}
+    witness = integerize(solution)
+    assert is_acceptable(witness, cr_system.dependencies)
+    assert witness_violation(cr_system, witness) is None
+    assert budget.solver_calls <= rounds
+    return budget.solver_calls
+
+
+RESOLVE_SCHEMA = """
+schema Cold179 {
+  class KC0;
+  class KC1 isa KC0;
+  class KE isa KC1;
+  relationship KR0(KR0a: KC1, KR0b: KC1);
+  relationship KR1(KR1a: KC1, KR1b: KC0);
+  cardinality KC1 in KR0.KR0a: (1, *);
+  cardinality KC1 in KR0.KR0b: (1, 1);
+  cardinality KC1 in KR1.KR1a: (2, 3);
+  cardinality KC0 in KR1.KR1b: (1, *);
+  cardinality KE in KR0.KR0b: (2, 1);
+}
+"""
+"""Schema 179 of perfbench's cold-batch workload at seed 3.  Its
+Section-4 extension for ``maxc(KC1, KR0, KR0a) = 0`` is the one
+schema in that workload's first 200 ops whose first LP solution,
+with the newly forced unknowns zeroed, breaks a row of ``Ψ_S``."""
+
+
+class TestFixpointStopRule:
+    """The fixpoint stops on a checked witness instead of a confirming
+    LP, and answers what the loop run to convergence answers."""
+
+    @settings(max_examples=property_max_examples())
+    @given(data=st.data())
+    def test_stopped_fixpoint_matches_the_converged_loop(self, data):
+        schema = data.draw(schemas(allow_ternary=True, allow_extensions=True))
+        query = data.draw(implication_queries_for(schema))
+        reduction = reduce_query(schema, query)
+        deciding = [schema]
+        if reduction is not None and reduction.strip is not None:
+            deciding.append(reduction.schema)  # S + C_exc
+        for decided in deciding:
+            assert_stops_on_the_converged_answer(
+                build_system(Expansion(decided), mode="pruned")
+            )
+
+    @pytest.mark.parametrize(
+        "schema", [figure1_schema, meeting_schema, refined_meeting_schema]
+    )
+    def test_paper_schemas_stop_after_one_lp(self, schema):
+        cr_system = build_system(Expansion(schema()), mode="pruned")
+        assert assert_stops_on_the_converged_answer(cr_system) == 1
+        # The converged loop pays a second, confirming LP.
+        assert converged_support(cr_system)[2] == 2
+
+    def test_a_zeroed_solution_that_breaks_a_row_is_solved_again(self):
+        schema = parse_schema(RESOLVE_SCHEMA)
+        reduction = reduce_query(
+            schema, MaxCardinalityStatement("KC1", "KR0", "KR0a", 0)
+        )
+        cr_system = build_system(Expansion(reduction.schema), mode="pruned")
+        support, solution = core.interned_maximal_support(
+            cr_system.interned, tuple(cr_system.class_var.values())
+        )
+        zeroed = {
+            name: 0
+            if any(c not in support for c in cr_system.dependencies.get(name, ()))
+            else value
+            for name, value in solution.items()
+        }
+        assert zeroed != solution
+        assert witness_violation(cr_system, integerize(zeroed)) is not None
+        assert assert_stops_on_the_converged_answer(cr_system) == 2
 
 
 class TestAcceptability:

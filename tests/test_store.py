@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -238,6 +239,12 @@ class TestLocks:
         with pytest.raises(StoreLockTimeout):
             contender.acquire()
 
+    def test_a_missing_lock_directory_is_made_on_acquire(self, tmp_path):
+        path = tmp_path / "gone" / "x.lock"
+        with AdvisoryLock(path):
+            assert path.exists()
+        assert not path.exists()
+
     def test_release_without_acquire_is_a_noop(self, tmp_path):
         path = tmp_path / "x.lock"
         path.write_bytes(LockOwner(os.getpid(), time.time(), "here").encode())
@@ -269,6 +276,44 @@ class TestArtifactStore:
         assert store.get(FP) == artifact
         assert store.stats.writes == 1
         assert store.stats.hits == 1
+
+    def test_a_fresh_store_makes_no_directory_before_a_write(self, tmp_path):
+        root = tmp_path / "store"
+        store = ArtifactStore(root)
+        assert store.get(FP) is None
+        assert not root.exists()
+        assert store.put(FP, 1)
+        assert store.entry_path(FP).exists()
+
+    def test_a_tree_deleted_underneath_grows_back(self, tmp_path):
+        root = tmp_path / "store"
+        store = ArtifactStore(root)
+        assert store.put(FP, {"value": 1})
+        shutil.rmtree(root)
+        assert store.get(FP) is None
+        # The write makes the shard and lock directories again.
+        assert store.put(FP, {"value": 2})
+        assert store.get(FP) == {"value": 2}
+        assert store.stats.writes == 2
+        # The quarantine makes its own directory on its first move.
+        path = store.entry_path(FP)
+        path.write_bytes(path.read_bytes()[:-3])
+        assert not store.quarantine_dir.exists()
+        assert store.get(FP) is None
+        assert store.stats.quarantined == 1
+        assert [info.reason for info in store.quarantined()] == [
+            "truncated-payload"
+        ]
+        assert store.put(FP, {"value": 3})
+        assert store.get(FP) == {"value": 3}
+
+    def test_keys_beyond_hex_are_checked(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        assert store.put("with-dash_and_underscore", 1)
+        assert store.get("with-dash_and_underscore") == 1
+        for unsafe in ("\u00e9" * 8, "", "a/b"):
+            with pytest.raises(StoreError):
+                store.get(unsafe)
 
     def test_missing_entry_is_a_counted_miss(self, tmp_path):
         store = ArtifactStore(tmp_path)
