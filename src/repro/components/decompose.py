@@ -19,13 +19,20 @@ that decide cardinality queries, each with its fingerprint.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.components.graph import connected_class_sets
-from repro.cr.implication import ImplicationQuery, Reduction, reduce_query
+from repro.cr.implication import CardinalityQuery, Reduction, reduce_query
 from repro.cr.schema import CRSchema
 from repro.session.fingerprint import schema_fingerprint
+
+EXTENSION_ENTRIES = 64
+"""How many cardinality queries' island extensions one decomposition
+keeps (least recently asked evicted first), so a client asking many
+distinct queries of one schema cannot grow it without bound."""
 
 
 @dataclass(frozen=True)
@@ -88,8 +95,8 @@ class ComponentDecomposition:
     Construct via :func:`decompose_schema`.  Owns the class → component
     map, the lazily computed whole-schema fingerprint, a cache of
     merged sub-schemas (keyed by the frozen set of component indices)
-    for cross-component queries, and one of island extensions for
-    cardinality queries (:meth:`extension`).
+    for cross-component queries, and a bounded one of island
+    extensions for cardinality queries (:meth:`extension`).
     """
 
     def __init__(
@@ -110,7 +117,11 @@ class ComponentDecomposition:
         self._all_indices = frozenset(range(len(components)))
         self._merged: dict[frozenset[int], CRSchema] = {}
         self._merged_fingerprints: dict[frozenset[int], str] = {}
-        self._extensions: dict[ImplicationQuery, tuple[Reduction, str]] = {}
+        # Shared by every request thread that holds this decomposition.
+        self._extensions: OrderedDict[
+            CardinalityQuery, tuple[Reduction, str]
+        ] = OrderedDict()
+        self._extensions_lock = threading.Lock()
 
     @property
     def whole_fingerprint(self) -> str:
@@ -169,27 +180,33 @@ class ComponentDecomposition:
             )
         return fingerprint
 
-    def extension(
-        self, cls: str, query: ImplicationQuery
-    ) -> tuple[Reduction, str]:
+    def extension(self, query: CardinalityQuery) -> tuple[Reduction, str]:
         """The :func:`~repro.cr.implication.reduce_query` reduction of a
-        cardinality ``query`` about ``cls`` on the island owning
-        ``cls``, with the fingerprint of that island's ``S + C_exc``.
+        cardinality ``query`` on the island owning its class, with the
+        fingerprint of that island's ``S + C_exc``.
 
         A legal cardinality query's class, relationship and primary
         class share one island, so the island decides it.  Both are
-        made on the first ask and kept here, so every later ask on this
+        made on the first ask and kept for the last
+        :data:`EXTENSION_ENTRIES` queries, so a repeated ask on this
         decomposition, from any session, builds and fingerprints
         nothing.  ``query`` must already be valid on the whole schema.
         """
-        known = self._extensions.get(query)
-        if known is None:
-            island = reduce_query(self.component_of(cls).schema, query)
-            assert island is not None  # minc = 0 reduces to nothing
-            known = self._extensions[query] = (
-                island,
-                schema_fingerprint(island.schema),
-            )
+        with self._extensions_lock:
+            known = self._extensions.get(query)
+            if known is not None:
+                self._extensions.move_to_end(query)
+                return known
+        island = reduce_query(self.component_of(query.cls).schema, query)
+        assert island is not None  # minc = 0 reduces to nothing
+        made = (island, schema_fingerprint(island.schema))
+        with self._extensions_lock:
+            # A concurrent miss on the same query may have published
+            # first; every caller then shares that one extension.
+            known = self._extensions.setdefault(query, made)
+            self._extensions.move_to_end(query)
+            while len(self._extensions) > EXTENSION_ENTRIES:
+                self._extensions.popitem(last=False)
         return known
 
     def __repr__(self) -> str:
@@ -244,6 +261,7 @@ def decompose_schema(
 
 
 __all__ = [
+    "EXTENSION_ENTRIES",
     "ComponentDecomposition",
     "SchemaComponent",
     "decompose_schema",

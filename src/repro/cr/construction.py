@@ -147,7 +147,7 @@ def witness_violation(
     ``None`` when it is one.
 
     Works on the interned ``int`` rows, so no string-keyed system is
-    built: negative counts first, then every non-strict row, then the
+    built: negative counts first, then every row, then the
     Section-3.3 acceptability condition.  Only a violated row is
     rendered, in the form :meth:`~repro.solver.linear.Constraint.pretty`
     gives it.

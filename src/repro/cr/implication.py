@@ -64,6 +64,9 @@ ImplicationQuery = (
     | DisjointnessStatement
 )
 
+CardinalityQuery = MinCardinalityStatement | MaxCardinalityStatement
+"""The query kinds :func:`reduce_query` decides on ``S + C_exc``."""
+
 
 @dataclass(frozen=True)
 class ImplicationResult:
@@ -190,28 +193,25 @@ class Reduction:
     """Section 4's reduction of ``S ⊨ K`` to one Theorem-3.3 test.
 
     ``K`` fails in some finite model iff an acceptable solution of
-    ``Ψ`` over :attr:`schema` — ``base`` itself, or ``base + C_exc``
-    for a cardinality query — populates a consistent compound class
-    whose member set satisfies ``where``.  ``classes`` are the classes
-    the query names (a session routes on them), and ``strip`` is the
+    ``Ψ`` over :attr:`schema` — ``S`` itself, or ``S + C_exc`` for a
+    cardinality query — populates a consistent compound class whose
+    member set satisfies ``where``.  ``classes`` are the classes the
+    query names (a session routes on them), and ``strip`` is the
     auxiliary class a countermodel drops: ``C_exc``, or ``None``.
-    ``extension`` builds ``base + C_exc``; it runs on the first read of
+    ``build`` makes the deciding schema on the first read of
     :attr:`schema`, so a reduction made only to validate a query builds
     no schema.
     """
 
-    base: CRSchema
     classes: tuple[str, ...]
     where: Callable[[frozenset[str]], bool]
+    build: Callable[[], CRSchema] = field(compare=False, repr=False)
     strip: str | None = None
-    extension: Callable[[], CRSchema] | None = field(
-        default=None, compare=False, repr=False
-    )
 
     @cached_property
     def schema(self) -> CRSchema:
         """The deciding schema, built on first read."""
-        return self.base if self.extension is None else self.extension()
+        return self.build()
 
 
 def reduce_query(
@@ -229,18 +229,18 @@ def reduce_query(
         schema.require_class(sub)
         schema.require_class(sup)
         return Reduction(
-            schema,
             (sub, sup),
             lambda members: sub in members and sup not in members,
+            lambda: schema,
         )
     if isinstance(query, DisjointnessStatement):
         classes = tuple(sorted(query.classes))
         for cls in classes:
             schema.require_class(cls)
         return Reduction(
-            schema,
             classes,
             lambda members: sum(cls in members for cls in classes) >= 2,
+            lambda: schema,
         )
     if isinstance(query, MinCardinalityStatement):
         if query.value == 0:
@@ -253,11 +253,10 @@ def reduce_query(
     cls, rel, role = query.cls, query.rel, query.role
     exc = exceptional_class(schema, cls, rel, role)
     return Reduction(
-        schema,
         (cls,),
         lambda members: exc in members,
+        lambda: exceptional_schema(schema, exc, cls, rel, role, card),
         strip=exc,
-        extension=lambda: exceptional_schema(schema, exc, cls, rel, role, card),
     )
 
 

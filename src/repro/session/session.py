@@ -58,6 +58,10 @@ from repro.components.decompose import (
     SchemaComponent,
     decompose_schema,
 )
+from repro.cr.constraints import (
+    MaxCardinalityStatement,
+    MinCardinalityStatement,
+)
 from repro.cr.construction import construct_model
 from repro.cr.implication import (
     ImplicationQuery,
@@ -428,13 +432,12 @@ class ReasoningSession:
         self.queries += 1
         if reduction is None:
             return ImplicationResult(query, True, ENGINE, None)
-        if reduction.strip is None:
-            schema, fingerprint = self._routed(reduction.classes)
-        else:
+        if isinstance(query, (MinCardinalityStatement, MaxCardinalityStatement)):
             # Decided on the owning island, which is not classified.
-            (cls,) = reduction.classes
-            reduction, fingerprint = self.decomposition.extension(cls, query)
+            reduction, fingerprint = self.decomposition.extension(query)
             schema = reduction.schema
+        else:
+            schema, fingerprint = self._routed(reduction.classes)
         where, strip = reduction.where, reduction.strip
         effective = budget if budget is not None else self.budget
 

@@ -313,17 +313,14 @@ class InternedSystem:
         return sum(len(row.cols) for row in self.rows)
 
     def violated_row(self, values: Sequence[Coeff]) -> SparseRow | None:
-        """The first non-strict row that ``values`` (one per column, in
-        table order) violates, or ``None`` when every one holds.
+        """The first row that ``values`` (one per column, in table
+        order) violates, or ``None`` when every one holds.
 
-        Strict rows are skipped: on a homogeneous system they constrain
-        only which scaling of a point is a solution, never its support.
+        Each row is read by its own relation, strict ones included.
         With ``int`` values the check runs in ``int`` arithmetic.
         """
         for row in self.rows:
             relation = row.relation
-            if relation.is_strict:
-                continue
             total = row.const
             for col, coeff in zip(row.cols, row.coeffs):
                 total += coeff * values[col]
@@ -331,8 +328,12 @@ class InternedSystem:
                 holds = total <= 0
             elif relation is Relation.GE:
                 holds = total >= 0
-            else:
+            elif relation is Relation.EQ:
                 holds = total == 0
+            elif relation is Relation.LT:
+                holds = total < 0
+            else:
+                holds = total > 0
             if not holds:
                 return row
         return None

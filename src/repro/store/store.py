@@ -80,7 +80,7 @@ DEFAULT_KIND = "artifacts"
 ENTRY_SUFFIX = ".bin"
 QUARANTINE_SUFFIX = ".quarantined"
 
-_KEY_PATTERN = re.compile(r"^[A-Za-z0-9_-]+$")
+_KEY_PATTERN = re.compile(r"[A-Za-z0-9_-]+")
 """Filesystem-safe, dot-free keys so ``<fp>.<kind>.bin`` parses back."""
 
 
@@ -174,10 +174,7 @@ class ArtifactStore:
 
     @staticmethod
     def _check_key(value: str, what: str) -> str:
-        # A hex fingerprint passes the two C-level tests alone.
-        if not (value.isascii() and value.isalnum()) and not _KEY_PATTERN.match(
-            value
-        ):
+        if not _KEY_PATTERN.fullmatch(value):
             raise StoreError(
                 f"{what} {value!r} is not a filesystem-safe key "
                 "(letters, digits, '_', '-' only)"

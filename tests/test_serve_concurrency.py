@@ -46,6 +46,7 @@ import pytest
 
 from repro.cli import answer_all, parse_batch_query
 from repro.components import decompose_schema
+from repro.components.decompose import EXTENSION_ENTRIES
 from repro.cr.construction import witness_violation
 from repro.cr.satisfiability import decision_problem
 from repro.dsl import parse_schema, serialize_schema
@@ -398,6 +399,24 @@ def test_lock_table_is_empty_after_serving_distinct_schemas():
         engine.handle("check", {"schema": old, "class": "B"})
         engine.handle("diff", {"old_schema": old, "new_schema": new})
     assert engine._fingerprint_locks == {}
+
+
+def test_extension_memo_stays_bounded_across_distinct_maxc_values():
+    """A client asking ``maxc(A, R, U1) = n`` for more distinct ``n``
+    than the memo holds leaves one decomposition with at most
+    :data:`EXTENSION_ENTRIES` island extensions, the newest kept."""
+    engine = ServeEngine()
+    text = SCHEMA_TEXTS["Duo"]
+    values = range(1, EXTENSION_ENTRIES + 9)
+    for value in values:
+        response = engine.handle(
+            "implies", {"schema": text, "statement": f"maxc(A, R, U1) = {value}"}
+        )
+        assert response["payload"]["results"][0]["verdict"] == "implied"
+    (decomposition,) = engine._parsed.values()
+    memo = decomposition._extensions
+    assert len(memo) == EXTENSION_ENTRIES
+    assert [query.value for query in memo] == list(values)[-EXTENSION_ENTRIES:]
 
 
 def test_fingerprint_locks_stay_exclusive_while_entries_come_and_go():

@@ -147,6 +147,26 @@ class TestInternedSystem:
         assert system.has_strict_rows()
         assert not system.is_homogeneous()
 
+    @pytest.mark.parametrize(
+        ("relation", "holds_at", "fails_at"),
+        [
+            (Relation.LE, (1, 1), (2, 1)),
+            (Relation.GE, (1, 1), (0, 1)),
+            (Relation.EQ, (1, 1), (2, 1)),
+            (Relation.LT, (0, 1), (1, 1)),
+            (Relation.GT, (2, 1), (1, 1)),
+        ],
+    )
+    def test_violated_row_reads_each_relation(
+        self, relation, holds_at, fails_at
+    ):
+        # One row x - y <relation> 0 behind a row every point meets.
+        system = InternedSystem(VariableTable(["x", "y"]))
+        system.add({0: 1}, Relation.GE)
+        system.add({0: 1, 1: -1}, relation, label="x-vs-y")
+        assert system.violated_row(list(holds_at)) is None
+        assert system.violated_row(list(fails_at)).label == "x-vs-y"
+
 
 def _system(rows):
     """An InternedSystem over x, y (indices 0, 1) with the given rows."""

@@ -311,7 +311,7 @@ class TestArtifactStore:
         store = ArtifactStore(tmp_path)
         assert store.put("with-dash_and_underscore", 1)
         assert store.get("with-dash_and_underscore") == 1
-        for unsafe in ("\u00e9" * 8, "", "a/b"):
+        for unsafe in ("\u00e9" * 8, "", "a/b", FP + "\n"):
             with pytest.raises(StoreError):
                 store.get(unsafe)
 
