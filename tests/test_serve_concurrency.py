@@ -26,6 +26,9 @@ shared-state ones:
   published copy-on-write, so a lost update may cost an LP, but every
   answer must stay the serial one and every fact in the ledger must
   still verify;
+* **a bounded extension memo** — request threads sharing one
+  decomposition ask, hit and evict its island extensions concurrently;
+  every ask must return its own query's extension;
 * **saturation** — past ``max_inflight`` the daemon answers 503 +
   ``Retry-After`` immediately instead of queueing unboundedly, and the
   in-flight gauge returns to zero afterwards.
@@ -37,6 +40,7 @@ served requests actually hit.
 
 from __future__ import annotations
 
+import random
 import sys
 import threading
 import time
@@ -45,8 +49,9 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.cli import answer_all, parse_batch_query
-from repro.components import decompose_schema
+from repro.components import decompose, decompose_schema
 from repro.components.decompose import EXTENSION_ENTRIES
+from repro.cr.constraints import MaxCardinalityStatement
 from repro.cr.construction import witness_violation
 from repro.cr.satisfiability import decision_problem
 from repro.dsl import parse_schema, serialize_schema
@@ -417,6 +422,52 @@ def test_extension_memo_stays_bounded_across_distinct_maxc_values():
     memo = decomposition._extensions
     assert len(memo) == EXTENSION_ENTRIES
     assert [query.value for query in memo] == list(values)[-EXTENSION_ENTRIES:]
+
+
+def test_extension_memo_survives_threads_evicting_each_other(monkeypatch):
+    """More threads than cores ask one decomposition for three ``maxc``
+    values through a memo shrunk to two entries, under a shortened
+    switch interval, so hits and evictions of one key interleave.
+    Without the memo's lock a hit can reorder an entry another thread
+    has just evicted (a ``KeyError``); every ask must instead return
+    its own query's extension."""
+    monkeypatch.setattr(decompose, "EXTENSION_ENTRIES", 2)
+    decomposition = decompose_schema(parse_schema(SCHEMA_TEXTS["Duo"]))
+    queries = [
+        MaxCardinalityStatement("A", "R", "U1", value) for value in (1, 2, 3)
+    ]
+    threads_count, rounds = 8, 2000
+    errors: list[BaseException] = []
+
+    def worker(offset: int) -> None:
+        rng = random.Random(offset)
+        try:
+            for _ in range(rounds):
+                query = rng.choice(queries)
+                reduction, _fingerprint = decomposition.extension(query)
+                card = reduction.schema.declared_cards[
+                    (reduction.strip, "R", "U1")
+                ]
+                assert card.minc == query.value + 1
+        except BaseException as error:  # reported after the join
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=worker, args=(offset,))
+            for offset in range(threads_count)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(decomposition._extensions) <= 2
 
 
 def test_fingerprint_locks_stay_exclusive_while_entries_come_and_go():
